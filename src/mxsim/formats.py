@@ -1,9 +1,15 @@
 """Small floating-point formats: enumeration, encoding, and rounding.
 
 Element values (4-bit E2M1) and block scales (E8M0, E4M3, UE5M3, E8M3,
-E5M2) are all instances of one parametric minifloat description.  Every
-representable value is enumerated into a sorted grid once per format and
-cached; rounding is then a vectorized search over that grid.
+E5M2) are all instances of one parametric minifloat description.
+
+Rounding and encoding are exponent arithmetic, as the OCP MX element
+semantics define them: ``frexp`` gives each value's binade (clamped to the
+subnormal one), which fixes the spacing ``ulp`` of the grid around it, and
+the rounding mode acts on the integer significand ``x / ulp``.  Every
+representable value is also enumerated into a sorted grid once per format
+and cached; that grid serves ``grid()``, the scalar ``encode``/``decode``
+and the code table of ``decode_array``, and supplies the format's constants.
 
 Signed zero is collapsed to +0 everywhere: the sign of zero never affects
 dequantization.
@@ -55,13 +61,12 @@ class FloatFormat:
 
     @property
     def max_finite(self) -> float:
-        return float(_grid_data(self).values[-1])
+        return _grid_data(self).max_finite
 
     @property
     def min_positive(self) -> float:
         """Smallest positive representable value (subnormal if present)."""
-        vals = _grid_data(self).values
-        return float(vals[np.searchsorted(vals, 0.0, side="right")])
+        return _grid_data(self).min_positive
 
     @property
     def min_positive_subnormal(self) -> float:
@@ -71,18 +76,25 @@ class FloatFormat:
 
 
 class _GridData:
-    """Cached enumeration of one format: sorted values plus canonical codes."""
+    """Cached enumeration of one format: sorted values, canonical codes, the
+    code-indexed value table, and the constants the arithmetic path uses."""
 
     def __init__(self, fmt: FloatFormat):
         codes, values = _enumerate(fmt)
         order = np.argsort(values, kind="stable")
         self.values = values[order]
         self.codes = codes[order]
-        # Parity of the low encoding bit: mantissa LSB, or exponent-field LSB
-        # for exponent-only formats.  Used by the ties-to-even rule.
-        self.even = (self.codes & 1) == 0
         self.code_of = {float(v): int(c) for v, c in zip(self.values, self.codes)}
         self.value_of = {int(c): float(v) for v, c in zip(self.values, self.codes)}
+        self.table = np.full(int(self.codes.max()) + 1, np.nan)
+        self.table[self.codes] = self.values
+        self.max_finite = float(self.values[-1])
+        self.min_value = float(self.values[0])
+        self.min_positive = float(self.values[self.values > 0][0])
+        # Lowest binade: the subnormal one, or that of the smallest power
+        # of two when there are no subnormals.
+        self.min_binade = 2.0 ** (-fmt.bias if fmt.exponent_only else 1 - fmt.bias)
+        self.sign_bit = 1 << (fmt.exponent_bits + fmt.mantissa_bits)
 
 
 def _enumerate(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
@@ -153,20 +165,44 @@ def decode(code: int, fmt: FloatFormat) -> float:
     return value
 
 
+def _binade(a: np.ndarray, data: _GridData) -> np.ndarray:
+    """Binade exponent of each magnitude ``a``, clamped to the format's
+    lowest binade (zero and subnormals land there)."""
+    _, e = np.frexp(np.maximum(a, data.min_binade))
+    return e - 1
+
+
 def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """Canonical codes of exactly representable values (``-0`` encodes as
+    ``+0``); raises ``ValueError`` if any value is off the grid."""
     data = _grid_data(fmt)
-    idx = np.searchsorted(data.values, values)
-    idx = np.clip(idx, 0, len(data.values) - 1)
-    if not np.array_equal(data.values[idx], values):
+    mb = fmt.mantissa_bits
+    v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    e = _binade(a, data)
+    t = np.ldexp(a, mb - e)  # integer significand for grid values
+    with np.errstate(invalid="ignore"):
+        ok = (a <= data.max_finite) & (t == np.floor(t))
+    if fmt.exponent_only:
+        ok &= a > 0
+    if not fmt.signed:
+        ok &= v >= 0
+    if not ok.all():
         raise ValueError(f"array contains values not representable in {fmt.name}")
-    return data.codes[idx]
+    # Exponent field e + bias holds t - 2**mb; the subnormal binade's field
+    # is 0 and its t < 2**mb, so one expression covers both.
+    codes = ((e + (fmt.bias - 1)) << mb) + t.astype(np.int64)
+    if fmt.signed:
+        codes += (v < 0) * data.sign_bit
+    return codes.astype(np.uint32)
 
 
 def decode_array(codes: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    data = _grid_data(fmt)
-    lookup = np.full(int(data.codes.max()) + 1, np.nan)
-    lookup[data.codes] = data.values
-    values = lookup[codes]
+    table = _grid_data(fmt).table
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
+        raise ValueError(f"array contains invalid {fmt.name} codes")
+    values = table[codes]
     if np.isnan(values).any():
         raise ValueError(f"array contains invalid {fmt.name} codes")
     return values
@@ -187,11 +223,16 @@ def round_array(
     representable value (the result may still be 0 or the clamp value;
     callers decide what underflow means for them).
 
+    The clipped input is divided by the grid spacing of its binade, and the
+    mode rounds that quotient ``t`` to an integer: ``rint`` for TiesToEven
+    (the quotient's parity is the mantissa LSB), ``ceil`` for
+    TowardPositive, and ``floor(t) + (u < t - floor(t))`` for Stochastic,
+    with one uniform ``u`` per element from ``rng.random(x.shape)``.
+
     For exponent-only grids TiesToEven minimizes the *relative* deviation
     (decision boundary at the harmonic mean of neighbouring powers of two),
-    which is the natural notion of nearest for a ratio-valued scale.  All
-    other formats use absolute distance.  Ties break toward the even low
-    encoding bit in both cases.
+    which is the natural notion of nearest for a ratio-valued scale; ties
+    break toward the even exponent field.
 
     NaN or infinite inputs are an error; the caller is expected to have
     screened them (the training loop does this through its loss scaler).
@@ -205,45 +246,35 @@ def round_array(
         raise ValueError("Stochastic rounding requires an rng stream")
 
     data = _grid_data(fmt)
-    g = data.values
-    max_fin = g[-1]
-    min_grid = g[0]
+    max_fin = data.max_finite
+    a = np.abs(x)
+    saturated = a > max_fin
+    underflowed = (x != 0) & (a < data.min_positive)
 
-    saturated = np.abs(x) > max_fin
-    underflowed = (x != 0) & (np.abs(x) < fmt.min_positive)
-
-    clipped = np.clip(x, min_grid, max_fin)
-    hi_idx = np.searchsorted(g, clipped, side="left")
-    hi_idx = np.clip(hi_idx, 0, len(g) - 1)
-    on_grid = g[hi_idx] == clipped
-
+    clipped = np.clip(x, data.min_value, max_fin)
+    e = _binade(np.abs(clipped), data)
+    ulp = np.ldexp(1.0, e - fmt.mantissa_bits)
+    t = clipped / ulp
     if mode == TOWARD_POSITIVE:
-        result = g[hi_idx]
+        q = np.ceil(t)
+    elif mode == STOCHASTIC:
+        q = np.floor(t)
+        q += rng.random(x.shape) < t - q
+    elif fmt.exponent_only:
+        # Relative-nearest between ulp and hi = 2 * ulp: the boundary is
+        # their harmonic mean; hi's exponent field is e + 1 + bias.
+        hi = 2.0 * ulp
+        boundary = 2.0 * ulp * hi / (ulp + hi)
+        hi_even = (e + (fmt.bias + 1)) % 2 == 0
+        q = 1.0 + ((clipped > boundary) | ((clipped == boundary) & hi_even))
     else:
-        lo_idx = np.where(on_grid, hi_idx, np.maximum(hi_idx - 1, 0))
-        lo = g[lo_idx]
-        hi = g[hi_idx]
-        span = hi - lo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(span > 0, (clipped - lo) / span, 0.0)
-        if mode == STOCHASTIC:
-            pick_hi = rng.random(x.shape) < frac
-            result = np.where(pick_hi, hi, lo)
-        else:
-            if fmt.exponent_only:
-                # Relative-nearest: boundary at the harmonic mean of lo, hi.
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    boundary = np.where(span > 0, 2.0 * lo * hi / (lo + hi), lo)
-            else:
-                boundary = lo + 0.5 * span
-            pick_hi = clipped > boundary
-            tie = (clipped == boundary) & ~on_grid
-            pick_hi = pick_hi | (tie & data.even[hi_idx])
-            result = np.where(pick_hi, hi, lo)
-
-    # Saturation overrides: clamp preserves sign for signed formats.
-    sat_val = np.sign(x) * max_fin if fmt.signed else np.full_like(x, max_fin)
-    result = np.where(saturated, sat_val, result)
+        q = np.rint(t)
+    result = q * ulp + 0.0  # + 0.0 turns -0.0 into +0.0
+    if not fmt.signed:
+        # The clip already saturates signed formats to sign(x) * max_finite;
+        # an unsigned format saturates every overflow, negative ones too, to
+        # max_finite.
+        result = np.where(saturated, max_fin, result)
     return result, saturated, underflowed
 
 

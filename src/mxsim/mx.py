@@ -20,6 +20,7 @@ narrow-range scale format calls for it).
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .formats import (
     E4M3,
     E2M1,
     E8M0,
+    ROUNDING_MODES,
     TIES_TO_EVEN,
     FloatFormat,
     decode_array,
@@ -59,8 +61,8 @@ class ZFunction:
         if self.kind not in (Z_ABSMAX, Z_LOGSUMEXP):
             raise ValueError(f"unknown Z function {self.kind!r}")
         if self.kind == Z_LOGSUMEXP:
-            if self.beta is None or self.beta <= 0:
-                raise ValueError("LogSumExp requires a positive beta")
+            if self.beta is None or not 0 < self.beta < math.inf:
+                raise ValueError("LogSumExp requires a positive finite beta")
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,9 @@ class BlockSpec:
             raise ValueError("block_size must be positive")
         if self.zero_mode not in ZERO_MODES:
             raise ValueError(f"unknown zero mode {self.zero_mode!r}")
+        for mode in (self.scale_rounding, self.elem_rounding):
+            if mode not in ROUNDING_MODES:
+                raise ValueError(f"unknown rounding mode {mode!r}")
 
 
 @dataclass
@@ -117,6 +122,11 @@ class BlockQuantResult:
     s_ideal: np.ndarray  # elem_max / z (inf where z == 0)
     s_eff: np.ndarray  # rescale * stored scale, the actual multiplier
     values: np.ndarray  # (1 / s_eff) * Q(s_eff * blocks)
+
+    def dequantize(self) -> np.ndarray:
+        """The reconstructed tensor, bit-identical to ``qt.dequantize()``
+        but read from ``values`` instead of decoding the codes again."""
+        return _unblock(self.values, self.qt)
 
 
 def z_value(block: np.ndarray, z: ZFunction) -> float:
@@ -192,10 +202,15 @@ def nvfp4_rescale(s_prime: float, spec: BlockSpec = BlockSpec(scale_format=E4M3)
     return s_prime / nvfp4_rescale_constant(spec)
 
 
+def _num_blocks(n: int, block_size: int) -> int:
+    """Blocks holding ``n`` elements; an empty tensor still gets one."""
+    return max(1, -(-n // block_size))
+
+
 def _partition(flat: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a flat array into zero-padded blocks plus a validity mask."""
     n = flat.size
-    num_blocks = max(1, -(-n // block_size))
+    num_blocks = _num_blocks(n, block_size)
     padded = np.zeros(num_blocks * block_size, dtype=np.float64)
     padded[:n] = flat
     mask = np.zeros(num_blocks * block_size, dtype=bool)
@@ -280,11 +295,14 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
     l = qt.spec.block_size
     values = decode_array(qt.codes, qt.spec.elem_format).reshape(-1, l)
     s_eff = qt.rescale * qt.scales
-    out = values / s_eff[:, None]
+    return _unblock(values / s_eff[:, None], qt)
+
+
+def _unblock(values: np.ndarray, qt: QuantizedTensor) -> np.ndarray:
+    """Re-apply the global factor to dequantized blocks and drop padding."""
     if qt.global_scale is not None:
-        out = out * qt.global_scale
-    n = int(np.prod(qt.shape)) if qt.shape else 1
-    return out.ravel()[:n].reshape(qt.shape)
+        values = values * qt.global_scale
+    return values.ravel()[: math.prod(qt.shape)].reshape(qt.shape)
 
 
 def quantize_block(
@@ -306,28 +324,35 @@ def dequantize_block(
 # Serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"MXQT"
+_MAGIC = b"MXQ2"
+
+
+def _pack_text(text: str) -> bytes:
+    raw = text.encode("ascii")
+    return struct.pack("<B", len(raw)) + raw
 
 
 def to_bytes(qt: QuantizedTensor) -> bytes:
-    """Binary layout: header, scale codes (16-bit), packed 4-bit elem codes."""
+    """Binary layout: header with the whole spec, scale codes (16-bit),
+    packed 4-bit element codes."""
     spec = qt.spec
+    codes = qt.codes.astype(np.uint8)
+    if qt.codes.size and int(qt.codes.max()) > 0xF:
+        raise ValueError(f"{spec.elem_format.name} codes do not fit in 4 bits")
     buf = io.BytesIO()
-    elem_name = spec.elem_format.name.encode()
-    scale_name = spec.scale_format.name.encode()
     buf.write(_MAGIC)
     buf.write(struct.pack(
         "<BHB", len(qt.shape), spec.block_size, 1 if qt.global_scale is not None else 0
     ))
     buf.write(struct.pack(f"<{len(qt.shape)}q", *qt.shape))
-    buf.write(struct.pack("<dd", qt.global_scale or 0.0, qt.rescale))
-    buf.write(struct.pack("<BB", len(elem_name), len(scale_name)))
-    buf.write(elem_name)
-    buf.write(scale_name)
-    scale_codes = encode_array(qt.scales, spec.scale_format).astype(np.uint16)
+    beta = math.nan if spec.z.beta is None else spec.z.beta
+    buf.write(struct.pack("<ddd", qt.global_scale or 0.0, qt.rescale, beta))
+    for text in (spec.elem_format.name, spec.scale_format.name, spec.z.kind,
+                 spec.scale_rounding, spec.elem_rounding, spec.zero_mode):
+        buf.write(_pack_text(text))
+    scale_codes = encode_array(qt.scales, spec.scale_format).astype("<u2")
     buf.write(struct.pack("<q", len(scale_codes)))
     buf.write(scale_codes.tobytes())
-    codes = qt.codes.astype(np.uint8)
     if codes.size % 2:
         codes = np.append(codes, np.uint8(0))
     packed = (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8)
@@ -337,29 +362,73 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
 
 
 def from_bytes(data: bytes) -> QuantizedTensor:
-    """Inverse of :func:`to_bytes`."""
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
+    """Inverse of :func:`to_bytes`.
+
+    Raises ``ValueError`` for a buffer that is truncated, over-long, or
+    whose fields disagree with each other or with the formats they name.
+    """
+    data = bytes(data)
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n < 0 or pos + n > len(data):
+            raise ValueError("truncated quantized-tensor buffer")
+        pos += n
+        return data[pos - n : pos]
+
+    def unpack(layout: str) -> tuple:
+        return struct.unpack(layout, take(struct.calcsize(layout)))
+
+    def text() -> str:
+        return take(unpack("<B")[0]).decode("ascii")
+
+    def fmt(name: str) -> FloatFormat:
+        try:
+            return get_format(name)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+
+    if take(4) != _MAGIC:
         raise ValueError("not a serialized quantized tensor")
-    ndim, block_size, has_g = struct.unpack("<BHB", buf.read(4))
-    shape = struct.unpack(f"<{ndim}q", buf.read(8 * ndim))
-    g, rescale = struct.unpack("<dd", buf.read(16))
-    n_elem_name, n_scale_name = struct.unpack("<BB", buf.read(2))
-    elem_fmt = get_format(buf.read(n_elem_name).decode())
-    scale_fmt = get_format(buf.read(n_scale_name).decode())
-    (n_scales,) = struct.unpack("<q", buf.read(8))
-    scale_codes = np.frombuffer(buf.read(2 * n_scales), dtype=np.uint16)
-    (n_codes,) = struct.unpack("<q", buf.read(8))
-    packed = np.frombuffer(buf.read(-(-n_codes // 2)), dtype=np.uint8)
-    codes = np.empty(packed.size * 2, dtype=np.uint8)
+    ndim, block_size, has_g = unpack("<BHB")
+    shape = unpack(f"<{ndim}q")
+    g, rescale, beta = unpack("<ddd")
+    elem_fmt, scale_fmt = fmt(text()), fmt(text())
+    z_kind, scale_rounding, elem_rounding, zero_mode = text(), text(), text(), text()
+    (n_scales,) = unpack("<q")
+    scale_codes = np.frombuffer(take(2 * n_scales), dtype="<u2")
+    (n_codes,) = unpack("<q")
+    packed = np.frombuffer(take(-(-n_codes // 2)), dtype=np.uint8)
+    if pos != len(data):
+        raise ValueError("trailing bytes after quantized tensor")
+
+    spec = BlockSpec(
+        block_size=block_size, elem_format=elem_fmt, scale_format=scale_fmt,
+        z=ZFunction(z_kind, None if math.isnan(beta) else beta),
+        scale_rounding=scale_rounding, elem_rounding=elem_rounding,
+        zero_mode=zero_mode,
+    )
+    if any(d < 0 for d in shape) or has_g > 1:
+        raise ValueError("corrupt quantized-tensor header")
+    if n_scales != _num_blocks(math.prod(shape), block_size):
+        raise ValueError(f"{n_scales} scales do not fit shape {shape}")
+    if n_codes != n_scales * block_size or (n_codes % 2 and packed[-1] >> 4):
+        raise ValueError(f"{n_codes} element codes do not fit {n_scales} blocks")
+    if not 0 < rescale < math.inf or (has_g and not 0 < g < math.inf):
+        raise ValueError("tensor factors must be positive and finite")
+    scales = decode_array(scale_codes, scale_fmt)
+    if not (scales > 0).all():
+        raise ValueError("block scales must be positive")
+    codes = np.empty(packed.size * 2, dtype=np.int64)
     codes[0::2] = packed & 0x0F
     codes[1::2] = packed >> 4
-    spec = BlockSpec(block_size=block_size, elem_format=elem_fmt,
-                     scale_format=scale_fmt)
+    codes = codes[:n_codes]
+    decode_array(codes, elem_fmt)  # rejects codes outside the element format
     return QuantizedTensor(
         shape=tuple(shape),
-        scales=decode_array(scale_codes.astype(np.int64), scale_fmt),
-        codes=codes[:n_codes].astype(np.int64),
+        scales=scales,
+        codes=codes,
         spec=spec,
         global_scale=g if has_g else None,
         rescale=rescale,

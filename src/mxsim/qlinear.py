@@ -136,8 +136,8 @@ def forward(
         rng_w = _site_rng(seed, step, 1) if _needs_rng(w_spec) else None
         res_x = _quantize_matrix(x_pad, x_spec, cfg, rng_x)
         res_w = _quantize_matrix(w_pad, w_spec, cfg, rng_w)
-        fx = res_x.qt.dequantize()
-        fw = res_w.qt.dequantize()
+        fx = res_x.dequantize()
+        fw = res_w.dequantize()
         counts["forward_quant"] = 2
     else:
         res_x = res_w = None
@@ -179,7 +179,7 @@ def _quantize_gradient(
     spec = replace(cfg.spec, elem_rounding=round_mode)
     rng = _site_rng(seed, step, site) if _needs_rng(spec) else None
     res = _quantize_matrix(_pad_axis(g, 1, spec.block_size), spec, cfg, rng)
-    return res.qt.dequantize()
+    return res.dequantize()
 
 
 def backward(

@@ -298,9 +298,11 @@ def train(task: TaskSpec, cfg: TrainConfig) -> RunRecord:
             if not np.isfinite(loss):
                 scaler.update(False)
                 continue
+            # The update below may grow the scale; unscale by this one.
+            scale = scaler.value
             try:
                 grads_w, g_hw, g_hb = _model_backward(
-                    d_out * scaler.value, ctxs, pre, ws, head_w, cfg
+                    d_out * scale, ctxs, pre, ws, head_w, cfg
                 )
             except NonFiniteGradientError:
                 scaler.update(False)
@@ -308,7 +310,7 @@ def train(task: TaskSpec, cfg: TrainConfig) -> RunRecord:
             grads = [*grads_w, g_hw, g_hb]
             finite = all(np.isfinite(g).all() for g in grads)
             if scaler.update(finite):
-                inv = 1.0 / scaler.value if cfg.loss_scaling else 1.0
+                inv = 1.0 / scale
                 adam_step([*ws, head_w, head_b], [g * inv for g in grads], state)
 
         train_loss = epoch_loss / max(batches, 1)

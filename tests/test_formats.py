@@ -19,6 +19,7 @@ from mxsim.formats import (
     TOWARD_POSITIVE,
     decode,
     encode,
+    encode_array,
     grid,
     round_array,
     round_value,
@@ -47,6 +48,131 @@ def brute_force_rtn(x: float, fmt) -> float:
         return float(g[best[0]])
     evens = [i for i in best if formats.encode(float(g[i]), fmt) % 2 == 0]
     return float(g[evens[0] if evens else best[0]])
+
+
+def _grid_round(x, fmt, mode=TIES_TO_EVEN, rng=None):
+    """Grid-search rounding oracle: locate each input's neighbours on the
+    enumerated grid and pick one by the mode's rule.  Same contract and
+    same rng draw as :func:`round_array`."""
+    x = np.asarray(x, dtype=np.float64)
+    g = grid(fmt)
+    codes = np.array([encode(float(v), fmt) for v in g])
+    even = (codes & 1) == 0
+    max_fin = g[-1]
+
+    saturated = np.abs(x) > max_fin
+    underflowed = (x != 0) & (np.abs(x) < fmt.min_positive)
+
+    clipped = np.clip(x, g[0], max_fin)
+    hi_idx = np.clip(np.searchsorted(g, clipped, side="left"), 0, len(g) - 1)
+    on_grid = g[hi_idx] == clipped
+
+    if mode == TOWARD_POSITIVE:
+        result = g[hi_idx]
+    else:
+        lo = g[np.where(on_grid, hi_idx, np.maximum(hi_idx - 1, 0))]
+        hi = g[hi_idx]
+        span = hi - lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(span > 0, (clipped - lo) / span, 0.0)
+        if mode == STOCHASTIC:
+            result = np.where(rng.random(x.shape) < frac, hi, lo)
+        else:
+            if fmt.exponent_only:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    boundary = np.where(span > 0, 2.0 * lo * hi / (lo + hi), lo)
+            else:
+                boundary = lo + 0.5 * span
+            tie = (clipped == boundary) & ~on_grid
+            pick_hi = (clipped > boundary) | (tie & even[hi_idx])
+            result = np.where(pick_hi, hi, lo)
+
+    sat_val = np.sign(x) * max_fin if fmt.signed else np.full_like(x, max_fin)
+    return np.where(saturated, sat_val, result), saturated, underflowed
+
+
+def _oracle_inputs(fmt, rng):
+    """Grid points, absolute and harmonic midpoints, their float64
+    neighbours, the saturation region, float64 subnormals and random
+    samples spread over the whole exponent range."""
+    g = grid(fmt)
+    lo, hi = g[:-1], g[1:]
+    mids = lo + 0.5 * (hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harm = 2.0 * lo * hi / (lo + hi)
+    harm = harm[np.isfinite(harm)]
+    base = np.concatenate([g, mids, harm])
+    base = np.concatenate([base, np.nextafter(base, np.inf),
+                           np.nextafter(base, -np.inf)])
+    m = fmt.max_finite
+    edge = np.array([2 * m, -2 * m, m * (1 + 2**-40), -m * (1 + 2**-40), 1e300,
+                     -1e300, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+    log_lo = math.log2(fmt.min_positive) - 4
+    log_hi = math.log2(m) + 2
+    mag = np.exp2(rng.uniform(log_lo, log_hi, size=100_000))
+    rand = mag * rng.choice([-1.0, 1.0], size=mag.size)
+    lin = rng.uniform(-1.25 * m, 1.25 * m, size=100_000)
+    x = np.concatenate([base, edge, rand, lin])
+    return np.concatenate([x, -x])
+
+
+def _assert_same_rounding(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+
+
+class TestGridOracle:
+    """The arithmetic rounding and encoding paths reproduce grid search."""
+
+    @pytest.mark.parametrize("mode", [TIES_TO_EVEN, TOWARD_POSITIVE])
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_deterministic_modes(self, fmt, mode):
+        x = _oracle_inputs(fmt, np.random.default_rng(5))
+        _assert_same_rounding(round_array(x, fmt, mode), _grid_round(x, fmt, mode))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_stochastic_stream(self, fmt):
+        x = _oracle_inputs(fmt, np.random.default_rng(6))
+        got = round_array(x, fmt, STOCHASTIC, np.random.default_rng(99))
+        want = _grid_round(x, fmt, STOCHASTIC, np.random.default_rng(99))
+        _assert_same_rounding(got, want)
+
+    def test_output_shape_follows_input(self):
+        x = np.linspace(-7, 7, 24).reshape(2, 3, 4)
+        for mode, rng in ((TIES_TO_EVEN, None), (STOCHASTIC, np.random.default_rng(1))):
+            r, s, u = round_array(x, E2M1, mode, rng)
+            assert r.shape == s.shape == u.shape == x.shape
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_encode_array_matches_grid_codes(self, fmt):
+        g = grid(fmt)
+        want = np.array([encode(float(v), fmt) for v in g], dtype=np.uint32)
+        got = encode_array(g, fmt)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(encode_array(g.reshape(-1, 1), fmt),
+                                      want.reshape(-1, 1))
+        if 0.0 in g:
+            assert encode_array(np.array([-0.0]), fmt)[0] == encode(0.0, fmt)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_encode_array_rejects_unrepresentable(self, fmt):
+        g = grid(fmt)
+        m = fmt.max_finite
+        pos = g[g > 0]
+        bad = [2 * m, -2 * m, np.nan, np.inf, -np.inf,
+               np.nextafter(m, np.inf), 0.5 * (pos[0] + pos[1])]
+        if fmt.exponent_only:
+            bad += [0.0, pos[0] / 2]
+        else:
+            bad.append(fmt.min_positive / 2)
+        if not fmt.signed:
+            bad.append(-pos[len(pos) // 2])
+        for v in bad:
+            with pytest.raises(ValueError):
+                encode_array(np.array([1.0 * pos[0], v]), fmt)
 
 
 class TestGrid:

@@ -366,3 +366,56 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             from_bytes(b"nope" + b"\x00" * 50)
+
+    def test_round_trip_keeps_whole_spec(self):
+        spec = BlockSpec(block_size=8, scale_format=UE5M3, z=ZFunction(Z_LOGSUMEXP, 2.5),
+                         scale_rounding=TOWARD_POSITIVE, elem_rounding=STOCHASTIC,
+                         zero_mode=ZERO_TO_ONE)
+        X = np.random.default_rng(3).normal(size=(3, 5))
+        qt = quantize_tensor(X, spec, tensor_scaling=True, rng=np.random.default_rng(4))
+        assert from_bytes(to_bytes(qt)).spec == qt.spec
+        plain = quantize_tensor(X, BlockSpec(block_size=4))
+        assert from_bytes(to_bytes(plain)).spec == plain.spec
+
+    @pytest.mark.parametrize("shape", [(5, 7), (16,), (0,), ()])
+    def test_every_truncation_and_extension_rejected(self, shape):
+        X = np.random.default_rng(5).normal(size=shape)
+        data = to_bytes(quantize_tensor(X, BlockSpec(block_size=16)))
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                from_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            from_bytes(data + b"\x00")
+
+    def test_wide_element_codes_rejected(self):
+        qt = quantize_tensor(np.array([100.0, -3.0]), BlockSpec(block_size=2,
+                                                                 elem_format=E4M3))
+        with pytest.raises(ValueError):
+            to_bytes(qt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(5, 7), (3,), (2, 2, 3), (0,)]),
+        scale_fmt=st.sampled_from([E8M0, E4M3, UE5M3]),
+        block_size=st.sampled_from([3, 4, 16]),
+        tensor_scaling=st.booleans(),
+    )
+    def test_corrupt_buffer_fails_cleanly(self, data, shape, scale_fmt, block_size,
+                                          tensor_scaling):
+        X = np.random.default_rng(6).normal(size=shape) * 10.0
+        spec = BlockSpec(block_size=block_size, scale_format=scale_fmt)
+        buf = bytearray(to_bytes(quantize_tensor(X, spec, tensor_scaling)))
+        if data.draw(st.booleans(), label="truncate"):
+            buf = buf[: data.draw(st.integers(0, len(buf) - 1), label="cut")]
+        else:
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(buf) - 1),
+                                          min_size=1, max_size=3), label="bits"):
+                buf[bit // 8] ^= 1 << (bit % 8)
+        try:
+            back = from_bytes(bytes(buf))
+        except ValueError:
+            return
+        with np.errstate(over="ignore"):
+            out = back.dequantize()
+        assert out.shape == back.shape

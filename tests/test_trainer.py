@@ -258,3 +258,36 @@ class TestTraining:
         cfg = self.small_cfg(loss_scaling=True)
         rec = train(self.small_task(), cfg)
         assert all(np.isfinite(rec.train_losses))
+
+    def test_growth_step_unscales_at_the_scale_it_was_computed_at(self, monkeypatch):
+        # LossScaler(scale=4, growth_interval=2): step 2 is computed at scale
+        # 4 and grows the scale to 8, yet must still be unscaled by 4.  Dense
+        # layers scale exactly by powers of two, so the applied gradients
+        # must equal those of the unscaled run bit for bit.
+        from mxsim import trainer
+
+        def applied_grads(loss_scaling):
+            seen = []
+
+            def recording_adam(params, grads, state):
+                seen.append([g.copy() for g in grads])
+                adam_step(params, grads, state)
+
+            monkeypatch.setattr(trainer, "adam_step", recording_adam)
+            monkeypatch.setattr(
+                trainer, "LossScaler",
+                lambda enabled: LossScaler(scale=4.0, growth_interval=2,
+                                           enabled=enabled),
+            )
+            cfg = self.small_cfg(
+                qcfg=QLinearConfig(spec=BlockSpec(block_size=16), quantize=False),
+                epochs=1, loss_scaling=loss_scaling,
+            )
+            train(self.small_task(), cfg)
+            return seen
+
+        scaled, plain = applied_grads(True), applied_grads(False)
+        assert len(scaled) == len(plain) >= 4
+        for step, (a, b) in enumerate(zip(scaled, plain), start=1):
+            for ga, gb in zip(a, b):
+                np.testing.assert_array_equal(ga, gb, err_msg=f"step {step}")
