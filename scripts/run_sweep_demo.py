@@ -70,9 +70,10 @@ def main() -> None:
                 f"sr={cfg.sr} hadamard={cfg.hadamard}")
         print(f"{rep.omega:>6.2f} {rep.score:>9.4f} {rep.m_c:>10.4f}  {desc}")
 
-    front = pareto_front([rep for rep, _ in reports])
+    front = pareto_front([(rep.omega, rep.score) for rep, _ in reports])
     print("pareto frontier (complexity, score):",
-          ", ".join(f"({r.omega:.2f}, {r.score:.4f})" for r in front))
+          ", ".join(f"({r.omega:.2f}, {r.score:.4f})"
+                    for r in (reports[i][0] for i in front)))
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from .sweep import (
     recon_error_experiment,
     result_row,
     run_many,
-    score_report,
     write_recon_csv,
     write_results_csv,
 )
@@ -444,24 +443,14 @@ def _read_results(path: str) -> list[dict[str, str]]:
 
 def cmd_pareto(args) -> int:
     rows = _read_results(args.results)
-    reports = [
-        score_report(
-            config_id=str(i),
-            m_ref=1.0,
-            m_c=1.0 - float(r["Score"]),
-            omega=float(r["Complexity points"]),
-        )
-        for i, r in enumerate(rows)
-    ]
-    front = pareto_front(reports)
-    front_ids = {r.config_id for r in front}
+    points = [(float(r["Complexity points"]), float(r["Score"])) for r in rows]
+    front = pareto_front(points)
     out = _out_dir(args)
     with open(out / "frontier.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerows(r for i, r in enumerate(rows) if str(i) in front_ids)
-    points = [(r.omega, r.score) for r in reports]
-    highlight = [(r.omega, r.score) for r in front]
+        writer.writerows(rows[i] for i in front)
+    highlight = [points[i] for i in front]
     svg = scatter_plot(
         points,
         highlight,

@@ -278,17 +278,6 @@ def round_array(
     return result, saturated, underflowed
 
 
-def round_value(
-    x: float,
-    fmt: FloatFormat,
-    mode: str = TIES_TO_EVEN,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, bool, bool]:
-    """Scalar convenience wrapper around :func:`round_array`."""
-    r, s, u = round_array(np.asarray([x]), fmt, mode, rng)
-    return float(r[0]), bool(s[0]), bool(u[0])
-
-
 E2M1 = FloatFormat("E2M1", exponent_bits=2, mantissa_bits=1, bias=1, signed=True)
 E8M0 = FloatFormat(
     "E8M0", exponent_bits=8, mantissa_bits=0, bias=127, signed=False,

@@ -7,6 +7,9 @@ which block-scaled quantization represents far more accurately.  Because
 the transform is orthogonal, applying it with the same signs to both
 operands of a dot product leaves the product unchanged, so a matmul
 quantized in the rotated basis needs no explicit inverse on its output.
+Operand gradients do need it: under the ``All`` mode the forward pass
+rotates both operands, so ``qlinear.backward`` un-rotates their gradients
+with ``transform_along_axis(..., inverse=True)``.
 """
 
 from __future__ import annotations
@@ -62,28 +65,11 @@ def block_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-def apply_transform(block: np.ndarray, spec: HadamardSpec, block_index: int = 0) -> np.ndarray:
-    """y = H @ S @ x for one block."""
-    block = np.asarray(block, dtype=np.float64)
-    l = spec.block_size
-    if block.shape[-1] != l:
-        raise ValueError(f"block length {block.shape[-1]} != {l}")
-    signs = block_signs(spec.seed, block_index + 1, l)[block_index]
-    return (block * signs) @ sylvester(l)
-
-
-def invert_transform(block: np.ndarray, spec: HadamardSpec, block_index: int = 0) -> np.ndarray:
-    """Exact inverse of :func:`apply_transform` (S @ H, both involutive parts)."""
-    block = np.asarray(block, dtype=np.float64)
-    l = spec.block_size
-    if block.shape[-1] != l:
-        raise ValueError(f"block length {block.shape[-1]} != {l}")
-    signs = block_signs(spec.seed, block_index + 1, l)[block_index]
-    return (block @ sylvester(l)) * signs
-
-
-def transform_along_axis(a: np.ndarray, axis: int, spec: HadamardSpec) -> np.ndarray:
-    """Apply H @ S to consecutive length-l blocks along ``axis``.
+def transform_along_axis(
+    a: np.ndarray, axis: int, spec: HadamardSpec, inverse: bool = False
+) -> np.ndarray:
+    """Apply H @ S to consecutive length-l blocks along ``axis``, or with
+    ``inverse`` its exact inverse S @ H (both factors are involutions).
 
     The axis length must be a multiple of the block size (callers zero-pad
     first).  Block ``i`` along the axis uses the sign row for index ``i``,
@@ -99,5 +85,8 @@ def transform_along_axis(a: np.ndarray, axis: int, spec: HadamardSpec) -> np.nda
     lead = moved.shape[:-1]
     blocks = moved.reshape(*lead, n // l, l)
     signs = block_signs(spec.seed, n // l, l)
-    out = (blocks * signs) @ sylvester(l)
+    if inverse:
+        out = (blocks @ sylvester(l)) * signs
+    else:
+        out = (blocks * signs) @ sylvester(l)
     return np.moveaxis(out.reshape(*lead, n), -1, axis)

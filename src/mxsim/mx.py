@@ -129,12 +129,6 @@ class BlockQuantResult:
         return _unblock(self.values, self.qt)
 
 
-def z_value(block: np.ndarray, z: ZFunction) -> float:
-    """Block statistic of a single 1-D block."""
-    block = np.asarray(block, dtype=np.float64)
-    return float(z_values(block[None, :], z)[0])
-
-
 def z_values(
     blocks: np.ndarray, z: ZFunction, mask: np.ndarray | None = None
 ) -> np.ndarray:
@@ -151,21 +145,6 @@ def z_values(
     if mask is not None:
         e = np.where(mask, e, 0.0)
     return m + np.log(e.sum(axis=-1)) / beta
-
-
-def block_scale(block: np.ndarray, spec: BlockSpec) -> float:
-    """Ideal multiplier for one block; +inf sentinel when the block is zero."""
-    zv = z_value(block, spec.z)
-    if zv == 0.0:
-        return np.inf
-    return spec.elem_format.max_finite / zv
-
-
-def quantize_scale(
-    s: float, spec: BlockSpec, rng: np.random.Generator | None = None
-) -> float:
-    """Round an ideal multiplier into the scale format (always positive)."""
-    return float(quantize_scales(np.asarray([s]), spec, rng)[0])
 
 
 def quantize_scales(
@@ -195,11 +174,6 @@ def nvfp4_rescale_constant(spec: BlockSpec) -> float:
     """Fixed divisor that re-centers per-block multipliers in a narrow
     scale format when tensor scaling is active (half of elem_max * scale_max)."""
     return spec.elem_format.max_finite * spec.scale_format.max_finite * 0.5
-
-
-def nvfp4_rescale(s_prime: float, spec: BlockSpec = BlockSpec(scale_format=E4M3)) -> float:
-    """Apply the fixed rescale divisor to one ideal multiplier."""
-    return s_prime / nvfp4_rescale_constant(spec)
 
 
 def _num_blocks(n: int, block_size: int) -> int:
@@ -303,21 +277,6 @@ def _unblock(values: np.ndarray, qt: QuantizedTensor) -> np.ndarray:
     if qt.global_scale is not None:
         values = values * qt.global_scale
     return values.ravel()[: math.prod(qt.shape)].reshape(qt.shape)
-
-
-def quantize_block(
-    block: np.ndarray, spec: BlockSpec, rng: np.random.Generator | None = None
-) -> tuple[float, np.ndarray]:
-    """Quantize a single block; returns (stored scale, element codes)."""
-    res = quantize_blocks(np.asarray(block, dtype=np.float64), spec, rng=rng)
-    return float(res.qt.scales[0]), res.qt.codes[: np.asarray(block).size]
-
-
-def dequantize_block(
-    s_q: float, codes: np.ndarray, spec: BlockSpec
-) -> np.ndarray:
-    """Reconstruct a single block from its scale and element codes."""
-    return decode_array(np.asarray(codes), spec.elem_format) / s_q
 
 
 # ---------------------------------------------------------------------------

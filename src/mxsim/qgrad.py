@@ -115,36 +115,39 @@ def _decision_knots(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
     return t, b
 
 
-_KNOT_CACHE: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_KNOT_CACHE: dict[FloatFormat, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _spline_data(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cached = _KNOT_CACHE.get(fmt.name)
+    cached = _KNOT_CACHE.get(fmt)
     if cached is None:
         t, b = _decision_knots(fmt)
         slopes = np.diff(b) / np.diff(t)
         cached = (t, b, slopes)
-        _KNOT_CACHE[fmt.name] = cached
+        _KNOT_CACHE[fmt] = cached
     return cached
+
+
+def _spline_interval(x: np.ndarray, fmt: FloatFormat):
+    """Knot data of ``fmt``, the knot interval of each ``x`` and whether
+    ``x`` lies inside the outermost knots."""
+    t, b, slopes = _spline_data(fmt)
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    inside = (x >= t[0]) & (x < t[-1])
+    return t, b, slopes, i, inside
 
 
 def q_spline(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Continuous piecewise-linear interpolation through the rounding knots."""
-    t, b, slopes = _spline_data(fmt)
     x = np.asarray(x, dtype=np.float64)
-    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-    inside = (x >= t[0]) & (x < t[-1])
-    val = np.where(inside, slopes[i] * (x - t[i]) + b[i],
-                   np.where(x < t[0], b[0], b[-1]))
-    return val
+    t, b, slopes, i, inside = _spline_interval(x, fmt)
+    return np.where(inside, slopes[i] * (x - t[i]) + b[i],
+                    np.where(x < t[0], b[0], b[-1]))
 
 
 def q_spline_grad(x: np.ndarray, fmt: FloatFormat, clip_min: float = 0.05) -> np.ndarray:
     """Spline slope, floored at ``clip_min`` (saturating regions report it too)."""
-    t, _, slopes = _spline_data(fmt)
-    x = np.asarray(x, dtype=np.float64)
-    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-    inside = (x >= t[0]) & (x < t[-1])
+    _, _, slopes, i, inside = _spline_interval(np.asarray(x, dtype=np.float64), fmt)
     a = np.where(inside, slopes[i], 0.0)
     return np.maximum(a, clip_min)
 
@@ -177,8 +180,8 @@ def q_baseline_grad(
     return np.minimum(d, clamp_max)
 
 
-def q_sigmoid(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarray:
-    """Sigmoid interpolation between adjacent grid values (step as T -> 0)."""
+def _sigmoid_interval(x: np.ndarray, fmt: FloatFormat, T: float):
+    """Lower grid value, grid spacing and sigmoid weight of each ``x``."""
     g = grid(fmt)
     x = np.asarray(x, dtype=np.float64)
     i = np.clip(np.searchsorted(g, x, side="left") - 1, 0, len(g) - 2)
@@ -186,19 +189,17 @@ def q_sigmoid(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarray:
     delta = v1 - v0
     c = 0.5 * (v0 + v1)
     z = np.clip((x - c) * (12.0 / delta) / T, -700.0, 700.0)
-    sig = 1.0 / (1.0 + np.exp(-z))
+    return v0, delta, 1.0 / (1.0 + np.exp(-z))
+
+
+def q_sigmoid(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarray:
+    """Sigmoid interpolation between adjacent grid values (step as T -> 0)."""
+    v0, delta, sig = _sigmoid_interval(x, fmt, T)
     return v0 + sig * delta
 
 
 def q_sigmoid_grad(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarray:
-    g = grid(fmt)
-    x = np.asarray(x, dtype=np.float64)
-    i = np.clip(np.searchsorted(g, x, side="left") - 1, 0, len(g) - 2)
-    v0, v1 = g[i], g[i + 1]
-    delta = v1 - v0
-    c = 0.5 * (v0 + v1)
-    z = np.clip((x - c) * (12.0 / delta) / T, -700.0, 700.0)
-    sig = 1.0 / (1.0 + np.exp(-z))
+    _, _, sig = _sigmoid_interval(x, fmt, T)
     return (12.0 / T) * sig * (1.0 - sig)
 
 

@@ -59,15 +59,11 @@ class QLinearConfig:
 class LayerContext:
     """Saved state sufficient to reproduce the backward pass bit-exactly."""
 
-    x: np.ndarray  # high-precision input, as given
-    w: np.ndarray
     fx: np.ndarray  # dequantized forward operands, padded along m
     fw: np.ndarray
     res_x: BlockQuantResult | None
     res_w: BlockQuantResult | None
-    x_pad: np.ndarray  # transformed+padded high-precision operands
-    w_pad: np.ndarray
-    m_pad: int
+    m: int  # contraction length before padding
     seed: int
     step: int
     site_counts: dict[str, int] = field(default_factory=dict)
@@ -120,7 +116,6 @@ def forward(
 
     x_pad = _pad_axis(X, 1, l)
     w_pad = _pad_axis(W, 1, l)
-    m_pad = x_pad.shape[1]
 
     if cfg.hadamard.mode == HADAMARD_ALL:
         hspec = _step_hadamard(cfg, step)
@@ -145,16 +140,13 @@ def forward(
 
     Y = fx @ fw.T
     ctx = LayerContext(
-        x=X, w=W, fx=fx, fw=fw, res_x=res_x, res_w=res_w,
-        x_pad=x_pad, w_pad=w_pad, m_pad=m_pad, seed=seed, step=step,
-        site_counts=counts,
+        fx=fx, fw=fw, res_x=res_x, res_w=res_w, m=X.shape[1], seed=seed,
+        step=step, site_counts=counts,
     )
     return Y, ctx
 
 
-def _operand_grad(
-    res: BlockQuantResult, pad_shape: tuple[int, int], cfg: QLinearConfig
-) -> np.ndarray:
+def _operand_grad(res: BlockQuantResult, cfg: QLinearConfig) -> np.ndarray:
     """Per-element derivative of an operand's quantization, padded shape."""
     spec = cfg.spec
     if cfg.tensor_scaling and cfg.grad.tensor_mode != TENSOR_GRAD_IGNORE:
@@ -166,7 +158,7 @@ def _operand_grad(
             res.values * res.s_eff[:, None], res.z, spec, cfg.grad, res.mask,
             s_pre=res.s_ideal / res.qt.rescale,
         )
-    return d.reshape(pad_shape)
+    return d.reshape(res.qt.shape)
 
 
 def _quantize_gradient(
@@ -189,13 +181,12 @@ def backward(
     gY = np.asarray(gY, dtype=np.float64)
     if not np.isfinite(gY).all():
         raise NonFiniteGradientError("incoming gradient is not finite")
-    b, m = ctx.x.shape
-    n = ctx.w.shape[0]
+    fw, fx = ctx.fw, ctx.fx
+    b, n = fx.shape[0], fw.shape[0]
     if gY.shape != (b, n):
         raise ValueError(f"gradient shape {gY.shape} != {(b, n)}")
     l = cfg.spec.block_size
 
-    fw, fx = ctx.fw, ctx.fx
     backward_had = cfg.hadamard.mode in (HADAMARD_ALL, HADAMARD_BACKWARD)
 
     # Matmul 1 (input gradient): contract over n.
@@ -223,8 +214,8 @@ def backward(
 
     if cfg.quantize:
         ctx.site_counts["backward_reused"] = 2
-        dq_x = _operand_grad(ctx.res_x, ctx.x_pad.shape, cfg)
-        dq_w = _operand_grad(ctx.res_w, ctx.w_pad.shape, cfg)
+        dq_x = _operand_grad(ctx.res_x, cfg)
+        dq_w = _operand_grad(ctx.res_w, cfg)
         gx_pad = gx_pad * dq_x
         gw_pad = gw_pad * dq_w
 
@@ -232,17 +223,7 @@ def backward(
         # Undo the forward rotation of the operands: X was transformed
         # before f, so the chain rule sends the gradient back through the
         # inverse (transpose) of the same orthogonal map.
-        fwd_spec = _step_hadamard(cfg, ctx.step)
-        from .hadamard import block_signs, sylvester
+        gx_pad = transform_along_axis(gx_pad, 1, hspec, inverse=True)
+        gw_pad = transform_along_axis(gw_pad, 1, hspec, inverse=True)
 
-        signs = block_signs(fwd_spec.seed, ctx.m_pad // l, l)
-        h = sylvester(l)
-
-        def untransform(a):
-            blocks = a.reshape(a.shape[0], ctx.m_pad // l, l)
-            return ((blocks @ h) * signs).reshape(a.shape[0], ctx.m_pad)
-
-        gx_pad = untransform(gx_pad)
-        gw_pad = untransform(gw_pad)
-
-    return gx_pad[:, :m], gw_pad[:, :m]
+    return gx_pad[:, : ctx.m], gw_pad[:, : ctx.m]

@@ -15,7 +15,7 @@ import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -371,24 +371,29 @@ def enumerate_configs(
 # ---------------------------------------------------------------------------
 
 
-def pareto_front(records: Sequence[ScoreReport]) -> list[ScoreReport]:
-    """Records not dominated in (lower complexity, higher score).
+def pareto_front(points: Sequence[tuple[float, float]]) -> list[int]:
+    """Indices, in input order, of the ``(omega, score)`` points not
+    dominated in (lower complexity, higher score).
 
-    A record is dominated when another has complexity <= and score >= with
-    at least one strict inequality.
+    A point is dominated when another has complexity <= and score >= with
+    at least one strict inequality, so exact duplicates are all kept and a
+    point with a NaN coordinate neither dominates nor is dominated.  One
+    sort by complexity and a scan keep it O(n log n).
     """
-    if not records:
-        raise ValueError("records must be non-empty")
-    front = []
-    for r in records:
-        dominated = any(
-            (o.omega <= r.omega and o.score >= r.score)
-            and (o.omega < r.omega or o.score > r.score)
-            for o in records
-        )
-        if not dominated:
-            front.append(r)
-    return front
+    if not points:
+        raise ValueError("points must be non-empty")
+    front, comparable = [], []
+    for i, (omega, s) in enumerate(points):
+        (front if math.isnan(omega) or math.isnan(s) else comparable).append(i)
+    best = None  # highest score at a strictly lower complexity
+    comparable.sort(key=lambda i: points[i][0])
+    for _, group in groupby(comparable, key=lambda i: points[i][0]):
+        group = list(group)
+        top = max(points[i][1] for i in group)
+        if best is None or top > best:
+            front += [i for i in group if points[i][1] == top]
+            best = top
+    return sorted(front)
 
 
 # ---------------------------------------------------------------------------

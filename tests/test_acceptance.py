@@ -24,8 +24,8 @@ from mxsim.hadamard import (
     HADAMARD_ALL,
     HADAMARD_NONE,
     HadamardSpec,
-    apply_transform,
     sylvester,
+    transform_along_axis,
 )
 from mxsim.mx import (
     BlockQuantResult,
@@ -323,7 +323,7 @@ def test_criterion_04_hadamard():
         c = -3.75
         x = np.zeros((1, l))
         x[0, 2] = c
-        t = apply_transform(x, spec)
+        t = transform_along_axis(x, 1, spec)
         assert np.abs(t).max() == abs(c) / np.sqrt(l)
         assert np.abs(t).min() == abs(c) / np.sqrt(l)
 

@@ -13,6 +13,7 @@ from mxsim.cli import (
     sweep_config_from_dict,
     write_tensor_file,
 )
+from mxsim.plots import scatter_plot
 
 
 class TestConfigParsing:
@@ -163,6 +164,23 @@ class TestTrainAndPlots:
         assert rc == 0
         assert (out / "frontier.csv").exists()
         assert (out / "pareto.svg").read_text().startswith("<svg")
+
+    def test_pareto_keeps_csv_scores(self, tmp_path):
+        # The Score column is already complexity-penalized: the frontier
+        # must compare it as is, not score it a second time.
+        results = tmp_path / "results.csv"
+        results.write_text("Complexity points,Score\n1,0.100\n3,0.250\n")
+        out = tmp_path / "front"
+        assert main(["pareto", str(results), "--out", str(out)]) == 0
+        with open(out / "frontier.csv", newline="") as fh:
+            front = [(r["Complexity points"], r["Score"]) for r in csv.DictReader(fh)]
+        assert front == [("1", "0.100"), ("3", "0.250")]
+        points = [(1.0, 0.1), (3.0, 0.25)]
+        expected = scatter_plot(
+            points, points, title="Efficiency frontier",
+            xlabel="complexity points", ylabel="score",
+        )
+        assert (out / "pareto.svg").read_text() == expected
 
     def test_plot_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

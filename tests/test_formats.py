@@ -22,7 +22,6 @@ from mxsim.formats import (
     encode_array,
     grid,
     round_array,
-    round_value,
 )
 
 ALL_FORMATS = list(FORMATS.values())
@@ -239,14 +238,13 @@ class TestCodec:
 
 class TestRoundTiesToEven:
     def test_tie_goes_to_even_mantissa(self):
-        r, sat, _ = round_value(2.5, E2M1, TIES_TO_EVEN)
-        assert r == 2.0 and not sat
+        r, sat, _ = round_array(np.array([2.5]), E2M1, TIES_TO_EVEN)
+        assert r[0] == 2.0 and not sat[0]
 
     def test_saturation(self):
-        r, sat, _ = round_value(7.0, E2M1, TIES_TO_EVEN)
-        assert (r, sat) == (6.0, True)
-        r, sat, _ = round_value(-7.0, E2M1, TIES_TO_EVEN)
-        assert (r, sat) == (-6.0, True)
+        r, sat, _ = round_array(np.array([7.0, -7.0]), E2M1, TIES_TO_EVEN)
+        assert r.tolist() == [6.0, -6.0]
+        assert sat.tolist() == [True, True]
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_matches_brute_force_oracle(self, fmt):
@@ -260,37 +258,36 @@ class TestRoundTiesToEven:
 
     def test_e8m0_relative_nearest_boundary(self):
         # Between 1 and 2 the relative-nearest boundary sits at 4/3.
-        assert round_value(4 / 3 - 1e-9, E8M0)[0] == 1.0
-        assert round_value(4 / 3 + 1e-9, E8M0)[0] == 2.0
+        r, _, _ = round_array(np.array([4 / 3 - 1e-9, 4 / 3 + 1e-9]), E8M0)
+        assert r.tolist() == [1.0, 2.0]
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            round_value(float("nan"), E2M1)
+            round_array(np.array([np.nan]), E2M1)
         with pytest.raises(ValueError):
-            round_value(float("inf"), E2M1)
+            round_array(np.array([np.inf]), E2M1)
 
 
 class TestRoundTowardPositive:
     def test_next_value_up(self):
-        assert round_value(2.1, E2M1, TOWARD_POSITIVE)[0] == 3.0
+        assert round_array(np.array([2.1]), E2M1, TOWARD_POSITIVE)[0][0] == 3.0
 
     def test_on_grid_is_identity(self):
         for v in grid(E2M1):
-            assert round_value(float(v), E2M1, TOWARD_POSITIVE)[0] == v
+            assert round_array(np.array([v]), E2M1, TOWARD_POSITIVE)[0][0] == v
 
     @given(st.floats(-8, 8), st.floats(-8, 8))
     def test_monotone(self, x, y):
         if x > y:
             x, y = y, x
-        rx = round_value(x, E2M1, TOWARD_POSITIVE)[0]
-        ry = round_value(y, E2M1, TOWARD_POSITIVE)[0]
+        (rx, ry), _, _ = round_array(np.array([x, y]), E2M1, TOWARD_POSITIVE)
         assert rx <= ry
 
 
 class TestRoundStochastic:
     def test_requires_rng(self):
         with pytest.raises(ValueError):
-            round_value(2.5, E2M1, STOCHASTIC)
+            round_array(np.array([2.5]), E2M1, STOCHASTIC)
 
     def test_midpoint_splits_evenly(self):
         rng = np.random.default_rng(7)
@@ -320,5 +317,5 @@ class TestRoundStochastic:
 @settings(max_examples=200)
 @given(st.floats(-10, 10))
 def test_rtn_result_is_on_grid(x):
-    r, sat, _ = round_value(x, E2M1, TIES_TO_EVEN)
+    (r,), _, _ = round_array(np.array([x]), E2M1, TIES_TO_EVEN)
     assert r in grid(E2M1)

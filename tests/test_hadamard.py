@@ -8,9 +8,7 @@ import pytest
 from mxsim.hadamard import (
     HADAMARD_ALL,
     HadamardSpec,
-    apply_transform,
     block_signs,
-    invert_transform,
     sylvester,
     transform_along_axis,
 )
@@ -63,38 +61,39 @@ class TestTransform:
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=16)
-        y = invert_transform(apply_transform(x, self.SPEC, 5), self.SPEC, 5)
+        x = rng.normal(size=6 * 16)
+        t = transform_along_axis(x, 0, self.SPEC)
+        y = transform_along_axis(t, 0, self.SPEC, inverse=True)
         np.testing.assert_allclose(y, x, atol=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=16)
-        y = apply_transform(x, self.SPEC)
+        y = transform_along_axis(x, 0, self.SPEC)
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-10)
 
     def test_dot_preserved(self):
         rng = np.random.default_rng(2)
-        x, y = rng.normal(size=(2, 16))
-        assert apply_transform(x, self.SPEC, 2) @ apply_transform(y, self.SPEC, 2) == pytest.approx(
-            x @ y, abs=1e-10
-        )
+        x, y = rng.normal(size=(2, 3 * 16))
+        tx, ty = transform_along_axis(np.stack([x, y]), 1, self.SPEC)
+        assert tx[32:] @ ty[32:] == pytest.approx(x[32:] @ y[32:], abs=1e-10)
 
     def test_unit_vector_spreads_fully(self):
         x = np.zeros(16)
         x[4] = 3.0
-        y = apply_transform(x, self.SPEC)
+        y = transform_along_axis(x, 0, self.SPEC)
         np.testing.assert_allclose(np.abs(y), 3.0 / 4.0)
 
     def test_deterministic(self):
-        x = np.arange(16.0)
+        x = np.tile(np.arange(16.0), 10)
         np.testing.assert_array_equal(
-            apply_transform(x, self.SPEC, 9), apply_transform(x, self.SPEC, 9)
+            transform_along_axis(x, 0, self.SPEC)[9 * 16 :],
+            transform_along_axis(x, 0, self.SPEC)[9 * 16 :],
         )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_transform(np.ones(8), self.SPEC)
+            transform_along_axis(np.ones(8), 0, self.SPEC)
 
 
 class TestAxisTransform:
@@ -111,11 +110,24 @@ class TestAxisTransform:
         rng = np.random.default_rng(4)
         x = rng.normal(size=32)
         spec = HadamardSpec(block_size=16, seed=5)
+        signs, h = block_signs(5, 2, 16), sylvester(16)
         got = transform_along_axis(x, 0, spec)
-        expected = np.concatenate(
-            [apply_transform(x[:16], spec, 0), apply_transform(x[16:], spec, 1)]
-        )
+        expected = np.concatenate([(x[:16] * signs[0]) @ h, (x[16:] * signs[1]) @ h])
         np.testing.assert_allclose(got, expected, atol=1e-12)
+        got = transform_along_axis(x, 0, spec, inverse=True)
+        expected = np.concatenate([(x[:16] @ h) * signs[0], (x[16:] @ h) * signs[1]])
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_inverse_undoes_either_axis(self, axis):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(32, 64))
+        spec = HadamardSpec(block_size=16, seed=8)
+        t = transform_along_axis(a, axis, spec)
+        assert not np.allclose(t, a)
+        np.testing.assert_allclose(
+            transform_along_axis(t, axis, spec, inverse=True), a, atol=1e-12
+        )
 
     def test_rejects_indivisible_axis(self):
         spec = HadamardSpec(block_size=16)

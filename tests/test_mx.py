@@ -27,16 +27,15 @@ from mxsim.mx import (
     Z_LOGSUMEXP,
     ZERO_NEAREST_SUBNORMAL,
     ZERO_TO_ONE,
-    block_scale,
     dequantize_tensor,
     from_bytes,
-    nvfp4_rescale,
+    nvfp4_rescale_constant,
     quantize_blocks,
-    quantize_scale,
+    quantize_scales,
     quantize_tensor,
     to_bytes,
     to_csv,
-    z_value,
+    z_values,
 )
 
 LSE = ZFunction(Z_LOGSUMEXP, beta=1.0)
@@ -44,63 +43,64 @@ LSE = ZFunction(Z_LOGSUMEXP, beta=1.0)
 
 class TestZValue:
     def test_absmax(self):
-        assert z_value(np.array([1.0, -3.0, 2.0]), ZFunction()) == 3.0
+        assert z_values(np.array([[1.0, -3.0, 2.0]]), ZFunction())[0] == 3.0
 
     def test_logsumexp_two_ones(self):
         # (1/beta) log(e^1 + e^1) = 1 + log 2
-        got = z_value(np.array([1.0, 1.0]), LSE)
+        got = z_values(np.array([[1.0, 1.0]]), LSE)[0]
         assert got == pytest.approx(1.0 + math.log(2.0), rel=1e-12)
 
     def test_logsumexp_large_beta_approaches_max(self):
         block = np.zeros(32)
         block[0] = 5.0
-        got = z_value(block, ZFunction(Z_LOGSUMEXP, beta=100.0))
+        got = z_values(block[None], ZFunction(Z_LOGSUMEXP, beta=100.0))[0]
         assert 5.0 <= got < 5.0 + 1e-3
 
     def test_logsumexp_overflow_guard(self):
         # Without a max shift exp(beta * 1e4) would overflow to inf.
-        got = z_value(np.array([1e4, 0.0]), ZFunction(Z_LOGSUMEXP, beta=100.0))
+        got = z_values(np.array([[1e4, 0.0]]), ZFunction(Z_LOGSUMEXP, beta=100.0))[0]
         assert np.isfinite(got)
         assert got == pytest.approx(1e4, rel=1e-9)
 
     def test_absmax_all_zero_is_zero(self):
-        assert z_value(np.zeros(16), ZFunction()) == 0.0
+        assert z_values(np.zeros((1, 16)), ZFunction())[0] == 0.0
 
 
 class TestBlockScale:
     def test_formula(self):
         spec = BlockSpec(block_size=3)
-        assert block_scale(np.array([1.0, 2.0, 4.0]), spec) == 6.0 / 4.0
+        assert quantize_blocks(np.array([1.0, 2.0, 4.0]), spec).s_ideal[0] == 6.0 / 4.0
 
     def test_zero_block_gives_inf_sentinel(self):
         spec = BlockSpec(block_size=4)
-        assert block_scale(np.zeros(4), spec) == np.inf
+        assert quantize_blocks(np.zeros(4), spec).s_ideal[0] == np.inf
 
     def test_small_elements(self):
         spec = BlockSpec(block_size=3)
-        assert block_scale(np.array([0.01, 0.0, 0.0]), spec) == pytest.approx(600.0)
+        s_ideal = quantize_blocks(np.array([0.01, 0.0, 0.0]), spec).s_ideal[0]
+        assert s_ideal == pytest.approx(600.0)
 
 
 class TestQuantizeScale:
     def test_toward_positive_power_of_two(self):
         spec = BlockSpec(scale_rounding=TOWARD_POSITIVE)
-        assert quantize_scale(1.5, spec) == 2.0
+        assert quantize_scales(np.array([1.5]), spec)[0] == 2.0
 
     def test_zero_nearest_subnormal_e4m3(self):
         spec = BlockSpec(scale_format=E4M3, zero_mode=ZERO_NEAREST_SUBNORMAL)
-        assert quantize_scale(0.0, spec) == 2.0**-9
+        assert quantize_scales(np.array([0.0]), spec)[0] == 2.0**-9
 
     def test_zero_to_one(self):
         spec = BlockSpec(scale_format=E4M3, zero_mode=ZERO_TO_ONE)
-        assert quantize_scale(0.0, spec) == 1.0
+        assert quantize_scales(np.array([0.0]), spec)[0] == 1.0
 
     def test_overflow_saturates(self):
         spec = BlockSpec(scale_format=E4M3)
-        assert quantize_scale(1e9, spec) == 448.0
+        assert quantize_scales(np.array([1e9]), spec)[0] == 448.0
 
     def test_inf_sentinel_saturates(self):
         spec = BlockSpec(scale_format=E4M3)
-        assert quantize_scale(np.inf, spec) == 448.0
+        assert quantize_scales(np.array([np.inf]), spec)[0] == 448.0
 
     @pytest.mark.parametrize("fmt", [E8M0, E4M3, UE5M3])
     @pytest.mark.parametrize("mode", [ZERO_NEAREST_SUBNORMAL, ZERO_TO_ONE])
@@ -108,8 +108,6 @@ class TestQuantizeScale:
         spec = BlockSpec(scale_format=fmt, zero_mode=mode)
         rng = np.random.default_rng(0)
         s = np.concatenate([10.0 ** rng.uniform(-60, 60, 200), [0.0, np.inf]])
-        from mxsim.mx import quantize_scales
-
         out = quantize_scales(s, spec)
         assert (out > 0).all()
         assert np.isfinite(out).all()
@@ -164,7 +162,7 @@ class TestTensorPath:
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         spec = BlockSpec(block_size=16, z=LSE)
         res = quantize_blocks(x, spec)
-        expected = z_value(x, LSE)
+        expected = z_values(x[None], LSE)[0]
         assert res.z[0] == pytest.approx(expected, rel=1e-12)
 
     def test_tensor_scaling_uniform_blocks(self):
@@ -225,12 +223,12 @@ class TestTensorPath:
 
 class TestNvfp4Rescale:
     def test_constant(self):
-        assert nvfp4_rescale(1344.0) == 1.0
+        assert 1344.0 / nvfp4_rescale_constant(BlockSpec(scale_format=E4M3)) == 1.0
 
     def test_lower_bound(self):
         # s' >= elem_max implies the rescaled value >= 2 / scale_max.
         spec = BlockSpec(scale_format=E4M3)
-        assert nvfp4_rescale(6.0, spec) >= 2.0 / 448.0
+        assert 6.0 / nvfp4_rescale_constant(spec) >= 2.0 / 448.0
 
 
 class TestInvariants:
@@ -241,8 +239,6 @@ class TestInvariants:
         lo = np.log10(scale_fmt.min_positive * 2)
         hi = np.log10(scale_fmt.max_finite / 2)
         s = 10.0 ** np.linspace(lo, hi, 4001)
-        from mxsim.mx import quantize_scales
-
         sq = quantize_scales(s, spec)
         ratio = s / sq
         if scale_fmt is E8M0:
@@ -252,8 +248,6 @@ class TestInvariants:
     def test_scale_deviation_toward_positive(self):
         spec = BlockSpec(scale_format=E8M0, scale_rounding=TOWARD_POSITIVE)
         s = 10.0 ** np.linspace(-30, 30, 4001)
-        from mxsim.mx import quantize_scales
-
         sq = quantize_scales(s, spec)
         ratio = s / sq
         assert ratio.min() > 0.5

@@ -1,0 +1,33 @@
+"""The benchmark's tracer patches mxsim functions at every module binding
+listed in ``perfbench/spans.py``; each binding must exist and be the
+function its defining module exports, or a traced run fails."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = _load_spans().LAYERS
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_every_binding_is_the_defining_function(name):
+    home, attr = name.split(".", 1)
+    modules, _ = LAYERS[name]
+    original = getattr(importlib.import_module(f"mxsim.{home}"), attr)
+    assert original.__module__ == f"mxsim.{home}"
+    for mod_name in modules:
+        module = importlib.import_module(f"mxsim.{mod_name}")
+        assert hasattr(module, attr), f"mxsim.{mod_name} has no {attr}"
+        assert getattr(module, attr) is original, f"mxsim.{mod_name}.{attr}"

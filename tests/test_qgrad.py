@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxsim.formats import E4M3, E2M1, E8M0, grid, round_array
+from mxsim.formats import E4M3, E2M1, E8M0, FloatFormat, grid, round_array
 from mxsim.mx import BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks, z_values
 from mxsim.qgrad import (
     DEFAULT_GATE_THRESHOLD,
@@ -74,6 +74,15 @@ class TestSpline:
 
     def test_saturates_outside(self):
         assert q_spline(np.array([100.0]), E2M1)[0] == q_spline(np.array([7.0]), E2M1)[0]
+
+    def test_knots_cached_per_format_not_per_name(self):
+        # A custom format named "E2M1" has its own grid (max 24), so it must
+        # not read the knots cached for the standard E2M1, or vice versa.
+        custom = FloatFormat("E2M1", exponent_bits=3, mantissa_bits=1, bias=3)
+        x = np.array([10.0])
+        assert q_spline(x, E2M1)[0] == 4.0
+        assert q_spline(x, custom)[0] == 8.0
+        assert q_spline(x, E2M1)[0] == 4.0
 
 
 class TestBaseline:

@@ -84,7 +84,7 @@ class TestForward:
         X, W = rng.normal(size=(2, 6)), rng.normal(size=(3, 6))  # 6 % 4 != 0
         Y, ctx = forward(X, W, small_cfg())
         assert Y.shape == (2, 3)
-        assert ctx.m_pad == 8
+        assert ctx.fx.shape == (2, 8) and ctx.fw.shape == (3, 8)
 
     def test_six_site_accounting(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,8 @@
 """Tests for grid enumeration, complexity points, scores, Pareto
 frontiers, and the reconstruction-error experiment."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from mxsim.sweep import (
     COMPLEXITY_WEIGHTS,
     EnumerationReport,
-    ScoreReport,
     SweepConfig,
     SweepGrid,
     complexity_points,
@@ -197,25 +198,46 @@ class TestEnumeration:
         assert len(set(report.configs)) == len(report.configs)
 
 
-class TestParetoFront:
-    def _r(self, omega, s):
-        return ScoreReport("c", 1.0, 1.0, 0.0, omega, s)
+def _dominates(o, r):
+    return o[0] <= r[0] and o[1] >= r[1] and (o[0] < r[0] or o[1] > r[1])
 
+
+def _quadratic_front(points):
+    """The dominance definition, checked pair by pair (test oracle)."""
+    return [
+        i for i, r in enumerate(points) if not any(_dominates(o, r) for o in points)
+    ]
+
+
+# Few distinct values, so ties, exact duplicates, signed zeros and NaNs are common.
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestParetoFront:
     def test_single_record_is_front(self):
-        r = self._r(0.0, 0.1)
-        assert pareto_front([r]) == [r]
+        assert pareto_front([(0.0, 0.1)]) == [0]
 
     def test_strict_domination(self):
-        a, b = self._r(0.0, 0.1), self._r(1.0, 0.05)
-        assert pareto_front([a, b]) == [a]
+        assert pareto_front([(0.0, 0.1), (1.0, 0.05)]) == [0]
 
     def test_incomparable_records_both_kept(self):
-        a, b = self._r(0.0, 0.1), self._r(1.0, 0.2)
-        assert pareto_front([a, b]) == [a, b]
+        assert pareto_front([(0.0, 0.1), (1.0, 0.2)]) == [0, 1]
+
+    def test_duplicates_and_nan_kept(self):
+        points = [(2.0, 0.1), (1.0, 0.5), (math.nan, 9.0), (1.0, 0.5), (1.0, math.nan)]
+        assert pareto_front(points) == [1, 2, 3, 4]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pareto_front([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30))
+    def test_matches_quadratic_definition(self, points):
+        assert pareto_front(points) == _quadratic_front(points)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -224,29 +246,17 @@ class TestParetoFront:
         )
     )
     def test_front_is_domination_free_and_maximal(self, points):
-        records = [self._r(o, s) for o, s in points]
-        front = pareto_front(records)
+        front = pareto_front(points)
         assert front
         # Domination-free internally.
-        for r in front:
-            for o in front:
-                if o is r:
-                    continue
-                assert not (
-                    o.omega <= r.omega
-                    and o.score >= r.score
-                    and (o.omega < r.omega or o.score > r.score)
-                )
+        for i in front:
+            for j in front:
+                if i != j:
+                    assert not _dominates(points[j], points[i])
         # Maximal: every excluded record is dominated by a front member.
-        for r in records:
-            if r in front:
-                continue
-            assert any(
-                o.omega <= r.omega
-                and o.score >= r.score
-                and (o.omega < r.omega or o.score > r.score)
-                for o in front
-            )
+        for i, r in enumerate(points):
+            if i not in front:
+                assert any(_dominates(points[j], r) for j in front)
 
 
 class TestReconError:
