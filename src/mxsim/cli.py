@@ -17,6 +17,7 @@ import csv
 import os
 import struct
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from .formats import FORMATS, get_format
 from .mx import (
     BlockSpec,
-    ZERO_MODES,
     dequantize_tensor,
     quantize_tensor,
     to_bytes,
@@ -39,7 +39,7 @@ from .sweep import (
     SweepConfig,
     SweepGrid,
     build_qlinear_config,
-    complexity_points,
+    canonical_option,
     enumerate_configs,
     pareto_front,
     recon_error_experiment,
@@ -97,31 +97,13 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
 
 
-_SWEEP_KEYS = {
-    "scale_format": str,
-    "block_size": int,
-    "max_grad": str,
-    "quant_grad": str,
-    "hadamard": str,
-    "scale_grad": str,
-    "sr": str,
-    "optimiser": str,
-    "loss_scaling": bool,
-    "round_mode": str,
-    "tensor_scaling": bool,
-    "tensor_grad": str,
-    "nan_mode": str,
-}
+# Value type of each SweepConfig key, read off its default.
+_SWEEP_KEYS = {f.name: type(f.default) for f in fields(SweepConfig)}
+_GRID_KEYS = {f.name for f in fields(SweepGrid)}
 
+# Task and training keys, read by _task_from_dict and _train_config.
 _TRAIN_KEYS = {
-    "task": str,
-    "n_samples": int,
-    "dim": int,
-    "n_classes": int,
-    "hidden": str,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
+    "task", "n_samples", "dim", "n_classes", "hidden", "epochs", "batch_size", "lr"
 }
 
 
@@ -134,29 +116,41 @@ def _convert(key: str, value: str, kind) -> object:
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
-def sweep_config_from_dict(values: dict[str, str]) -> SweepConfig:
-    kwargs = {}
-    for key, value in values.items():
-        if key in _SWEEP_KEYS:
-            kwargs[key] = _convert(key, value, _SWEEP_KEYS[key])
-        elif key not in _TRAIN_KEYS:
-            valid = sorted(set(_SWEEP_KEYS) | set(_TRAIN_KEYS))
+def _check_keys(values: dict[str, str], known) -> None:
+    for key in values:
+        if key not in known and key not in _TRAIN_KEYS:
+            valid = sorted(set(known) | _TRAIN_KEYS)
             raise ConfigError(f"unknown key {key!r}; valid keys: {', '.join(valid)}")
-    cfg = SweepConfig(**kwargs)
+
+
+def sweep_config_from_dict(values: dict[str, str]) -> SweepConfig:
+    """The run a `train` config file describes; option aliases are
+    translated to their result-table spelling here."""
+    _check_keys(values, _SWEEP_KEYS)
+    kwargs = {
+        key: _convert(key, canonical_option(key, value), _SWEEP_KEYS[key])
+        for key, value in values.items()
+        if key in _SWEEP_KEYS
+    }
+    try:
+        cfg = SweepConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _validate_sweep_config(cfg)
     return cfg
 
 
+def _check_format(name: str) -> str:
+    if name not in FORMATS:
+        raise ConfigError(
+            f"unknown scale format {name!r}; valid names: {', '.join(sorted(FORMATS))}"
+        )
+    return name
+
+
 def _validate_sweep_config(cfg: SweepConfig) -> None:
-    if cfg.scale_format not in FORMATS:
-        raise ConfigError(
-            f"unknown scale format {cfg.scale_format!r}; "
-            f"valid names: {', '.join(sorted(FORMATS))}"
-        )
-    if cfg.nan_mode not in ZERO_MODES:
-        raise ConfigError(
-            f"unknown nan mode {cfg.nan_mode!r}; valid: {', '.join(ZERO_MODES)}"
-        )
+    """Reject what SweepConfig accepts but this package cannot run."""
+    _check_format(cfg.scale_format)
     if cfg.optimiser != "Adam":
         raise ConfigError(
             f"optimiser {cfg.optimiser!r} is not bundled; only Adam ships with "
@@ -183,22 +177,20 @@ def _task_from_dict(values: dict[str, str], seed: int) -> TaskSpec:
     )
 
 
-def _train_config(values: dict[str, str], qcfg, seed: int) -> TrainConfig:
+def _train_config(values: dict[str, str], cfg: SweepConfig, seed: int) -> TrainConfig:
     hidden = values.get("hidden", "64,32")
     try:
         hidden_dims = tuple(int(h) for h in hidden.split(",") if h.strip())
     except ValueError as exc:
         raise ConfigError(f"key 'hidden': {exc}") from exc
     return TrainConfig(
-        qcfg=qcfg,
+        qcfg=build_qlinear_config(cfg),
         hidden=hidden_dims,
         epochs=_convert("epochs", values.get("epochs", "20"), int),
         batch_size=_convert("batch_size", values.get("batch_size", "128"), int),
         lr=_convert("lr", values.get("lr", "1e-3"), float),
         seed=seed,
-        loss_scaling=_parse_bool(
-            "loss_scaling", values.get("loss_scaling", "False")
-        ),
+        loss_scaling=cfg.loss_scaling,
     )
 
 
@@ -268,18 +260,14 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    if args.format not in FORMATS:
-        raise ConfigError(
-            f"unknown scale format {args.format!r}; "
-            f"valid names: {', '.join(sorted(FORMATS))}"
-        )
+    fmt = get_format(_check_format(args.format))
     x = read_tensor_file(args.input)
-    spec = BlockSpec(block_size=args.block_size, scale_format=get_format(args.format))
-    qt = quantize_tensor(x.ravel(), spec)
-    deq = dequantize_tensor(qt).reshape(x.shape)
+    spec = BlockSpec(block_size=args.block_size, scale_format=fmt)
+    qt = quantize_tensor(x, spec)
+    deq = dequantize_tensor(qt)
     out = _out_dir(args)
     (out / "quantized.mxq").write_bytes(to_bytes(qt))
-    np.savetxt(out / "dequantized.csv", np.atleast_2d(deq), delimiter=",")
+    np.savetxt(out / "dequantized.csv", deq.reshape(-1, x.shape[-1]), delimiter=",")
     err = np.abs(x - deq)
     summary = (
         f"elements: {x.size}\n"
@@ -294,11 +282,7 @@ def cmd_quantize(args) -> int:
 def cmd_recon(args) -> int:
     formats = [args.format] if args.format else ["E8M0", "E4M3", "UE5M3"]
     for name in formats:
-        if name not in FORMATS:
-            raise ConfigError(
-                f"unknown scale format {name!r}; "
-                f"valid names: {', '.join(sorted(FORMATS))}"
-            )
+        _check_format(name)
     block_sizes = (args.block_size,) if args.block_size else (8, 16, 32, 64, 128)
     rows = recon_error_experiment(
         formats=formats, block_sizes=block_sizes, seed=_resolve_seed(args)
@@ -311,15 +295,13 @@ def cmd_recon(args) -> int:
 
 
 def _run_training(values: dict[str, str], cfg: SweepConfig, seed: int):
-    from dataclasses import replace
-
-    qcfg = build_qlinear_config(cfg)
     task = _task_from_dict(values, seed)
-    tcfg = _train_config(values, qcfg, seed)
-    tcfg = replace(tcfg, loss_scaling=cfg.loss_scaling or tcfg.loss_scaling)
+    tcfg = _train_config(values, cfg, seed)
     record = train(task, tcfg)
     # Reference loss: the same run with quantization disabled.
-    dense_cfg = replace(tcfg, qcfg=replace(qcfg, quantize=False), loss_scaling=False)
+    dense_cfg = replace(
+        tcfg, qcfg=replace(tcfg.qcfg, quantize=False), loss_scaling=False
+    )
     dense = train(task, dense_cfg)
     return record, dense
 
@@ -355,54 +337,33 @@ def cmd_train(args) -> int:
 
 
 def _grid_from_dict(values: dict[str, str]) -> SweepGrid:
-    def axis(key: str, default):
-        if key not in values:
-            return default
-        return tuple(v.strip() for v in values[key].split(",") if v.strip())
-
-    def bool_axis(key: str, default):
-        if key not in values:
-            return default
-        return tuple(_parse_bool(key, v.strip()) for v in values[key].split(","))
-
-    base = SweepGrid()
-    return SweepGrid(
-        scale_formats=axis("scale_formats", base.scale_formats),
-        max_grads=axis("max_grads", base.max_grads),
-        round_modes=axis("round_modes", base.round_modes),
-        quant_grads=axis("quant_grads", base.quant_grads),
-        scale_grads=axis("scale_grads", base.scale_grads),
-        tensor_grads=axis("tensor_grads", base.tensor_grads),
-        optimisers=axis("optimisers", ("Adam",)),
-        loss_scalings=bool_axis("loss_scalings", base.loss_scalings),
-        tensor_scalings=bool_axis("tensor_scalings", base.tensor_scalings),
-        srs=axis("srs", base.srs),
-        hadamards=axis("hadamards", base.hadamards),
-    )
+    """The grid a `sweep` config file describes: each key present replaces
+    that axis with its comma-separated values, aliases translated.  Only
+    Adam ships with this package, so it is the default optimiser axis."""
+    axes = {"optimisers": ("Adam",)}
+    for f in fields(SweepGrid):
+        if f.name not in values:
+            continue
+        items = [v.strip() for v in values[f.name].split(",")]
+        if isinstance(f.default[0], bool):
+            axes[f.name] = tuple(_parse_bool(f.name, v) for v in items)
+        else:
+            key = f.name[:-1]  # the SweepConfig field the axis sets
+            axes[f.name] = tuple(canonical_option(key, v) for v in items if v)
+    return SweepGrid(**axes)
 
 
 def cmd_sweep(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
-    grid_keys = {
-        "scale_formats",
-        "max_grads",
-        "round_modes",
-        "quant_grads",
-        "scale_grads",
-        "tensor_grads",
-        "optimisers",
-        "loss_scalings",
-        "tensor_scalings",
-        "srs",
-        "hadamards",
-    }
-    grid_values = {k: v for k, v in values.items() if k in grid_keys}
-    train_values = {k: v for k, v in values.items() if k not in grid_keys}
-    report = enumerate_configs(_grid_from_dict(grid_values))
-    if args.limit:
-        configs = report.configs[: args.limit]
-    else:
-        configs = report.configs
+    _check_keys(values, _GRID_KEYS)
+    train_values = {k: v for k, v in values.items() if k not in _GRID_KEYS}
+    try:
+        report = enumerate_configs(_grid_from_dict(values))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for cfg in report.configs:
+        _validate_sweep_config(cfg)
+    configs = report.configs[: args.limit or None]
     print(
         f"grid: {report.raw_count} raw combinations, "
         f"{len(report.configs)} valid, running {len(configs)}"
@@ -410,7 +371,6 @@ def cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
 
     def runner(cfg: SweepConfig) -> dict[str, object]:
-        _validate_sweep_config(cfg)
         record, dense = _run_training(train_values, cfg, seed)
         return result_row(
             record.dataset,
@@ -427,22 +387,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_results(path: str) -> list[dict[str, str]]:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"results file not found: {path}")
-    with open(p, newline="") as fh:
+def _read_csv(path: str | None, columns: tuple[str, ...], what: str) -> list[dict]:
+    """Rows of a CSV file that must exist, have rows and have ``columns``."""
+    if not path:
+        raise ConfigError(f"this command needs a {what} (--input)")
+    if not Path(path).exists():
+        raise ConfigError(f"{what} not found: {path}")
+    with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
-        raise ConfigError(f"results file {path} is empty")
-    for col in ("Complexity points", "Score"):
+        raise ConfigError(f"{what} {path} is empty")
+    for col in columns:
         if col not in rows[0]:
-            raise ConfigError(f"results file {path} lacks column {col!r}")
+            raise ConfigError(f"{what} {path} lacks column {col!r}")
     return rows
 
 
+_RESULT_SCORE_COLUMNS = ("Complexity points", "Score")
+
+
 def cmd_pareto(args) -> int:
-    rows = _read_results(args.results)
+    rows = _read_csv(args.results, _RESULT_SCORE_COLUMNS, "results file")
     points = [(float(r["Complexity points"]), float(r["Score"])) for r in rows]
     front = pareto_front(points)
     out = _out_dir(args)
@@ -469,19 +434,9 @@ def cmd_plot(args) -> int:
     if kind == "quantizer":
         svg = quantizer_curve_plot(args.estimator)
     elif kind == "scale-deviation":
-        if args.format and args.format not in FORMATS:
-            raise ConfigError(
-                f"unknown scale format {args.format!r}; "
-                f"valid names: {', '.join(sorted(FORMATS))}"
-            )
-        svg = scale_deviation_plot(args.format or "E8M0")
+        svg = scale_deviation_plot(_check_format(args.format or "E8M0"))
     elif kind == "loss":
-        if not args.input:
-            raise ConfigError("plot kind 'loss' requires an input CSV")
-        with open(args.input, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows or "epoch" not in rows[0]:
-            raise ConfigError(f"{args.input} is not a loss-curve CSV")
+        rows = _read_csv(args.input, ("epoch",), "loss-curve CSV")
         epochs = [float(r["epoch"]) for r in rows]
         series = {
             col: (epochs, [float(r[col]) for r in rows])
@@ -490,12 +445,10 @@ def cmd_plot(args) -> int:
         }
         svg = line_plot(series, title="Training curves", xlabel="epoch", ylabel="loss")
     elif kind == "recon":
-        if not args.input:
-            raise ConfigError("plot kind 'recon' requires an input CSV")
-        with open(args.input, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows or "mean_rel_err" not in rows[0]:
-            raise ConfigError(f"{args.input} is not a reconstruction-error CSV")
+        rows = _read_csv(
+            args.input, ("format", "l", "scale", "beta", "mean_rel_err"),
+            "reconstruction-error CSV",
+        )
         series: dict[str, tuple[list[float], list[float]]] = {}
         for r in rows:
             if r["beta"] or float(r["scale"]) != 1.0:
@@ -511,9 +464,7 @@ def cmd_plot(args) -> int:
             log_y=True,
         )
     elif kind == "pareto":
-        if not args.input:
-            raise ConfigError("plot kind 'pareto' requires a results CSV")
-        rows = _read_results(args.input)
+        rows = _read_csv(args.input, _RESULT_SCORE_COLUMNS, "results file")
         points = [
             (float(r["Complexity points"]), float(r["Score"])) for r in rows
         ]

@@ -7,7 +7,7 @@ which block-scaled quantization represents far more accurately.  Because
 the transform is orthogonal, applying it with the same signs to both
 operands of a dot product leaves the product unchanged, so a matmul
 quantized in the rotated basis needs no explicit inverse on its output.
-Operand gradients do need it: under the ``All`` mode the forward pass
+Operand gradients do need it: under the ``all`` mode the forward pass
 rotates both operands, so ``qlinear.backward`` un-rotates their gradients
 with ``transform_along_axis(..., inverse=True)``.
 """
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 HADAMARD_NONE = "None"
-HADAMARD_ALL = "All"
-HADAMARD_BACKWARD = "BackwardOnly"
+HADAMARD_ALL = "all"
+HADAMARD_BACKWARD = "backward"
 
 HADAMARD_MODES = (HADAMARD_NONE, HADAMARD_ALL, HADAMARD_BACKWARD)
 

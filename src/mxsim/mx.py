@@ -1,6 +1,7 @@
 """Block-scaled quantization of real tensors into 4-bit elements.
 
-A tensor is flattened row-major and split into fixed-size blocks.  Each
+A tensor is split along its last axis into fixed-size blocks, each row
+zero-padded to a whole number of blocks, so no block spans two rows.  Each
 block gets one shared scale: the block statistic ``Z`` (absolute maximum,
 or its smooth log-sum-exp surrogate) determines an ideal multiplier
 ``s = elem_max / Z`` that stretches the block to fill the element grid;
@@ -176,20 +177,23 @@ def nvfp4_rescale_constant(spec: BlockSpec) -> float:
     return spec.elem_format.max_finite * spec.scale_format.max_finite * 0.5
 
 
-def _num_blocks(n: int, block_size: int) -> int:
-    """Blocks holding ``n`` elements; an empty tensor still gets one."""
-    return max(1, -(-n // block_size))
+def _num_blocks(shape: tuple[int, ...], block_size: int) -> int:
+    """Blocks of a tensor blocked along its last axis, each row padded to
+    whole blocks; an empty tensor still gets one."""
+    n = shape[-1] if shape else 1
+    return max(1, math.prod(shape[:-1]) * -(-n // block_size))
 
 
-def _partition(flat: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat array into zero-padded blocks plus a validity mask."""
-    n = flat.size
-    num_blocks = _num_blocks(n, block_size)
-    padded = np.zeros(num_blocks * block_size, dtype=np.float64)
-    padded[:n] = flat
-    mask = np.zeros(num_blocks * block_size, dtype=bool)
-    mask[:n] = True
-    return padded.reshape(num_blocks, block_size), mask.reshape(num_blocks, block_size)
+def _partition(X: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copy a tensor into zero-padded blocks along its last axis, plus a
+    validity mask."""
+    rows = X.reshape(-1, X.shape[-1] if X.ndim else 1) if X.size else np.zeros((1, 0))
+    n = rows.shape[1]
+    padded = np.zeros((len(rows), max(1, -(-n // block_size)) * block_size))
+    padded[:, :n] = rows
+    mask = np.zeros(padded.shape, dtype=bool)
+    mask[:, :n] = True
+    return padded.reshape(-1, block_size), mask.reshape(-1, block_size)
 
 
 def quantize_blocks(
@@ -211,7 +215,7 @@ def quantize_blocks(
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("quantization requires finite inputs")
-    blocks, mask = _partition(X.ravel(), spec.block_size)
+    blocks, mask = _partition(X, spec.block_size)
     z_raw = z_values(blocks, spec.z, mask)
 
     g = None
@@ -273,10 +277,14 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
 
 
 def _unblock(values: np.ndarray, qt: QuantizedTensor) -> np.ndarray:
-    """Re-apply the global factor to dequantized blocks and drop padding."""
+    """Re-apply the global factor to dequantized blocks and drop each
+    row's padding."""
     if qt.global_scale is not None:
         values = values * qt.global_scale
-    return values.ravel()[: math.prod(qt.shape)].reshape(qt.shape)
+    n = qt.shape[-1] if qt.shape else 1
+    l = qt.spec.block_size
+    rows = values.reshape(-1, -(-n // l) * l) if math.prod(qt.shape) else values[:0]
+    return rows[:, :n].reshape(qt.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +378,7 @@ def from_bytes(data: bytes) -> QuantizedTensor:
     )
     if any(d < 0 for d in shape) or has_g > 1:
         raise ValueError("corrupt quantized-tensor header")
-    if n_scales != _num_blocks(math.prod(shape), block_size):
+    if n_scales != _num_blocks(shape, block_size):
         raise ValueError(f"{n_scales} scales do not fit shape {shape}")
     if n_codes != n_scales * block_size or (n_codes % 2 and packed[-1] >> 4):
         raise ValueError(f"{n_codes} element codes do not fit {n_scales} blocks")

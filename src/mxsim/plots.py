@@ -8,7 +8,12 @@ inputs yield byte-identical SVG.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .formats import E2M1, FP4_MAX, TIES_TO_EVEN, get_format, round_array
+from .qgrad import QGradEstimator, estimator_grad, estimator_value
 
 __all__ = [
     "line_plot",
@@ -40,11 +45,18 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}".rstrip("0").rstrip(".") if v == v else "nan"
 
 
-def _axis_range(values: Sequence[float]) -> tuple[float, float]:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+def _drawable(v: float, log: bool) -> bool:
+    """Whether a coordinate can be placed: finite, and positive on a log axis."""
+    return math.isfinite(v) and (v > 0 or not log)
+
+
+def _axis_range(values: Sequence[float], log: bool = False) -> tuple[float, float]:
+    """Axis extent, in log10 units on a log axis, padded by 5% of its span;
+    only drawable values count."""
+    shown = [math.log10(v) if log else v for v in values if _drawable(v, log)]
+    if not shown:
         return 0.0, 1.0
-    lo, hi = min(finite), max(finite)
+    lo, hi = min(shown), max(shown)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
@@ -52,7 +64,10 @@ def _axis_range(values: Sequence[float]) -> tuple[float, float]:
 
 
 class _Canvas:
-    """Maps data coordinates to pixels and accumulates SVG elements."""
+    """Maps data coordinates to pixels and accumulates SVG elements.
+
+    Axis ranges are given in axis units: log10 of the data on a log axis.
+    """
 
     def __init__(
         self,
@@ -65,31 +80,21 @@ class _Canvas:
         log_y: bool = False,
     ):
         self.log_x, self.log_y = log_x, log_y
-        self.x0, self.x1 = self._maybe_log(x_range, log_x)
-        self.y0, self.y1 = self._maybe_log(y_range, log_y)
+        self.x0, self.x1 = x_range
+        self.y0, self.y1 = y_range
         self.parts: list[str] = []
         self._frame(title, xlabel, ylabel)
 
-    @staticmethod
-    def _maybe_log(rng, log):
-        lo, hi = rng
-        if log:
-            lo = math.log10(max(lo, 1e-300))
-            hi = math.log10(max(hi, 1e-300))
-            if lo == hi:
-                lo, hi = lo - 0.5, hi + 0.5
-        return lo, hi
-
     def px(self, x: float) -> float:
         if self.log_x:
-            x = math.log10(max(x, 1e-300))
+            x = math.log10(x)
         span = self.x1 - self.x0
         frac = (x - self.x0) / span if span else 0.5
         return MARGIN_LEFT + frac * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
 
     def py(self, y: float) -> float:
         if self.log_y:
-            y = math.log10(max(y, 1e-300))
+            y = math.log10(y)
         span = self.y1 - self.y0
         frac = (y - self.y0) / span if span else 0.5
         return HEIGHT - MARGIN_BOTTOM - frac * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
@@ -133,18 +138,25 @@ class _Canvas:
                 f'font-size="10" font-family="sans-serif">{yl}</text>'
             )
 
+    def _pixels(self, xs, ys) -> list[tuple[float, float]]:
+        """Pixel positions of the drawable points; the others are skipped."""
+        return [
+            (self.px(x), self.py(y))
+            for x, y in zip(xs, ys)
+            if _drawable(x, self.log_x) and _drawable(y, self.log_y)
+        ]
+
     def polyline(self, xs, ys, color: str) -> None:
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in self._pixels(xs, ys))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
 
     def circles(self, xs, ys, color: str, r: float = 3.0) -> None:
-        for x, y in zip(xs, ys):
+        for x, y in self._pixels(xs, ys):
             self.parts.append(
-                f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '
-                f'r="{r}" fill="{color}"/>'
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}"/>'
             )
 
     def legend(self, labels: Sequence[str]) -> None:
@@ -182,7 +194,8 @@ def line_plot(
     all_x = [x for xs, _ in series.values() for x in xs]
     all_y = [y for _, ys in series.values() for y in ys]
     canvas = _Canvas(
-        _axis_range(all_x), _axis_range(all_y), title, xlabel, ylabel, log_x, log_y
+        _axis_range(all_x, log_x), _axis_range(all_y, log_y),
+        title, xlabel, ylabel, log_x, log_y,
     )
     for i, (label, (xs, ys)) in enumerate(series.items()):
         canvas.polyline(xs, ys, PALETTE[i % len(PALETTE)])
@@ -211,20 +224,14 @@ def scatter_plot(
 
 
 def quantizer_curve_plot(estimator_kind: str = "sigmoid", n: int = 801) -> str:
-    """Stepped 4-bit quantizer, its smooth surrogate, and the clipped slope."""
-    import numpy as np
-
-    from .formats import FP4_MAX, FORMATS, grid as format_grid
-    from .qgrad import QGradEstimator, estimator_grad, estimator_value
-
+    """Stepped 4-bit quantizer (round to nearest, ties to even), its smooth
+    surrogate, and the clipped slope."""
     est = QGradEstimator(estimator_kind)
-    fmt = FORMATS["E2M1"]
     xs = [-FP4_MAX + 2 * FP4_MAX * i / (n - 1) for i in range(n)]
     arr = np.array(xs)
-    grid = format_grid(fmt)
-    hard = grid[np.argmin(np.abs(arr[:, None] - grid[None, :]), axis=1)]
-    smooth = estimator_value(arr, fmt, est)
-    slope = estimator_grad(arr, fmt, est)
+    hard, _, _ = round_array(arr, E2M1, TIES_TO_EVEN)
+    smooth = estimator_value(arr, E2M1, est)
+    slope = estimator_grad(arr, E2M1, est)
     return line_plot(
         {
             "rounded": (xs, hard.tolist()),
@@ -239,10 +246,6 @@ def quantizer_curve_plot(estimator_kind: str = "sigmoid", n: int = 801) -> str:
 
 def scale_deviation_plot(scale_format: str = "E8M0", n: int = 2000) -> str:
     """Relative deviation between the ideal scale and its rounded value."""
-    import numpy as np
-
-    from .formats import TIES_TO_EVEN, get_format, round_array
-
     fmt = get_format(scale_format)
     s = np.logspace(-9, 9, n)
     rounded, _, _ = round_array(s, fmt, TIES_TO_EVEN)

@@ -35,9 +35,9 @@ SCALE_GRAD_HYBRID = "hardsoftmax"  # hard max forward, softmax derivative
 
 SCALE_GRAD_MODES = (
     SCALE_GRAD_STE,
-    SCALE_GRAD_ABSMAX,
     SCALE_GRAD_SOFTMAX,
     SCALE_GRAD_HYBRID,
+    SCALE_GRAD_ABSMAX,
 )
 
 # Gradient of the global tensor factor.

@@ -30,8 +30,8 @@ from .mx import BlockQuantResult, BlockSpec, quantize_blocks
 from .qgrad import GradConfig, TENSOR_GRAD_IGNORE, assemble_df_dX, assemble_dh_dX
 
 SR_NONE = "None"
-SR_BACKWARD = "BackwardActivations"
-SR_ALL = "AllActivations"
+SR_BACKWARD = "backward"
+SR_ALL = "all"
 
 SR_POLICIES = (SR_NONE, SR_BACKWARD, SR_ALL)
 

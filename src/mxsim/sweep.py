@@ -14,25 +14,36 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import groupby, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .formats import get_format
+from .formats import ROUNDING_MODES, STOCHASTIC, get_format
+from .hadamard import HADAMARD_MODES, HADAMARD_NONE, HadamardSpec
 from .mx import (
     BlockSpec,
+    ZERO_MODES,
     ZFunction,
     Z_ABSMAX,
     Z_LOGSUMEXP,
     dequantize_tensor,
     quantize_tensor,
 )
+from .qgrad import (
+    GradConfig,
+    QGradEstimator,
+    SCALE_GRAD_MODES,
+    TENSOR_GRAD_IGNORE,
+    TENSOR_GRAD_MODES,
+)
+from .qlinear import QLinearConfig, SR_NONE, SR_POLICIES
 
 __all__ = [
     "COMPLEXITY_WEIGHTS",
     "SweepConfig",
+    "canonical_option",
     "ScoreReport",
     "complexity_points",
     "score",
@@ -55,72 +66,44 @@ __all__ = [
 NOT_APPLICABLE = "N/A"
 
 # Canonical value sets, written as they appear in result CSVs.
-MAX_GRAD_OPTIONS = ("STE", "softsoftmax", "hardsoftmax", "absmax")
+MAX_GRAD_OPTIONS = SCALE_GRAD_MODES
 ESTIMATOR_OPTIONS = ("STE", "baseline", "spline")
-TENSOR_GRAD_OPTIONS = ("ignore", "absmax", "STE")
-ROUND_MODE_OPTIONS = ("TiesToEven", "TowardPositive", "Stochastic")
-SR_OPTIONS = ("None", "backward", "all")
-HADAMARD_OPTIONS = ("None", "all", "backward")
+TENSOR_GRAD_OPTIONS = TENSOR_GRAD_MODES
+ROUND_MODE_OPTIONS = ROUNDING_MODES
+SR_OPTIONS = SR_POLICIES
+HADAMARD_OPTIONS = HADAMARD_MODES
 OPTIMISER_OPTIONS = ("Adam", "StableSPAM")
 
-# Alternate spellings accepted from config files and result tables.
-_SR_ALIASES = {
-    "none": "None",
-    "none_exact": "None",
-    "n/a": "None",
-    "backward": "backward",
-    "backward act.": "backward",
-    "backwardactivations": "backward",
-    "intelfp4": "backward",
-    "intelfp4_exact": "backward",
-    "all": "all",
-    "all act.": "all",
-    "allactivations": "all",
-    "all_activation": "all",
-    "all_activation_exact": "all",
-}
-
-_HADAMARD_ALIASES = {
-    "none": "None",
-    "none_exact": "None",
-    "n/a": "None",
-    "all": "all",
-    "all_exact": "all",
-    "backward": "backward",
-    "backward_exact": "backward",
-    "backwardonly": "backward",
-}
-
-_ROUND_ALIASES = {
-    "tiestoeven": "TiesToEven",
-    "towardpositive": "TowardPositive",
-    "stochastic": "Stochastic",
-    "sr": "Stochastic",
+#: Other spellings of option values that config files and published tables
+#: use, lower-cased, per configuration field.  Only their parsers read it,
+#: through :func:`canonical_option`.
+OPTION_ALIASES: dict[str, dict[str, str]] = {
+    "sr": {
+        "none_exact": "None",
+        "n/a": "None",
+        "backward act.": "backward",
+        "backwardactivations": "backward",
+        "intelfp4": "backward",
+        "intelfp4_exact": "backward",
+        "all act.": "all",
+        "allactivations": "all",
+        "all_activation": "all",
+        "all_activation_exact": "all",
+    },
+    "hadamard": {
+        "none_exact": "None",
+        "n/a": "None",
+        "all_exact": "all",
+        "backward_exact": "backward",
+        "backwardonly": "backward",
+    },
+    "round_mode": {"sr": "Stochastic"},
 }
 
 
-def normalize_sr(value: str) -> str:
-    """Map an SR policy spelling to its canonical form."""
-    try:
-        return _SR_ALIASES[str(value).strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown SR policy {value!r}") from None
-
-
-def normalize_hadamard(value: str) -> str:
-    """Map a Hadamard mode spelling to its canonical form."""
-    try:
-        return _HADAMARD_ALIASES[str(value).strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown hadamard mode {value!r}") from None
-
-
-def normalize_round_mode(value: str) -> str:
-    """Map a rounding-mode spelling to its canonical form."""
-    try:
-        return _ROUND_ALIASES[str(value).strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown round mode {value!r}") from None
+def _option(default: str, valid: Sequence[str]):
+    """A configuration field that only takes one of the ``valid`` values."""
+    return field(default=default, metadata={"valid": tuple(valid)})
 
 
 @dataclass(frozen=True)
@@ -131,22 +114,47 @@ class SweepConfig:
     ``quant_grad`` the element quantizer's gradient estimator, ``scale_grad``
     the scale quantizer's gradient estimator, and ``tensor_grad`` the
     treatment of the global tensor scale (``N/A`` when tensor scaling is
-    off).
+    off).  Construction rejects any other spelling of an option.  The
+    scale format is left to the runner, so that published rows naming
+    formats this package lacks still get their complexity.
     """
 
     scale_format: str = "E8M0"
     block_size: int = 32
-    max_grad: str = "STE"
-    quant_grad: str = "STE"
-    hadamard: str = "None"
-    scale_grad: str = "STE"
-    sr: str = "None"
-    optimiser: str = "Adam"
+    max_grad: str = _option("STE", MAX_GRAD_OPTIONS)
+    quant_grad: str = _option("STE", ESTIMATOR_OPTIONS)
+    hadamard: str = _option("None", HADAMARD_OPTIONS)
+    scale_grad: str = _option("STE", ESTIMATOR_OPTIONS)
+    sr: str = _option("None", SR_OPTIONS)
+    optimiser: str = _option("Adam", OPTIMISER_OPTIONS)
     loss_scaling: bool = False
-    round_mode: str = "TiesToEven"
+    round_mode: str = _option("TiesToEven", ROUND_MODE_OPTIONS)
     tensor_scaling: bool = False
-    tensor_grad: str = NOT_APPLICABLE
-    nan_mode: str = "nearest_subnormal"
+    tensor_grad: str = _option(NOT_APPLICABLE, TENSOR_GRAD_OPTIONS + (NOT_APPLICABLE,))
+    nan_mode: str = _option("nearest_subnormal", ZERO_MODES)
+
+    def __post_init__(self):
+        for name, valid in _VALID_OPTIONS.items():
+            value = getattr(self, name)
+            if value not in valid:
+                raise ValueError(
+                    f"unknown {name} {value!r}; valid: {', '.join(valid)}"
+                )
+
+
+#: The values each checked SweepConfig field accepts.
+_VALID_OPTIONS = {f.name: f.metadata["valid"] for f in fields(SweepConfig) if f.metadata}
+
+
+def canonical_option(key: str, text: str) -> str:
+    """Result-table spelling of the value ``text`` read for field ``key``.
+
+    A valid value or an alias, in any letter case, becomes that value;
+    other text is returned unchanged, for :class:`SweepConfig` to reject.
+    """
+    spellings = {v.lower(): v for v in _VALID_OPTIONS.get(key, ())}
+    spellings.update(OPTION_ALIASES.get(key, {}))
+    return spellings.get(text.lower(), text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +180,17 @@ COMPLEXITY_WEIGHTS: dict[str, float] = {
 def active_techniques(cfg: SweepConfig) -> list[str]:
     """Names of the weighted techniques a configuration activates."""
     active = []
-    if cfg.max_grad not in ("STE", NOT_APPLICABLE):
+    if cfg.max_grad != "STE":
         active.append("non_ste_max_grad")
     if cfg.tensor_grad in ("absmax", "STE"):
         active.append("tensor_scale_grad")
-    if cfg.quant_grad not in ("STE", NOT_APPLICABLE):
+    if cfg.quant_grad != "STE":
         active.append("non_ste_quant_grad")
-    if normalize_hadamard(cfg.hadamard) != "None":
+    if cfg.hadamard != HADAMARD_NONE:
         active.append("hadamard")
-    if cfg.scale_grad not in ("STE", NOT_APPLICABLE):
+    if cfg.scale_grad != "STE":
         active.append("non_ste_scale_grad")
-    if normalize_sr(cfg.sr) != "None":
+    if cfg.sr != SR_NONE:
         active.append("stochastic_rounding")
     if cfg.tensor_scaling:
         active.append("tensor_scaling")
@@ -190,7 +198,7 @@ def active_techniques(cfg: SweepConfig) -> list[str]:
         active.append("loss_scaling")
     if "SPAM" in cfg.optimiser:
         active.append("spam_optimizer")
-    if normalize_round_mode(cfg.round_mode) == "Stochastic":
+    if cfg.round_mode == STOCHASTIC:
         active.append("stochastic_scale_rounding")
     return active
 
@@ -251,7 +259,11 @@ def score_report(config_id: str, m_ref: float, m_c: float, omega: float) -> Scor
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis value lists for the full hyperparameter sweep."""
+    """Axis value lists for the full hyperparameter sweep.
+
+    Each axis is named after the :class:`SweepConfig` field it sets plus
+    ``s``; the declaration order is the enumeration order, outermost first.
+    """
 
     scale_formats: Sequence[str] = ("E8M0", "E4M3")
     max_grads: Sequence[str] = MAX_GRAD_OPTIONS
@@ -265,24 +277,17 @@ class SweepGrid:
     srs: Sequence[str] = SR_OPTIONS
     hadamards: Sequence[str] = HADAMARD_OPTIONS
 
+    def axes(self) -> list[Sequence]:
+        """Axis value lists in declaration order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
     def cardinality(self) -> int:
         """Raw Cartesian-product size before constraint pruning."""
-        return math.prod(
-            len(axis)
-            for axis in (
-                self.scale_formats,
-                self.max_grads,
-                self.round_modes,
-                self.quant_grads,
-                self.scale_grads,
-                self.tensor_grads,
-                self.optimisers,
-                self.loss_scalings,
-                self.tensor_scalings,
-                self.srs,
-                self.hadamards,
-            )
-        )
+        return math.prod(len(axis) for axis in self.axes())
+
+
+#: The SweepConfig field each grid axis sets, in axis order.
+_AXIS_FIELDS = tuple(f.name[:-1] for f in fields(SweepGrid))
 
 
 @dataclass(frozen=True)
@@ -297,9 +302,7 @@ def _valid(cfg: SweepConfig, prune_dead_scale_grad: bool) -> bool:
     # is inert, so those combinations can optionally be pruned as redundant.
     if prune_dead_scale_grad and cfg.scale_grad != "STE" and cfg.max_grad == "STE":
         return False
-    # The tensor-scale gradient option only exists when tensor scaling is on.
-    if not cfg.tensor_scaling and cfg.tensor_grad != NOT_APPLICABLE:
-        return False
+    # With tensor scaling on, the tensor-scale gradient needs a real option.
     if cfg.tensor_scaling and cfg.tensor_grad == NOT_APPLICABLE:
         return False
     return True
@@ -310,59 +313,29 @@ def enumerate_configs(
 ) -> EnumerationReport:
     """Expand a grid into valid configurations.
 
-    The tensor-scale gradient axis collapses to ``N/A`` whenever tensor
-    scaling is disabled.  ``prune_dead_scale_grad`` additionally drops
-    non-STE scale-quantizer gradients when the block-maximum backward is
-    STE, where they have no effect on training.
+    The block size follows the scale format (16 for E4M3, else 32), and the
+    tensor-scale gradient axis collapses to ``N/A`` whenever tensor scaling
+    is disabled.  ``prune_dead_scale_grad`` additionally drops non-STE
+    scale-quantizer gradients when the block-maximum backward is STE, where
+    they have no effect on training.  Raises ``ValueError`` for an axis
+    value that :class:`SweepConfig` rejects.
     """
     grid = grid or SweepGrid()
-    configs = []
-    raw = 0
-    for (
-        fmt,
-        max_grad,
-        round_mode,
-        quant_grad,
-        scale_grad,
-        tensor_grad,
-        optimiser,
-        loss_scaling,
-        tensor_scaling,
-        sr,
-        hada,
-    ) in product(
-        grid.scale_formats,
-        grid.max_grads,
-        grid.round_modes,
-        grid.quant_grads,
-        grid.scale_grads,
-        grid.tensor_grads,
-        grid.optimisers,
-        grid.loss_scalings,
-        grid.tensor_scalings,
-        grid.srs,
-        grid.hadamards,
-    ):
-        raw += 1
-        cfg = SweepConfig(
-            scale_format=fmt,
-            block_size=16 if fmt == "E4M3" else 32,
-            max_grad=max_grad,
-            quant_grad=quant_grad,
-            hadamard=hada,
-            scale_grad=scale_grad,
-            sr=sr,
-            optimiser=optimiser,
-            loss_scaling=loss_scaling,
-            round_mode=normalize_round_mode(round_mode),
-            tensor_scaling=tensor_scaling,
-            tensor_grad=tensor_grad if tensor_scaling else NOT_APPLICABLE,
-        )
-        if _valid(cfg, prune_dead_scale_grad):
-            configs.append(cfg)
-    # Collapsing tensor_grad to N/A creates duplicates; drop them while
-    # preserving order.
-    unique = tuple(dict.fromkeys(configs))
+    # Collapsing tensor_grad to N/A repeats configurations; each distinct
+    # one is built and checked once, in first-seen order (None: invalid).
+    seen: dict[tuple, SweepConfig | None] = {}
+    for values in product(*grid.axes()):
+        kw = dict(zip(_AXIS_FIELDS, values))
+        if kw["scale_format"] == "E4M3":
+            kw["block_size"] = 16
+        if not kw["tensor_scaling"]:
+            kw["tensor_grad"] = NOT_APPLICABLE
+        key = tuple(kw.values())
+        if key not in seen:
+            cfg = SweepConfig(**kw)
+            seen[key] = cfg if _valid(cfg, prune_dead_scale_grad) else None
+    unique = tuple(cfg for cfg in seen.values() if cfg is not None)
+    raw = grid.cardinality()
     return EnumerationReport(configs=unique, raw_count=raw, dropped=raw - len(unique))
 
 
@@ -549,29 +522,14 @@ def write_results_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
         writer.writerows(rows)
 
 
-def build_qlinear_config(cfg: SweepConfig, beta: float = 40.0):
+def build_qlinear_config(cfg: SweepConfig, beta: float = 40.0) -> QLinearConfig:
     """Translate a sweep record into an executable layer configuration."""
-    from .hadamard import (
-        HADAMARD_ALL,
-        HADAMARD_BACKWARD,
-        HADAMARD_NONE,
-        HadamardSpec,
-    )
-    from .qgrad import GradConfig, QGradEstimator, TENSOR_GRAD_IGNORE
-    from .qlinear import QLinearConfig, SR_ALL, SR_BACKWARD, SR_NONE
-
-    if cfg.max_grad not in MAX_GRAD_OPTIONS:
-        raise ValueError(f"unknown max-statistic gradient {cfg.max_grad!r}")
-    for name, value in (("quant_grad", cfg.quant_grad), ("scale_grad", cfg.scale_grad)):
-        if value not in ESTIMATOR_OPTIONS:
-            raise ValueError(f"unknown {name} estimator {value!r}")
-
     z_kind = Z_LOGSUMEXP if cfg.max_grad == "softsoftmax" else Z_ABSMAX
     spec = BlockSpec(
         block_size=cfg.block_size,
         scale_format=get_format(cfg.scale_format),
         z=ZFunction(z_kind, beta=beta),
-        scale_rounding=normalize_round_mode(cfg.round_mode),
+        scale_rounding=cfg.round_mode,
         zero_mode=cfg.nan_mode,
     )
     tensor_mode = (
@@ -584,20 +542,12 @@ def build_qlinear_config(cfg: SweepConfig, beta: float = 40.0):
         beta=beta,
         tensor_mode=tensor_mode,
     )
-    hada = {
-        "None": HADAMARD_NONE,
-        "all": HADAMARD_ALL,
-        "backward": HADAMARD_BACKWARD,
-    }[normalize_hadamard(cfg.hadamard)]
-    sr = {"None": SR_NONE, "backward": SR_BACKWARD, "all": SR_ALL}[
-        normalize_sr(cfg.sr)
-    ]
     return QLinearConfig(
         spec=spec,
         grad=grad,
-        hadamard=HadamardSpec(block_size=cfg.block_size, mode=hada),
+        hadamard=HadamardSpec(block_size=cfg.block_size, mode=cfg.hadamard),
         tensor_scaling=cfg.tensor_scaling,
-        sr_policy=sr,
+        sr_policy=cfg.sr,
     )
 
 

@@ -184,7 +184,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     loss_scaling: bool = False
-    optimiser: str = "Adam"
     divergence_factor: float = 10.0
     divergence_patience: int = 3
     val_fraction: float = 0.1

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from mxsim import cli
 from mxsim.cli import (
     ConfigError,
     main,
@@ -13,6 +14,7 @@ from mxsim.cli import (
     sweep_config_from_dict,
     write_tensor_file,
 )
+from mxsim.mx import from_bytes
 from mxsim.plots import scatter_plot
 
 
@@ -92,6 +94,26 @@ class TestExitCodes:
     def test_missing_results_file_exits_2(self, tmp_path):
         rc = main(["pareto", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_quantize_blocks_csv_rows(self, tmp_path):
+        # A 2 x 20 matrix at l=16 is 2 blocks per row, none spanning rows.
+        t = tmp_path / "t.csv"
+        x = np.linspace(-4, 4, 40).reshape(2, 20)
+        np.savetxt(t, x, delimiter=",")
+        out = tmp_path / "out"
+        assert main(["quantize", str(t), "--block-size", "16", "--out", str(out)]) == 0
+        qt = from_bytes((out / "quantized.mxq").read_bytes())
+        assert qt.shape == (2, 20) and qt.num_blocks == 4
+        deq = np.loadtxt(out / "dequantized.csv", delimiter=",")
+        np.testing.assert_array_equal(deq, qt.dequantize())
+
+    def test_quantize_three_dimensional_binary(self, tmp_path):
+        t = tmp_path / "t.bin"
+        write_tensor_file(str(t), np.arange(24, dtype=np.float64).reshape(2, 3, 4))
+        out = tmp_path / "out"
+        assert main(["quantize", str(t), "--block-size", "16", "--out", str(out)]) == 0
+        assert from_bytes((out / "quantized.mxq").read_bytes()).num_blocks == 6
+        assert np.loadtxt(out / "dequantized.csv", delimiter=",").shape == (6, 4)
 
     def test_quantize_exits_0(self, tmp_path):
         t = tmp_path / "t.csv"
@@ -232,3 +254,80 @@ class TestSweepCommand:
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
+
+
+# Published spellings of SR "backward", stochastic scale rounding and
+# Hadamard "backward", as a train config and as a one-point sweep grid.
+ALIAS_TRAIN = "sr = IntelFP4_exact\nround_mode = sr\nhadamard = BackwardOnly\n"
+ALIAS_GRID = (
+    "srs = IntelFP4_exact\nround_modes = sr\nhadamards = BackwardOnly\n"
+    "scale_formats = E8M0\nmax_grads = STE\nquant_grads = STE\n"
+    "scale_grads = STE\ntensor_scalings = False\nloss_scalings = False\n"
+)
+SMALL_RUN = "epochs = 1\nn_samples = 200\n"
+
+
+def _result_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    calls = []
+    real = cli.train
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", counting)
+    return calls
+
+
+class TestOptionSpellings:
+    def test_train_and_sweep_write_result_table_spelling(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(ALIAS_TRAIN + SMALL_RUN)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(ALIAS_GRID + SMALL_RUN)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        assert main(["sweep", "--config", str(grid), "--out", str(tmp_path / "s")]) == 0
+        trained = _result_rows(tmp_path / "t" / "results.csv")
+        swept = _result_rows(tmp_path / "s" / "results.csv")
+        assert len(trained) == len(swept) == 1
+        for row in trained + swept:
+            assert (row["SR"], row["Round mode"], row["Hadamard"]) == (
+                "backward", "Stochastic", "backward"
+            )
+        columns = ("SR", "Round mode", "Hadamard", "Complexity points")
+        assert [trained[0][c] for c in columns] == [swept[0][c] for c in columns]
+
+    def test_config_value_error_names_valid_spellings(self):
+        with pytest.raises(ConfigError, match="valid: None, backward, all"):
+            sweep_config_from_dict({"sr": "sometimes"})
+
+    @pytest.mark.parametrize(
+        "axis", ["srs = None,bogus", "scale_formats = E8M0,E9M9"]
+    )
+    def test_bad_axis_value_exits_2_before_training(
+        self, tmp_path, capsys, train_calls, axis
+    ):
+        grid = tmp_path / "grid.cfg"
+        body = ALIAS_GRID.replace("srs = IntelFP4_exact\n", "").replace(
+            "scale_formats = E8M0\n", ""
+        )
+        grid.write_text(body + axis + "\n" + SMALL_RUN)
+        rc = main(["sweep", "--config", str(grid), "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert train_calls == []
+        assert "valid" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "results.csv").exists()
+
+    def test_sweep_rejects_keys_it_would_ignore(self, tmp_path, train_calls):
+        # A plain option key in a grid file is neither an axis nor a
+        # training key; it must not be silently dropped.
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(ALIAS_GRID + "sr = all\n" + SMALL_RUN)
+        assert main(["sweep", "--config", str(grid), "--out", str(tmp_path)]) == 2
+        assert train_calls == []

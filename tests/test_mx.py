@@ -221,6 +221,72 @@ class TestTensorPath:
         assert err.max() < 0.5
 
 
+class TestRowBlocking:
+    """Blocks are formed along the last axis, each row padded on its own."""
+
+    def test_blocks_do_not_span_rows(self):
+        spec = BlockSpec(block_size=16)
+        assert quantize_tensor(np.ones((2, 20)), spec).num_blocks == 4
+        assert quantize_tensor(np.ones((2, 3, 5)), spec).num_blocks == 6
+        assert quantize_tensor(np.ones(20), spec).num_blocks == 2
+
+    @pytest.mark.parametrize(
+        "scale_format, tensor_scaling", [(E4M3, False), (E8M0, True)],
+        ids=["E4M3", "E8M0-tensor-scaled"],
+    )
+    def test_each_row_quantizes_as_if_alone(self, scale_format, tensor_scaling):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(3, 20)) * np.array([[1.0], [1e3], [1e-3]])
+        X[1, 4] = 0.0
+        spec = BlockSpec(block_size=16, scale_format=scale_format)
+        res = quantize_blocks(X, spec, tensor_scaling=tensor_scaling)
+        deq = dequantize_tensor(res.qt)
+        np.testing.assert_array_equal(res.dequantize(), deq)
+        g = res.qt.global_scale or 1.0
+        for i in range(3):
+            # A row divided by the tensor's global factor g quantizes, on
+            # its own and without tensor scaling, to the same blocks.
+            row = quantize_blocks(X[i] / g, spec)
+            np.testing.assert_array_equal(deq[i], row.dequantize() * g)
+            np.testing.assert_array_equal(res.qt.scales[2 * i : 2 * i + 2], row.qt.scales)
+            np.testing.assert_array_equal(res.qt.codes[32 * i : 32 * i + 32], row.qt.codes)
+        assert res.mask.sum() == X.size
+        assert not res.mask.reshape(3, 32)[:, 20:].any()
+
+    def test_aligned_rows_match_flat_blocking(self):
+        # When the last axis is a whole number of blocks (as in qlinear),
+        # rows and the flattened tensor give the same blocks.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(4, 32))
+        spec = BlockSpec(block_size=16)
+        a, b = quantize_blocks(X, spec), quantize_blocks(X.ravel(), spec)
+        np.testing.assert_array_equal(a.blocks, b.blocks)
+        np.testing.assert_array_equal(a.qt.codes, b.qt.codes)
+        np.testing.assert_array_equal(a.dequantize(), b.dequantize().reshape(4, 32))
+
+    def test_blocks_are_a_copy(self):
+        X = np.ones((2, 32))
+        res = quantize_blocks(X, BlockSpec(block_size=16))
+        assert not np.shares_memory(res.blocks, X)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 5)])
+    def test_scalar_and_empty_shapes(self, shape):
+        X = np.full(shape, 0.75)
+        qt = quantize_tensor(X, BlockSpec(block_size=16))
+        assert qt.num_blocks == 1
+        back = from_bytes(to_bytes(qt))
+        np.testing.assert_array_equal(dequantize_tensor(back), X)
+
+    def test_from_bytes_checks_row_block_count(self):
+        spec = BlockSpec(block_size=16)
+        qt = quantize_tensor(np.ones((2, 20)), spec)
+        assert dequantize_tensor(from_bytes(to_bytes(qt))).shape == (2, 20)
+        flat = quantize_tensor(np.ones(40), spec)  # 3 blocks
+        flat.shape = (2, 20)
+        with pytest.raises(ValueError, match="scales do not fit"):
+            from_bytes(to_bytes(flat))
+
+
 class TestNvfp4Rescale:
     def test_constant(self):
         assert 1344.0 / nvfp4_rescale_constant(BlockSpec(scale_format=E4M3)) == 1.0

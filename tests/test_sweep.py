@@ -1,18 +1,31 @@
 """Tests for grid enumeration, complexity points, scores, Pareto
 frontiers, and the reconstruction-error experiment."""
 
+import hashlib
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mxsim.formats import ROUNDING_MODES
+from mxsim.hadamard import HADAMARD_MODES
+from mxsim.qgrad import TENSOR_GRAD_MODES
+from mxsim.qlinear import SR_POLICIES
 from mxsim.sweep import (
     COMPLEXITY_WEIGHTS,
+    HADAMARD_OPTIONS,
+    OPTION_ALIASES,
+    ROUND_MODE_OPTIONS,
+    SR_OPTIONS,
+    TENSOR_GRAD_OPTIONS,
     EnumerationReport,
     SweepConfig,
     SweepGrid,
+    build_qlinear_config,
+    canonical_option,
     complexity_points,
     enumerate_configs,
     pareto_front,
@@ -33,20 +46,28 @@ from reference_rows import (
 
 
 def config_from_row(row) -> SweepConfig:
+    """The row's configuration, its published spellings (``IntelFP4_exact``,
+    ``N/A``, ...) translated as the CLI translates config files."""
+    values = {
+        "scale_format": row.scale,
+        "block_size": row.block_size,
+        "max_grad": row.max_grad,
+        "quant_grad": row.quant_grad,
+        "hadamard": row.hadamard,
+        "scale_grad": row.scale_grad,
+        "sr": row.sr,
+        "optimiser": row.optimiser,
+        "loss_scaling": row.loss_scaling,
+        "round_mode": row.round_mode,
+        "tensor_scaling": row.tensor_scaling,
+        "tensor_grad": row.tensor_grad,
+        "nan_mode": row.nan_mode,
+    }
     return SweepConfig(
-        scale_format=row.scale,
-        block_size=row.block_size,
-        max_grad=row.max_grad,
-        quant_grad=row.quant_grad,
-        hadamard=row.hadamard,
-        scale_grad=row.scale_grad,
-        sr=row.sr,
-        optimiser=row.optimiser,
-        loss_scaling=row.loss_scaling,
-        round_mode=row.round_mode,
-        tensor_scaling=row.tensor_scaling,
-        tensor_grad=row.tensor_grad,
-        nan_mode=row.nan_mode,
+        **{
+            key: canonical_option(key, v) if isinstance(v, str) else v
+            for key, v in values.items()
+        }
     )
 
 
@@ -196,6 +217,94 @@ class TestEnumeration:
     def test_no_duplicates(self):
         report = enumerate_configs()
         assert len(set(report.configs)) == len(report.configs)
+
+
+    def test_default_enumeration_is_pinned(self):
+        # Digest of every default configuration, as tuples in enumeration
+        # order, computed before the grid was derived from its fields.
+        configs = [astuple(cfg) for cfg in enumerate_configs().configs]
+        assert len(configs) == 31104
+        digest = hashlib.sha256(repr(configs).encode()).hexdigest()
+        assert digest == "00d931c3ebb917dbd9427cfcec0e840eb7e0b4266dbef72ab6fd33a65067dc17"
+
+    def test_cardinality_is_the_raw_count(self):
+        grid = SweepGrid(srs=("None", "all"), hadamards=("all",))
+        report = enumerate_configs(grid)
+        # The default 46,656 with 2 of 3 SR values and 1 of 3 Hadamard modes.
+        assert report.raw_count == grid.cardinality() == 46656 // 9 * 2
+        assert report.dropped == report.raw_count - len(report.configs)
+
+    def test_unknown_axis_value_rejected(self):
+        with pytest.raises(ValueError, match="unknown sr 'bogus'"):
+            enumerate_configs(SweepGrid(srs=("None", "bogus")))
+
+
+def _checked_fields():
+    return [(f.name, f.metadata["valid"]) for f in fields(SweepConfig) if f.metadata]
+
+
+class TestOptionVocabulary:
+    def test_layer_constants_are_the_vocabulary(self):
+        assert SR_OPTIONS is SR_POLICIES == ("None", "backward", "all")
+        assert HADAMARD_OPTIONS is HADAMARD_MODES == ("None", "all", "backward")
+        assert ROUND_MODE_OPTIONS is ROUNDING_MODES
+        assert TENSOR_GRAD_OPTIONS is TENSOR_GRAD_MODES
+
+    def test_every_alias_maps_to_a_canonical_value(self):
+        valid = dict(_checked_fields())
+        assert set(OPTION_ALIASES) <= set(valid)
+        for key, aliases in OPTION_ALIASES.items():
+            for alias, value in aliases.items():
+                assert alias == alias.lower()
+                assert value in valid[key], (key, alias)
+                assert canonical_option(key, alias) == value
+                assert canonical_option(key, alias.upper()) == value
+                SweepConfig(**{key: canonical_option(key, alias)})
+
+    def test_canonical_values_map_to_themselves(self):
+        checked = _checked_fields()
+        assert {name for name, _ in checked} == {
+            "max_grad", "quant_grad", "scale_grad", "hadamard", "sr",
+            "optimiser", "round_mode", "tensor_grad", "nan_mode",
+        }
+        for name, valid in checked:
+            for value in valid:
+                assert canonical_option(name, value) == value
+                assert canonical_option(name, value.lower()) == value
+
+    def test_old_layer_spellings_are_aliases(self):
+        assert canonical_option("sr", "AllActivations") == "all"
+        assert canonical_option("sr", "BackwardActivations") == "backward"
+        assert canonical_option("hadamard", "All") == "all"
+        assert canonical_option("hadamard", "BackwardOnly") == "backward"
+        assert canonical_option("round_mode", "sr") == "Stochastic"
+
+    def test_unknown_text_passes_through(self):
+        assert canonical_option("sr", "bogus") == "bogus"
+        assert canonical_option("scale_format", "E9M9") == "E9M9"
+
+    @pytest.mark.parametrize("name", [name for name, _ in _checked_fields()])
+    def test_config_rejects_non_canonical_values(self, name):
+        with pytest.raises(ValueError, match=f"unknown {name} 'bogus'; valid: "):
+            SweepConfig(**{name: "bogus"})
+
+    def test_config_rejects_aliases(self):
+        with pytest.raises(ValueError, match="valid: None, backward, all"):
+            SweepConfig(sr="AllActivations")
+        with pytest.raises(ValueError, match="valid: None, all, backward"):
+            SweepConfig(hadamard="BackwardOnly")
+
+    def test_scale_format_and_na_tensor_grad_accepted(self):
+        # Published rows name E5M3, which this package does not ship.
+        assert SweepConfig(scale_format="E5M3").scale_format == "E5M3"
+        assert SweepConfig(tensor_grad="N/A").tensor_grad == "N/A"
+
+    def test_layer_config_takes_the_values_as_they_are(self):
+        cfg = SweepConfig(sr="backward", hadamard="all", round_mode="Stochastic")
+        qcfg = build_qlinear_config(cfg)
+        assert qcfg.sr_policy == "backward"
+        assert qcfg.hadamard.mode == "all"
+        assert qcfg.spec.scale_rounding == "Stochastic"
 
 
 def _dominates(o, r):
