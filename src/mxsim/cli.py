@@ -168,30 +168,32 @@ def _task_from_dict(values: dict[str, str], seed: int) -> TaskSpec:
         raise ConfigError(
             f"unknown task {kind!r}; valid: {TASK_GAUSSIAN}, {TASK_CLASSIFICATION}"
         )
-    return TaskSpec(
-        kind=kind,
-        n_samples=_convert("n_samples", values.get("n_samples", "5000"), int),
-        dim=_convert("dim", values.get("dim", "64"), int),
-        n_classes=_convert("n_classes", values.get("n_classes", "2"), int),
-        seed=seed,
-    )
+    n_samples = _convert("n_samples", values.get("n_samples", "5000"), int)
+    dim = _convert("dim", values.get("dim", "64"), int)
+    n_classes = _convert("n_classes", values.get("n_classes", "2"), int)
+    try:
+        return TaskSpec(kind=kind, n_samples=n_samples, dim=dim,
+                        n_classes=n_classes, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _train_config(values: dict[str, str], cfg: SweepConfig, seed: int) -> TrainConfig:
+def _train_config(values: dict[str, str], seed: int) -> TrainConfig:
+    """The training settings of a config file; each run sets the
+    quantization and loss scaling of its :class:`SweepConfig`."""
     hidden = values.get("hidden", "64,32")
     try:
         hidden_dims = tuple(int(h) for h in hidden.split(",") if h.strip())
     except ValueError as exc:
         raise ConfigError(f"key 'hidden': {exc}") from exc
-    return TrainConfig(
-        qcfg=build_qlinear_config(cfg),
-        hidden=hidden_dims,
-        epochs=_convert("epochs", values.get("epochs", "20"), int),
-        batch_size=_convert("batch_size", values.get("batch_size", "128"), int),
-        lr=_convert("lr", values.get("lr", "1e-3"), float),
-        seed=seed,
-        loss_scaling=cfg.loss_scaling,
-    )
+    epochs = _convert("epochs", values.get("epochs", "20"), int)
+    batch_size = _convert("batch_size", values.get("batch_size", "128"), int)
+    lr = _convert("lr", values.get("lr", "1e-3"), float)
+    try:
+        return TrainConfig(hidden=hidden_dims, epochs=epochs, batch_size=batch_size,
+                           lr=lr, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +296,8 @@ def cmd_recon(args) -> int:
     return 0
 
 
-def _run_training(values: dict[str, str], cfg: SweepConfig, seed: int):
-    task = _task_from_dict(values, seed)
-    tcfg = _train_config(values, cfg, seed)
+def _run_training(task: TaskSpec, tcfg: TrainConfig, cfg: SweepConfig):
+    tcfg = replace(tcfg, qcfg=build_qlinear_config(cfg), loss_scaling=cfg.loss_scaling)
     record = train(task, tcfg)
     # Reference loss: the same run with quantization disabled.
     dense_cfg = replace(
@@ -310,7 +311,8 @@ def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     cfg = sweep_config_from_dict(values)
     seed = _resolve_seed(args)
-    record, dense = _run_training(values, cfg, seed)
+    task, tcfg = _task_from_dict(values, seed), _train_config(values, seed)
+    record, dense = _run_training(task, tcfg, cfg)
     out = _out_dir(args)
     with open(out / "losses.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -363,15 +365,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
     for cfg in report.configs:
         _validate_sweep_config(cfg)
+    seed = _resolve_seed(args)
+    task, tcfg = _task_from_dict(train_values, seed), _train_config(train_values, seed)
     configs = report.configs[: args.limit or None]
     print(
         f"grid: {report.raw_count} raw combinations, "
         f"{len(report.configs)} valid, running {len(configs)}"
     )
-    seed = _resolve_seed(args)
 
     def runner(cfg: SweepConfig) -> dict[str, object]:
-        record, dense = _run_training(train_values, cfg, seed)
+        record, dense = _run_training(task, tcfg, cfg)
         return result_row(
             record.dataset,
             cfg,

@@ -65,6 +65,17 @@ def block_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
+    """Read-only :func:`block_signs`, drawn once per argument triple: one
+    ``qlinear`` step under ``all`` transforms eight operands along three
+    distinct lengths with the same seed.  The bound holds a few layer steps;
+    a miss only draws the rows again."""
+    signs = block_signs(seed, num_blocks, l)
+    signs.setflags(write=False)
+    return signs
+
+
 def transform_along_axis(
     a: np.ndarray, axis: int, spec: HadamardSpec, inverse: bool = False
 ) -> np.ndarray:
@@ -84,7 +95,7 @@ def transform_along_axis(
     moved = np.moveaxis(a, axis, -1)
     lead = moved.shape[:-1]
     blocks = moved.reshape(*lead, n // l, l)
-    signs = block_signs(spec.seed, n // l, l)
+    signs = _shared_signs(spec.seed, n // l, l)
     if inverse:
         out = (blocks @ sylvester(l)) * signs
     else:

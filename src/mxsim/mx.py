@@ -90,11 +90,16 @@ class BlockSpec:
 
 @dataclass
 class QuantizedTensor:
-    """Compact form of a tensor: per-block scales plus 4-bit element codes."""
+    """One quantization: per-block scales plus the rounded element values.
+
+    ``elements`` are grid values of the element format, one row per block,
+    so ``elements / (rescale * scales)`` are the dequantized blocks.  Their
+    bit patterns exist only in serialized form (:attr:`codes`).
+    """
 
     shape: tuple[int, ...]
     scales: np.ndarray  # stored scale values, one per block, all > 0
-    codes: np.ndarray  # element codes, padded to a whole number of blocks
+    elements: np.ndarray  # (num_blocks, block_size), zero on padding
     spec: BlockSpec
     global_scale: float | None = None  # tensor-level factor g (None = off)
     rescale: float = 1.0  # fixed constant folded into the multiplier
@@ -103,13 +108,18 @@ class QuantizedTensor:
     def num_blocks(self) -> int:
         return len(self.scales)
 
+    @property
+    def codes(self) -> np.ndarray:
+        """Element codes in block order, padding included."""
+        return encode_array(self.elements, self.spec.elem_format).ravel()
+
     def dequantize(self) -> np.ndarray:
         return dequantize_tensor(self)
 
 
 @dataclass
 class BlockQuantResult:
-    """Quantization with all intermediates kept, for gradient computation.
+    """A quantization plus the residuals its gradients need.
 
     ``blocks`` are the (padded) input blocks *after* division by the global
     factor; ``values`` are the dequantized blocks before the global factor
@@ -121,13 +131,16 @@ class BlockQuantResult:
     mask: np.ndarray  # False on zero-padding positions
     z: np.ndarray  # per-block statistic of `blocks`
     s_ideal: np.ndarray  # elem_max / z (inf where z == 0)
-    s_eff: np.ndarray  # rescale * stored scale, the actual multiplier
-    values: np.ndarray  # (1 / s_eff) * Q(s_eff * blocks)
 
-    def dequantize(self) -> np.ndarray:
-        """The reconstructed tensor, bit-identical to ``qt.dequantize()``
-        but read from ``values`` instead of decoding the codes again."""
-        return _unblock(self.values, self.qt)
+    @property
+    def s_eff(self) -> np.ndarray:
+        """rescale * stored scale, the multiplier actually used."""
+        return self.qt.rescale * self.qt.scales
+
+    @property
+    def values(self) -> np.ndarray:
+        """(1 / s_eff) * Q(s_eff * blocks)."""
+        return self.qt.elements / self.s_eff[:, None]
 
 
 def z_values(
@@ -240,21 +253,11 @@ def quantize_blocks(
 
     q, _, _ = round_array(blocks * s_eff[:, None], spec.elem_format,
                           spec.elem_rounding, rng)
-    codes = encode_array(q, spec.elem_format)
-    values = q / s_eff[:, None]
-
     qt = QuantizedTensor(
-        shape=X.shape,
-        scales=stored,
-        codes=codes.ravel(),
-        spec=spec,
-        global_scale=g,
+        shape=X.shape, scales=stored, elements=q, spec=spec, global_scale=g,
         rescale=rescale,
     )
-    return BlockQuantResult(
-        qt=qt, blocks=blocks, mask=mask, z=z, s_ideal=s_ideal,
-        s_eff=s_eff, values=values,
-    )
+    return BlockQuantResult(qt=qt, blocks=blocks, mask=mask, z=z, s_ideal=s_ideal)
 
 
 def quantize_tensor(
@@ -264,16 +267,13 @@ def quantize_tensor(
     rng: np.random.Generator | None = None,
     generalized_rescale: bool = False,
 ) -> QuantizedTensor:
-    """Quantize a tensor into per-block scales and 4-bit element codes."""
+    """Quantize a tensor into per-block scales and element values."""
     return quantize_blocks(X, spec, tensor_scaling, rng, generalized_rescale).qt
 
 
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct the real tensor a QuantizedTensor represents."""
-    l = qt.spec.block_size
-    values = decode_array(qt.codes, qt.spec.elem_format).reshape(-1, l)
-    s_eff = qt.rescale * qt.scales
-    return _unblock(values / s_eff[:, None], qt)
+    return _unblock(qt.elements / (qt.rescale * qt.scales)[:, None], qt)
 
 
 def _unblock(values: np.ndarray, qt: QuantizedTensor) -> np.ndarray:
@@ -303,8 +303,8 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
     """Binary layout: header with the whole spec, scale codes (16-bit),
     packed 4-bit element codes."""
     spec = qt.spec
-    codes = qt.codes.astype(np.uint8)
-    if qt.codes.size and int(qt.codes.max()) > 0xF:
+    codes = qt.codes
+    if codes.size and int(codes.max()) > 0xF:
         raise ValueError(f"{spec.elem_format.name} codes do not fit in 4 bits")
     buf = io.BytesIO()
     buf.write(_MAGIC)
@@ -320,10 +320,10 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
     scale_codes = encode_array(qt.scales, spec.scale_format).astype("<u2")
     buf.write(struct.pack("<q", len(scale_codes)))
     buf.write(scale_codes.tobytes())
+    buf.write(struct.pack("<q", codes.size))
     if codes.size % 2:
-        codes = np.append(codes, np.uint8(0))
+        codes = np.append(codes, 0)
     packed = (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8)
-    buf.write(struct.pack("<q", qt.codes.size))
     buf.write(packed.tobytes())
     return buf.getvalue()
 
@@ -390,12 +390,12 @@ def from_bytes(data: bytes) -> QuantizedTensor:
     codes = np.empty(packed.size * 2, dtype=np.int64)
     codes[0::2] = packed & 0x0F
     codes[1::2] = packed >> 4
-    codes = codes[:n_codes]
-    decode_array(codes, elem_fmt)  # rejects codes outside the element format
+    # decode_array rejects codes outside the element format.
+    elements = decode_array(codes[:n_codes], elem_fmt).reshape(-1, block_size)
     return QuantizedTensor(
         shape=tuple(shape),
         scales=scales,
-        codes=codes,
+        elements=elements,
         spec=spec,
         global_scale=g if has_g else None,
         rescale=rescale,
@@ -405,10 +405,9 @@ def from_bytes(data: bytes) -> QuantizedTensor:
 def to_csv(qt: QuantizedTensor) -> str:
     """Human-readable dump: one row per element with its block and scale."""
     l = qt.spec.block_size
-    values = decode_array(qt.codes, qt.spec.elem_format)
     s_eff = qt.rescale * qt.scales
     lines = ["block,scale,code,value,dequantized"]
-    for i, (code, val) in enumerate(zip(qt.codes, values)):
+    for i, (code, val) in enumerate(zip(qt.codes, qt.elements.ravel())):
         b = i // l
         deq = val / s_eff[b] * (qt.global_scale if qt.global_scale else 1.0)
         lines.append(f"{b},{qt.scales[b]!r},{int(code)},{val!r},{deq!r}")

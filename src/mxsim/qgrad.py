@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formats import FloatFormat, grid, round_array
-from .mx import BlockQuantResult, BlockSpec, ZFunction, Z_ABSMAX, Z_LOGSUMEXP, z_values
+from .mx import BlockQuantResult, ZFunction, Z_ABSMAX, Z_LOGSUMEXP, z_values
 
 # Element / scale quantizer gradient estimators.
 EST_STE = "STE"
@@ -281,33 +281,22 @@ def selective_scale_gate(s: np.ndarray, threshold: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def assemble_df_dX(
-    blocks: np.ndarray,
-    s_ideal: np.ndarray,
-    s_q: np.ndarray,
-    q_vals: np.ndarray,
-    z: np.ndarray,
-    spec: BlockSpec,
-    cfg: GradConfig,
-    mask: np.ndarray | None = None,
-    s_pre: np.ndarray | None = None,
-) -> np.ndarray:
+def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     """Per-element derivative of block quantization.
 
-    ``blocks`` are the values fed to the quantizer (already divided by any
-    global factor), ``s_q`` the effective multipliers actually used,
-    ``q_vals`` the rounded scaled elements Q(s_q * x) from the forward
-    pass, and ``s_pre`` the value that was fed to the scale quantizer
-    (defaults to ``s_ideal``; differs when a fixed rescale constant is
-    folded in).
+    ``res.blocks`` are the values fed to the quantizer (already divided by
+    any global factor), ``s_q = res.s_eff`` the effective multipliers
+    actually used, ``q_vals = res.values * s_q`` the rounded scaled
+    elements Q(s_q * x) from the forward pass, and ``s_pre`` the value that
+    was fed to the scale quantizer (``s_ideal`` over the fixed rescale
+    constant).
 
     The result is Q'(s_q x) plus the scale-path correction
     ds/dX * (q'(s)/s_q) * (x Q'(s_q x) - Q(s_q x)/s_q); a pass-through
     scale gradient drops the correction entirely (or replaces it with +1
     when ``ste_second_term_one``).
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    s_q = np.asarray(s_q, dtype=np.float64)
+    spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
     qg = estimator_grad(s_q[:, None] * blocks, spec.elem_format, cfg.elem_estimator)
 
     if cfg.scale_mode == SCALE_GRAD_STE:
@@ -315,11 +304,10 @@ def assemble_df_dX(
             return qg + 1.0
         return qg
 
-    if s_pre is None:
-        s_pre = np.asarray(s_ideal, dtype=np.float64)
-    dz = dZ(blocks, cfg.scale_mode, cfg.beta, mask)
-    ds = ds_dX(blocks, z, dz, spec.elem_format.max_finite)
+    dz = dZ(blocks, cfg.scale_mode, cfg.beta, res.mask)
+    ds = ds_dX(blocks, res.z, dz, spec.elem_format.max_finite)
 
+    s_pre = res.s_ideal / res.qt.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
     qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
     if cfg.gate_threshold is not None:
@@ -327,11 +315,9 @@ def assemble_df_dX(
             selective_scale_gate(finite_pre, cfg.gate_threshold), qprime, 1.0
         )
 
+    q_vals = res.values * s_q[:, None]
     bracket = (qprime / s_q)[:, None] * (blocks * qg - q_vals / s_q[:, None])
-    out = qg + ds * bracket
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
+    return np.where(res.mask, qg + ds * bracket, 0.0)
 
 
 def tensor_scale_grad(
@@ -363,25 +349,19 @@ def tensor_scale_grad(
     return out
 
 
-def assemble_dh_dX(
-    res: BlockQuantResult,
-    raw_blocks: np.ndarray,
-    spec: BlockSpec,
-    cfg: GradConfig,
-) -> np.ndarray:
+def assemble_dh_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     """Per-element derivative with the global tensor factor included.
 
     dh/dX = df/dU + dg/dX * (f(U) - U * df/dU), with the correction term
-    zeroed when the global-factor gradient is ignored.
+    zeroed when the global-factor gradient is ignored.  The raw blocks are
+    ``res.blocks`` times the global factor.
     """
-    s_pre = res.s_ideal / res.qt.rescale
-    df_dU = assemble_df_dX(
-        res.blocks, res.s_ideal, res.s_eff, res.values * res.s_eff[:, None],
-        res.z, spec, cfg, res.mask, s_pre=s_pre,
-    )
+    df_dU = assemble_df_dX(res, cfg)
     if cfg.tensor_mode == TENSOR_GRAD_IGNORE:
         return df_dU
-    z_raw = z_values(raw_blocks, spec.z, res.mask)
-    dg = tensor_scale_grad(raw_blocks, z_raw, spec.z, cfg.tensor_mode, res.mask)
+    z_fn = res.qt.spec.z
+    raw_blocks = res.blocks * (res.qt.global_scale or 1.0)
+    z_raw = z_values(raw_blocks, z_fn, res.mask)
+    dg = tensor_scale_grad(raw_blocks, z_raw, z_fn, cfg.tensor_mode, res.mask)
     out = df_dU + dg * (res.values - res.blocks * df_dU)
     return np.where(res.mask, out, 0.0)

@@ -66,7 +66,6 @@ class LayerContext:
     m: int  # contraction length before padding
     seed: int
     step: int
-    site_counts: dict[str, int] = field(default_factory=dict)
 
 
 def _pad_axis(a: np.ndarray, axis: int, multiple: int) -> np.ndarray:
@@ -83,15 +82,17 @@ def _site_rng(seed: int, step: int, site: int) -> np.random.Generator:
     return np.random.default_rng([np.uint64(seed), np.uint64(step), np.uint64(site)])
 
 
-def _needs_rng(spec: BlockSpec) -> bool:
-    return STOCHASTIC in (spec.scale_rounding, spec.elem_rounding)
-
-
-def _quantize_matrix(
-    a: np.ndarray, spec: BlockSpec, cfg: QLinearConfig, rng
+def _quantize(
+    a: np.ndarray, cfg: QLinearConfig, stochastic: bool, seed: int, step: int,
+    site: int,
 ) -> BlockQuantResult:
-    """Quantize a matrix whose trailing axis is a multiple of the block
-    size, so flattening keeps blocks aligned with that axis."""
+    """Quantize a matrix whose last axis is a multiple of the block size,
+    rounding elements stochastically or to nearest; stochastic rounding
+    draws from the stream of ``(seed, step, site)``."""
+    spec = replace(cfg.spec, elem_rounding=STOCHASTIC if stochastic else TIES_TO_EVEN)
+    rng = None
+    if STOCHASTIC in (spec.scale_rounding, spec.elem_rounding):
+        rng = _site_rng(seed, step, site)
     return quantize_blocks(
         a, spec, tensor_scaling=cfg.tensor_scaling, rng=rng,
         generalized_rescale=cfg.generalized_rescale,
@@ -122,56 +123,28 @@ def forward(
         x_pad = transform_along_axis(x_pad, 1, hspec)
         w_pad = transform_along_axis(w_pad, 1, hspec)
 
-    counts = {"forward_quant": 0, "backward_quant": 0, "backward_reused": 0}
     if cfg.quantize:
-        x_round = STOCHASTIC if cfg.sr_policy == SR_ALL else TIES_TO_EVEN
-        x_spec = replace(cfg.spec, elem_rounding=x_round)
-        w_spec = replace(cfg.spec, elem_rounding=TIES_TO_EVEN)
-        rng_x = _site_rng(seed, step, 0) if _needs_rng(x_spec) else None
-        rng_w = _site_rng(seed, step, 1) if _needs_rng(w_spec) else None
-        res_x = _quantize_matrix(x_pad, x_spec, cfg, rng_x)
-        res_w = _quantize_matrix(w_pad, w_spec, cfg, rng_w)
-        fx = res_x.dequantize()
-        fw = res_w.dequantize()
-        counts["forward_quant"] = 2
+        res_x = _quantize(x_pad, cfg, cfg.sr_policy == SR_ALL, seed, step, 0)
+        res_w = _quantize(w_pad, cfg, False, seed, step, 1)
+        fx, fw = res_x.qt.dequantize(), res_w.qt.dequantize()
     else:
         res_x = res_w = None
         fx, fw = x_pad, w_pad
 
     Y = fx @ fw.T
     ctx = LayerContext(
-        fx=fx, fw=fw, res_x=res_x, res_w=res_w, m=X.shape[1], seed=seed,
-        step=step, site_counts=counts,
+        fx=fx, fw=fw, res_x=res_x, res_w=res_w, m=X.shape[1], seed=seed, step=step,
     )
     return Y, ctx
 
 
 def _operand_grad(res: BlockQuantResult, cfg: QLinearConfig) -> np.ndarray:
     """Per-element derivative of an operand's quantization, padded shape."""
-    spec = cfg.spec
     if cfg.tensor_scaling and cfg.grad.tensor_mode != TENSOR_GRAD_IGNORE:
-        raw = res.blocks * (res.qt.global_scale or 1.0)
-        d = assemble_dh_dX(res, raw, spec, cfg.grad)
+        d = assemble_dh_dX(res, cfg.grad)
     else:
-        d = assemble_df_dX(
-            res.blocks, res.s_ideal, res.s_eff,
-            res.values * res.s_eff[:, None], res.z, spec, cfg.grad, res.mask,
-            s_pre=res.s_ideal / res.qt.rescale,
-        )
+        d = assemble_df_dX(res, cfg.grad)
     return d.reshape(res.qt.shape)
-
-
-def _quantize_gradient(
-    g: np.ndarray, cfg: QLinearConfig, seed: int, step: int, site: int
-) -> np.ndarray:
-    """Quantize-dequantize an incoming gradient blocked along its last axis."""
-    round_mode = (
-        STOCHASTIC if cfg.sr_policy in (SR_BACKWARD, SR_ALL) else TIES_TO_EVEN
-    )
-    spec = replace(cfg.spec, elem_rounding=round_mode)
-    rng = _site_rng(seed, step, site) if _needs_rng(spec) else None
-    res = _quantize_matrix(_pad_axis(g, 1, spec.block_size), spec, cfg, rng)
-    return res.dequantize()
 
 
 def backward(
@@ -196,9 +169,9 @@ def backward(
         hspec = _step_hadamard(cfg, ctx.step)
         g1 = transform_along_axis(g1, 1, hspec)
         fw1 = transform_along_axis(fw1, 0, hspec)
+    stochastic = cfg.sr_policy != SR_NONE
     if cfg.quantize:
-        g1 = _quantize_gradient(g1, cfg, ctx.seed, ctx.step, 2)
-        ctx.site_counts["backward_quant"] = ctx.site_counts.get("backward_quant", 0) + 1
+        g1 = _quantize(g1, cfg, stochastic, ctx.seed, ctx.step, 2).qt.dequantize()
     gx_pad = g1 @ fw1
 
     # Matmul 2 (weight gradient): contract over the batch b.
@@ -208,12 +181,10 @@ def backward(
         g2 = transform_along_axis(g2, 1, hspec)
         fx2 = transform_along_axis(fx2, 0, hspec)
     if cfg.quantize:
-        g2 = _quantize_gradient(g2, cfg, ctx.seed, ctx.step, 3)
-        ctx.site_counts["backward_quant"] += 1
+        g2 = _quantize(g2, cfg, stochastic, ctx.seed, ctx.step, 3).qt.dequantize()
     gw_pad = g2 @ fx2
 
     if cfg.quantize:
-        ctx.site_counts["backward_reused"] = 2
         dq_x = _operand_grad(ctx.res_x, cfg)
         dq_w = _operand_grad(ctx.res_w, cfg)
         gx_pad = gx_pad * dq_x

@@ -277,6 +277,11 @@ class SweepGrid:
     srs: Sequence[str] = SR_OPTIONS
     hadamards: Sequence[str] = HADAMARD_OPTIONS
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not len(getattr(self, f.name)):
+                raise ValueError(f"sweep axis {f.name!r} has no values")
+
     def axes(self) -> list[Sequence]:
         """Axis value lists in declaration order."""
         return [getattr(self, f.name) for f in fields(self)]

@@ -8,6 +8,7 @@ image-file loader; everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -103,6 +104,14 @@ class TaskSpec:
     mnist_images: str | None = None
     mnist_labels: str | None = None
 
+    def __post_init__(self):
+        if self.n_samples < 2:
+            raise ValueError(
+                "n_samples must be at least 2: one training and one validation sample"
+            )
+        if self.dim < 1 or self.n_classes < 2:
+            raise ValueError("dim must be positive and n_classes at least 2")
+
 
 def gen_gaussian_regression(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linear data: X and the true weights iid standard normal, plus
@@ -188,6 +197,14 @@ class TrainConfig:
     divergence_patience: int = 3
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError("hidden needs at least one layer, each of positive width")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+
 
 @dataclass
 class RunRecord:
@@ -263,6 +280,8 @@ def train(task: TaskSpec, cfg: TrainConfig) -> RunRecord:
     """Train the quantized MLP; deterministic for a given (task, cfg)."""
     X, y, is_classification = load_task(task)
     n_val = max(1, int(len(X) * cfg.val_fraction))
+    if n_val >= len(X):
+        raise ValueError(f"{len(X)} samples leave no training split")
     X_train, y_train = X[:-n_val], y[:-n_val]
     X_val, y_val = X[-n_val:], y[-n_val:]
 

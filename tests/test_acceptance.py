@@ -183,6 +183,14 @@ def _smooth_block_forward(blocks, spec, elem_est, scale_est):
     return q_vals / s_q[:, None], z, s, s_q, q_vals
 
 
+def _smooth_record(spec, blocks, z, s, s_q, q_vals, g=None):
+    """The smooth surrogate's quantities as a quantization record."""
+    qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals,
+                         spec=spec, global_scale=g)
+    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s,
+                            mask=np.ones(blocks.shape, dtype=bool))
+
+
 @_verdict(3, "gradient fidelity")
 def test_criterion_03_gradient_fidelity():
     deadline = time.monotonic() + 30.0
@@ -204,7 +212,7 @@ def test_criterion_03_gradient_fidelity():
     blocks = rng.uniform(-3.0, 3.0, size=(n_blocks, l))
     blocks[np.abs(blocks) < 0.05] = 0.5  # keep clear of surrogate knots
     _, z, s, s_q, q_vals = _smooth_block_forward(blocks, spec, elem_est, scale_est)
-    got = assemble_df_dX(blocks, s, s_q, q_vals, z, spec, cfg)
+    got = assemble_df_dX(_smooth_record(spec, blocks, z, s, s_q, q_vals), cfg)
     rel_err = np.empty_like(blocks)
     for j in range(l):
         bp, bm = blocks.copy(), blocks.copy()
@@ -237,24 +245,7 @@ def test_criterion_03_gradient_fidelity():
         beta=beta,
         tensor_mode=TENSOR_GRAD_ABSMAX,
     )
-    qt = QuantizedTensor(
-        shape=(n_blocks * l,),
-        scales=s_q,
-        codes=np.zeros(n_blocks * l),
-        spec=spec,
-        global_scale=g,
-        rescale=1.0,
-    )
-    res = BlockQuantResult(
-        qt=qt,
-        blocks=U,
-        mask=np.ones_like(U, dtype=bool),
-        z=z,
-        s_ideal=s,
-        s_eff=s_q,
-        values=q_vals / s_q[:, None],
-    )
-    got_h = assemble_dh_dX(res, raw, spec, cfg_t)
+    got_h = assemble_dh_dX(_smooth_record(spec, U, z, s, s_q, q_vals, g), cfg_t)
 
     # Per-element FD, vectorized over blocks: each row's perturbation only
     # touches its own statistic, so the global factor is recomputed per row
@@ -282,21 +273,10 @@ def test_criterion_03_gradient_fidelity():
     # --- fully-STE path is exactly one ---
     ste_spec = BlockSpec(block_size=16)
     res_ste = quantize_blocks(rng.normal(size=160), ste_spec)
-    df = assemble_df_dX(
-        res_ste.blocks,
-        res_ste.s_ideal,
-        res_ste.s_eff,
-        res_ste.values * res_ste.s_eff[:, None],
-        res_ste.z,
-        ste_spec,
-        GradConfig(),
-        res_ste.mask,
-    )
+    df = assemble_df_dX(res_ste, GradConfig())
     assert np.array_equal(df, np.ones_like(df))
     res_ts = quantize_blocks(rng.normal(size=160), ste_spec, tensor_scaling=True)
-    dh = assemble_dh_dX(
-        res_ts, res_ts.blocks * res_ts.qt.global_scale, ste_spec, GradConfig()
-    )
+    dh = assemble_dh_dX(res_ts, GradConfig())
     assert np.array_equal(dh, np.ones_like(dh))
 
     assert time.monotonic() <= deadline, "runtime budget of 30 s exceeded"

@@ -331,3 +331,29 @@ class TestOptionSpellings:
         grid.write_text(ALIAS_GRID + "sr = all\n" + SMALL_RUN)
         assert main(["sweep", "--config", str(grid), "--out", str(tmp_path)]) == 2
         assert train_calls == []
+
+
+class TestDegenerateConfigs:
+    """Settings that cannot train exit 2 before any training."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", "0"), ("batch_size", "0"), ("hidden", ""), ("lr", "nan"),
+         ("n_samples", "1"), ("dim", "0"), ("n_classes", "1")],
+    )
+    def test_train_exits_2(self, tmp_path, capsys, train_calls, key, value):
+        values = {"epochs": "1", "n_samples": "200", key: value}
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert train_calls == []
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["srs = ,", "batch_size = 0"])
+    def test_sweep_exits_2(self, tmp_path, train_calls, line):
+        grid = tmp_path / "grid.cfg"
+        body = ALIAS_GRID.replace("srs = IntelFP4_exact\n", "")
+        grid.write_text(body + line + "\n" + SMALL_RUN)
+        assert main(["sweep", "--config", str(grid), "--out", str(tmp_path)]) == 2
+        assert train_calls == []
+        assert not (tmp_path / "results.csv").exists()

@@ -133,3 +133,36 @@ class TestAxisTransform:
         spec = HadamardSpec(block_size=16)
         with pytest.raises(ValueError):
             transform_along_axis(np.ones(20), 0, spec)
+
+
+class TestSignDraws:
+    def test_one_draw_per_length_per_layer_step(self, monkeypatch):
+        import mxsim.hadamard as hadamard
+        from mxsim.mx import BlockSpec
+        from mxsim.qlinear import QLinearConfig, backward, forward
+
+        draws = []
+
+        def counting(seed, num_blocks, l):
+            draws.append((num_blocks, l))
+            return block_signs(seed, num_blocks, l)
+
+        hadamard._shared_signs.cache_clear()
+        monkeypatch.setattr(hadamard, "block_signs", counting)
+        cfg = QLinearConfig(spec=BlockSpec(block_size=16),
+                            hadamard=HadamardSpec(block_size=16, mode=HADAMARD_ALL))
+        rng = np.random.default_rng(12)
+        # Padded lengths: contraction 48, output 16 and batch 32, so the
+        # eight transforms of one step use three lengths.
+        X, W = rng.normal(size=(20, 40)), rng.normal(size=(3, 40))
+        Y, ctx = forward(X, W, cfg, step=5)
+        backward(np.ones_like(Y), ctx, cfg)
+        assert sorted(draws) == [(1, 16), (2, 16), (3, 16)]
+
+    def test_shared_rows_are_read_only_and_bounded(self):
+        from mxsim.hadamard import _shared_signs
+
+        signs = _shared_signs(21, 3, 8)
+        np.testing.assert_array_equal(signs, block_signs(21, 3, 8))
+        assert not signs.flags.writeable
+        assert _shared_signs.cache_info().maxsize is not None

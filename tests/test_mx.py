@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 from mxsim.formats import (
     E4M3,
     E2M1,
+    E5M2,
     E8M0,
+    E8M3,
     STOCHASTIC,
     TIES_TO_EVEN,
     TOWARD_POSITIVE,
@@ -241,13 +244,13 @@ class TestRowBlocking:
         spec = BlockSpec(block_size=16, scale_format=scale_format)
         res = quantize_blocks(X, spec, tensor_scaling=tensor_scaling)
         deq = dequantize_tensor(res.qt)
-        np.testing.assert_array_equal(res.dequantize(), deq)
+        np.testing.assert_array_equal(from_bytes(to_bytes(res.qt)).dequantize(), deq)
         g = res.qt.global_scale or 1.0
         for i in range(3):
             # A row divided by the tensor's global factor g quantizes, on
             # its own and without tensor scaling, to the same blocks.
             row = quantize_blocks(X[i] / g, spec)
-            np.testing.assert_array_equal(deq[i], row.dequantize() * g)
+            np.testing.assert_array_equal(deq[i], row.qt.dequantize() * g)
             np.testing.assert_array_equal(res.qt.scales[2 * i : 2 * i + 2], row.qt.scales)
             np.testing.assert_array_equal(res.qt.codes[32 * i : 32 * i + 32], row.qt.codes)
         assert res.mask.sum() == X.size
@@ -262,7 +265,7 @@ class TestRowBlocking:
         a, b = quantize_blocks(X, spec), quantize_blocks(X.ravel(), spec)
         np.testing.assert_array_equal(a.blocks, b.blocks)
         np.testing.assert_array_equal(a.qt.codes, b.qt.codes)
-        np.testing.assert_array_equal(a.dequantize(), b.dequantize().reshape(4, 32))
+        np.testing.assert_array_equal(a.qt.dequantize(), b.qt.dequantize().reshape(4, 32))
 
     def test_blocks_are_a_copy(self):
         X = np.ones((2, 32))
@@ -410,10 +413,29 @@ class TestSerialization:
         assert back.shape == qt.shape
         np.testing.assert_array_equal(back.scales, qt.scales)
         np.testing.assert_array_equal(back.codes, qt.codes)
+        np.testing.assert_array_equal(back.elements, qt.elements)
         assert back.rescale == qt.rescale
         if tensor_scaling:
             assert back.global_scale == qt.global_scale
         np.testing.assert_array_equal(dequantize_tensor(back), dequantize_tensor(qt))
+
+    def test_golden_bytes(self):
+        # SHA-256 of the serialized form of fixed tensors: every scale
+        # format, tensor scaling with the E4M3 rescale, rows padded to whole
+        # blocks (20 = 16 + 4), a zero, and the empty tensor.
+        rng = np.random.default_rng(2024)
+        X = rng.normal(size=(3, 20)) * np.array([[1.0], [1e3], [1e-3]])
+        X[0, 3] = 0.0
+        tensors = [
+            quantize_tensor(X, BlockSpec(block_size=16, scale_format=fmt))
+            for fmt in (E8M0, E4M3, UE5M3, E8M3, E5M2)
+        ]
+        scaled = quantize_tensor(X, BlockSpec(block_size=16, scale_format=E4M3),
+                                 tensor_scaling=True)
+        assert scaled.rescale != 1.0
+        tensors += [scaled, quantize_tensor(np.zeros((0,)), BlockSpec())]
+        digest = hashlib.sha256(b"".join(to_bytes(qt) for qt in tensors)).hexdigest()
+        assert digest == "caea65929109ba9a36ad05999ab43b4bea3e30aa9606bed7b83dc3bb0b7834b1"
 
     def test_csv_dump_has_header_and_rows(self):
         spec = BlockSpec(block_size=4)
@@ -479,3 +501,25 @@ class TestSerialization:
         with np.errstate(over="ignore"):
             out = back.dequantize()
         assert out.shape == back.shape
+
+
+class TestNoCodesOutsideSerialization:
+    def test_training_and_reconstruction_paths_skip_codes(self, monkeypatch):
+        import mxsim.mx as mx
+        from mxsim.qlinear import QLinearConfig, backward, forward
+        from mxsim.sweep import recon_error_cell
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("element codes made outside serialization")
+
+        monkeypatch.setattr(mx, "encode_array", refuse)
+        monkeypatch.setattr(mx, "decode_array", refuse)
+        rng = np.random.default_rng(11)
+        X, W = rng.normal(size=(5, 40)), rng.normal(size=(3, 40))
+        cfg = QLinearConfig(spec=BlockSpec(block_size=16, scale_format=E4M3),
+                            tensor_scaling=True)
+        Y, ctx = forward(X, W, cfg)
+        gX, gW = backward(np.ones_like(Y), ctx, cfg)
+        assert gX.shape == X.shape and gW.shape == W.shape
+        mean, median = recon_error_cell("E8M0", 32, 1.0, None, rng, n_elements=1024)
+        assert 0 < mean < 1 and 0 < median < 1

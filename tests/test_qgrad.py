@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mxsim.formats import E4M3, E2M1, E8M0, FloatFormat, grid, round_array
-from mxsim.mx import BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks, z_values
+from mxsim.mx import (
+    BlockQuantResult,
+    BlockSpec,
+    QuantizedTensor,
+    ZFunction,
+    Z_LOGSUMEXP,
+    quantize_blocks,
+    z_values,
+)
 from mxsim.qgrad import (
     DEFAULT_GATE_THRESHOLD,
     EST_BASELINE,
@@ -246,6 +254,14 @@ def _smooth_forward(blocks, spec, elem_est, scale_est, beta):
     return q_vals / s_q[:, None], z, s, s_q, q_vals
 
 
+def _smooth_record(spec, blocks, z, s, s_q, q_vals, g=None):
+    """The smooth surrogate's quantities as a quantization record."""
+    qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals,
+                         spec=spec, global_scale=g)
+    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s,
+                            mask=np.ones(blocks.shape, dtype=bool))
+
+
 class TestAssembleDf:
     def test_full_ste_is_exactly_one(self):
         rng = np.random.default_rng(6)
@@ -253,20 +269,14 @@ class TestAssembleDf:
         spec = BlockSpec(block_size=16)
         res = quantize_blocks(blocks.ravel(), spec)
         cfg = GradConfig()
-        out = assemble_df_dX(
-            res.blocks, res.s_ideal, res.s_eff,
-            res.values * res.s_eff[:, None], res.z, spec, cfg, res.mask,
-        )
+        out = assemble_df_dX(res, cfg)
         np.testing.assert_array_equal(out, 1.0)
 
     def test_ste_alternative_reading_adds_one(self):
         spec = BlockSpec(block_size=4)
         res = quantize_blocks(np.array([1.0, 2.0, 3.0, 4.0]), spec)
         cfg = GradConfig(ste_second_term_one=True)
-        out = assemble_df_dX(
-            res.blocks, res.s_ideal, res.s_eff,
-            res.values * res.s_eff[:, None], res.z, spec, cfg, res.mask,
-        )
+        out = assemble_df_dX(res, cfg)
         np.testing.assert_array_equal(out, 2.0)
 
     def test_absmax_off_argmax_is_elem_grad_only(self):
@@ -275,10 +285,7 @@ class TestAssembleDf:
         res = quantize_blocks(blocks.ravel(), spec)
         spline = QGradEstimator(EST_SPLINE)
         cfg = GradConfig(elem_estimator=spline, scale_mode=SCALE_GRAD_ABSMAX)
-        out = assemble_df_dX(
-            res.blocks, res.s_ideal, res.s_eff,
-            res.values * res.s_eff[:, None], res.z, spec, cfg, res.mask,
-        )
+        out = assemble_df_dX(res, cfg)
         expected = estimator_grad(res.s_eff[:, None] * res.blocks, E2M1, spline)
         for j in (0, 2, 3):
             assert out[0, j] == expected[0, j]
@@ -301,7 +308,7 @@ class TestAssembleDf:
         blocks[np.abs(blocks) < 0.05] = 0.5
 
         _, z, s, s_q, q_vals = _smooth_forward(blocks, spec, elem_est, scale_est, beta)
-        got = assemble_df_dX(blocks, s, s_q, q_vals, z, spec, cfg)
+        got = assemble_df_dX(_smooth_record(spec, blocks, z, s, s_q, q_vals), cfg)
 
         h = 1e-5
         rel_err = np.empty_like(blocks)
@@ -330,12 +337,8 @@ class TestAssembleDf:
         )
         gated = GradConfig(**base, gate_threshold=DEFAULT_GATE_THRESHOLD)
         ungated = GradConfig(**base)
-        args = (
-            res.blocks, res.s_ideal, res.s_eff,
-            res.values * res.s_eff[:, None], res.z, spec,
-        )
-        out_g = assemble_df_dX(*args, gated, res.mask)
-        out_u = assemble_df_dX(*args, ungated, res.mask)
+        out_g = assemble_df_dX(res, gated)
+        out_u = assemble_df_dX(res, ungated)
         assert res.s_ideal[0] < DEFAULT_GATE_THRESHOLD < res.s_ideal[1]
         np.testing.assert_array_equal(out_g[0], out_u[0])
         assert not np.array_equal(out_g[1], out_u[1])
@@ -368,13 +371,8 @@ class TestAssembleDh:
         spec = BlockSpec(block_size=16)
         res = quantize_blocks(X, spec, tensor_scaling=True)
         cfg = GradConfig(tensor_mode=TENSOR_GRAD_IGNORE)
-        raw = res.blocks * res.qt.global_scale
-        dh = assemble_dh_dX(res, raw, spec, cfg)
-        df = assemble_df_dX(
-            res.blocks, res.s_ideal, res.s_eff,
-            res.values * res.s_eff[:, None], res.z, spec, cfg, res.mask,
-            s_pre=res.s_ideal / res.qt.rescale,
-        )
+        dh = assemble_dh_dX(res, cfg)
+        df = assemble_df_dX(res, cfg)
         np.testing.assert_array_equal(dh, df)
 
     def test_hard_max_touches_only_argmax_block(self):
@@ -383,9 +381,8 @@ class TestAssembleDh:
         X[20] = 9.0  # global argmax in block 1
         spec = BlockSpec(block_size=16)
         res = quantize_blocks(X, spec, tensor_scaling=True)
-        raw = res.blocks * res.qt.global_scale
-        dh_abs = assemble_dh_dX(res, raw, spec, GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX))
-        dh_ign = assemble_dh_dX(res, raw, spec, GradConfig(tensor_mode=TENSOR_GRAD_IGNORE))
+        dh_abs = assemble_dh_dX(res, GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX))
+        dh_ign = assemble_dh_dX(res, GradConfig(tensor_mode=TENSOR_GRAD_IGNORE))
         np.testing.assert_array_equal(dh_abs[0], dh_ign[0])
         np.testing.assert_array_equal(dh_abs[2], dh_ign[2])
         assert not np.array_equal(dh_abs[1], dh_ign[1])
@@ -420,17 +417,7 @@ class TestAssembleDh:
 
         _, U, z, s, s_q, q_vals, g = smooth_h(raw)
         # Assemble the analytic per-element derivative of h w.r.t. raw X.
-        from mxsim.mx import BlockQuantResult, QuantizedTensor
-
-        qt = QuantizedTensor(
-            shape=(n_blocks * l,), scales=s_q, codes=np.zeros(n_blocks * l),
-            spec=spec, global_scale=g, rescale=1.0,
-        )
-        res = BlockQuantResult(
-            qt=qt, blocks=U, mask=np.ones_like(U, dtype=bool), z=z,
-            s_ideal=s, s_eff=s_q, values=q_vals / s_q[:, None],
-        )
-        got = assemble_dh_dX(res, raw, spec, cfg)
+        got = assemble_dh_dX(_smooth_record(spec, U, z, s, s_q, q_vals, g), cfg)
 
         h = 1e-5
         rel_err = np.empty_like(raw)

@@ -9,13 +9,14 @@ import pytest
 
 from mxsim.formats import STOCHASTIC, TOWARD_POSITIVE
 from mxsim.hadamard import HADAMARD_ALL, HADAMARD_BACKWARD, HadamardSpec
-from mxsim.mx import BlockSpec, ZFunction, Z_LOGSUMEXP
+from mxsim.mx import BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks
 from mxsim.qgrad import (
     EST_SIGMOID,
     EST_SPLINE,
     GradConfig,
     QGradEstimator,
     SCALE_GRAD_SOFTMAX,
+    assemble_df_dX,
 )
 from mxsim.qlinear import (
     NonFiniteGradientError,
@@ -86,17 +87,32 @@ class TestForward:
         assert Y.shape == (2, 3)
         assert ctx.fx.shape == (2, 8) and ctx.fw.shape == (3, 8)
 
-    def test_six_site_accounting(self):
+    def test_six_site_accounting(self, monkeypatch):
+        # Two fresh quantizations forward, two fresh ones backward (one
+        # per backward matmul), and the two forward records reused.
+        import mxsim.qlinear as qlinear
+
+        quantized, assembled = [], []
+
+        def counting_quantize(a, *args, **kwargs):
+            quantized.append(a.shape)
+            return quantize_blocks(a, *args, **kwargs)
+
+        def recording_assemble(res, grad):
+            assembled.append(res)
+            return assemble_df_dX(res, grad)
+
+        monkeypatch.setattr(qlinear, "quantize_blocks", counting_quantize)
+        monkeypatch.setattr(qlinear, "assemble_df_dX", recording_assemble)
         rng = np.random.default_rng(4)
         X, W = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
         cfg = small_cfg()
         Y, ctx = forward(X, W, cfg)
+        assert quantized == [(4, 8), (3, 8)]
         backward(np.ones_like(Y), ctx, cfg)
-        assert ctx.site_counts == {
-            "forward_quant": 2,
-            "backward_quant": 2,
-            "backward_reused": 2,
-        }
+        assert quantized[2:] == [(4, 4), (3, 4)]
+        assert len(assembled) == 2
+        assert assembled[0] is ctx.res_x and assembled[1] is ctx.res_w
 
 
 class TestBackward:
@@ -260,14 +276,17 @@ class TestLayerFiniteDifference:
         # elementwise by construction — it keeps only the diagonal
         # df_ij/dX_ij — so the oracle is the per-element central
         # difference of f composed with the same downstream factor.
-        from mxsim.qgrad import assemble_df_dX
+        from mxsim.mx import BlockQuantResult, QuantizedTensor
 
         blocks = X.reshape(-1, l)
         z = z_values(blocks, spec.z)
         s = 6.0 / z
         s_q = estimator_value(s, E8M0, scale_est)
         q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
-        df = assemble_df_dX(blocks, s, s_q, q_vals, z, spec, cfg.grad).reshape(b, m)
+        qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals, spec=spec)
+        res = BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s,
+                               mask=np.ones(blocks.shape, dtype=bool))
+        df = assemble_df_dX(res, cfg.grad).reshape(b, m)
         downstream = C @ smooth_quant(W)
         gX = downstream * df
 

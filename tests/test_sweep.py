@@ -234,6 +234,11 @@ class TestEnumeration:
         assert report.raw_count == grid.cardinality() == 46656 // 9 * 2
         assert report.dropped == report.raw_count - len(report.configs)
 
+    @pytest.mark.parametrize("axis", ["srs", "loss_scalings"])
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"axis '{axis}' has no values"):
+            SweepGrid(**{axis: ()})
+
     def test_unknown_axis_value_rejected(self):
         with pytest.raises(ValueError, match="unknown sr 'bogus'"):
             enumerate_configs(SweepGrid(srs=("None", "bogus")))

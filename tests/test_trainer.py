@@ -208,6 +208,33 @@ def dense_reference_train(task, cfg):
     return [*ws, head_w, head_b]
 
 
+class TestConfigValidation:
+    """Degenerate settings fail at construction, not inside training."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("batch_size", 0), ("hidden", ()), ("lr", float("nan"))],
+    )
+    def test_train_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_samples", 1), ("dim", 0), ("n_classes", 1)]
+    )
+    def test_task_spec_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TaskSpec(**{field: value})
+
+    def test_two_samples_are_enough(self):
+        TaskSpec(n_samples=2)
+
+    def test_empty_training_split_rejected(self):
+        task = TaskSpec(n_samples=10, dim=4)
+        with pytest.raises(ValueError, match="no training split"):
+            train(task, TrainConfig(hidden=(4,), epochs=1, val_fraction=1.0))
+
+
 class TestTraining:
     def small_task(self):
         return TaskSpec(kind=TASK_GAUSSIAN, n_samples=300, dim=16, seed=4)
