@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import struct
 import sys
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .formats import FORMATS, get_format
+from .hadamard import HadamardSpec
 from .mx import (
     BlockSpec,
     dequantize_tensor,
@@ -35,6 +37,7 @@ from .plots import (
     scale_deviation_plot,
     scatter_plot,
 )
+from .qlinear import QLinearConfig
 from .sweep import (
     SweepConfig,
     SweepGrid,
@@ -51,6 +54,7 @@ from .sweep import (
 from .trainer import (
     TASK_CLASSIFICATION,
     TASK_GAUSSIAN,
+    RunRecord,
     TaskSpec,
     TrainConfig,
     train,
@@ -296,15 +300,28 @@ def cmd_recon(args) -> int:
     return 0
 
 
-def _run_training(task: TaskSpec, tcfg: TrainConfig, cfg: SweepConfig):
+def _dense_reference(task: TaskSpec, tcfg: TrainConfig):
+    """The reference run of a layer configuration: the same training with
+    quantization disabled, memoized for one task and training settings.
+
+    A dense layer reads only the block size (its padding) and the Hadamard
+    transform, so those are the key.  ``functools.cache`` keeps its table
+    consistent across threads: two threads may train one key at once, but
+    each stores a whole record.
+    """
+
+    @functools.cache
+    def run(block_size: int, hadamard: HadamardSpec) -> RunRecord:
+        spec = BlockSpec(block_size=block_size)
+        qcfg = QLinearConfig(spec=spec, hadamard=hadamard, quantize=False)
+        return train(task, replace(tcfg, qcfg=qcfg, loss_scaling=False))
+
+    return lambda qcfg: run(qcfg.spec.block_size, qcfg.hadamard)
+
+
+def _run_training(task: TaskSpec, tcfg: TrainConfig, cfg: SweepConfig, dense_run):
     tcfg = replace(tcfg, qcfg=build_qlinear_config(cfg), loss_scaling=cfg.loss_scaling)
-    record = train(task, tcfg)
-    # Reference loss: the same run with quantization disabled.
-    dense_cfg = replace(
-        tcfg, qcfg=replace(tcfg.qcfg, quantize=False), loss_scaling=False
-    )
-    dense = train(task, dense_cfg)
-    return record, dense
+    return train(task, tcfg), dense_run(tcfg.qcfg)
 
 
 def cmd_train(args) -> int:
@@ -312,7 +329,7 @@ def cmd_train(args) -> int:
     cfg = sweep_config_from_dict(values)
     seed = _resolve_seed(args)
     task, tcfg = _task_from_dict(values, seed), _train_config(values, seed)
-    record, dense = _run_training(task, tcfg, cfg)
+    record, dense = _run_training(task, tcfg, cfg, _dense_reference(task, tcfg))
     out = _out_dir(args)
     with open(out / "losses.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -373,8 +390,10 @@ def cmd_sweep(args) -> int:
         f"{len(report.configs)} valid, running {len(configs)}"
     )
 
+    dense_run = _dense_reference(task, tcfg)
+
     def runner(cfg: SweepConfig) -> dict[str, object]:
-        record, dense = _run_training(task, tcfg, cfg)
+        record, dense = _run_training(task, tcfg, cfg, dense_run)
         return result_row(
             record.dataset,
             cfg,
@@ -488,6 +507,19 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mxsim",
@@ -516,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of training runs")
     p.add_argument("--config", default=None, help="key = value grid file")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
-    p.add_argument("--limit", type=int, default=0, help="run at most N configs")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="concurrent runs")
+    p.add_argument("--limit", type=_int_at_least(0), default=0,
+                   help="run at most N configs (0: all)")
     common(p)
 
     p = sub.add_parser("pareto", help="extract the efficiency frontier")

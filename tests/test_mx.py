@@ -370,6 +370,52 @@ class TestInvariants:
         assert np.abs(y).max() <= bound + 1e-12
 
 
+class TestEntryPointChecks:
+    """Each public entry point checks its own inputs; the rounding kernel
+    behind them checks nothing."""
+
+    @pytest.mark.parametrize("field", ["scale_rounding", "elem_rounding"])
+    def test_stochastic_without_rng(self, field):
+        spec = BlockSpec(block_size=4, **{field: STOCHASTIC})
+        with pytest.raises(ValueError, match="rng"):
+            quantize_blocks(np.ones(4), spec)
+        if field == "scale_rounding":
+            with pytest.raises(ValueError, match="rng"):
+                quantize_scales(np.ones(2), spec)
+
+    @pytest.mark.parametrize("field", ["scale_rounding", "elem_rounding"])
+    def test_unknown_mode(self, field):
+        with pytest.raises(ValueError, match="unknown rounding mode"):
+            BlockSpec(**{field: "TiesToOdd"})
+        spec = BlockSpec(block_size=4)
+        object.__setattr__(spec, field, "TiesToOdd")  # bypass construction
+        with pytest.raises(ValueError, match="unknown rounding mode"):
+            quantize_blocks(np.ones(4), spec)
+        if field == "scale_rounding":
+            with pytest.raises(ValueError, match="unknown rounding mode"):
+                quantize_scales(np.ones(2), spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_blocks(np.array([[1.0, bad]]), BlockSpec(block_size=2))
+
+    @pytest.mark.parametrize("shape", [(4, 32), (4, 20), (3,)])
+    @pytest.mark.parametrize("tensor_scaling", [False, True])
+    def test_input_unchanged(self, shape, tensor_scaling):
+        # (4, 32) rows are whole blocks, so no padding copy is needed.
+        X = np.random.default_rng(2).normal(size=shape)
+        before = X.tobytes()
+        spec = BlockSpec(block_size=16, scale_format=E4M3, elem_rounding=STOCHASTIC,
+                         scale_rounding=STOCHASTIC)
+        quantize_blocks(X, spec, tensor_scaling, np.random.default_rng(0))
+        quantize_tensor(X, spec, tensor_scaling, np.random.default_rng(0))
+        assert X.tobytes() == before
+        s = np.array([0.5, np.inf, 3.0])
+        quantize_scales(s, spec, np.random.default_rng(0))
+        assert s.tolist() == [0.5, np.inf, 3.0]
+
+
 class TestStochasticElements:
     def test_requires_rng(self):
         spec = BlockSpec(block_size=4, elem_rounding=STOCHASTIC)

@@ -114,6 +114,32 @@ class TestForward:
         assert len(assembled) == 2
         assert assembled[0] is ctx.res_x and assembled[1] is ctx.res_w
 
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"sr_policy": SR_ALL, "tensor_scaling": True,
+         "hadamard": HadamardSpec(block_size=4, mode=HADAMARD_ALL)},
+    ], ids=["rtn", "sr-tensor-hadamard"])
+    def test_every_quantization_passes_the_meter(self, monkeypatch, kw):
+        # The benchmark meters quantization through the quantize_blocks
+        # binding qlinear calls: one layer step makes exactly four calls,
+        # on x, w and the two gradient operands, each padded to whole
+        # blocks along its contraction axis (m = 6, n = 3, b = 5 at l = 4).
+        import mxsim.qlinear as qlinear
+
+        sizes = []
+
+        def metered(a, *args, **kwargs):
+            sizes.append(a.shape)  # the meter counts a.size elements
+            return quantize_blocks(a, *args, **kwargs)
+
+        monkeypatch.setattr(qlinear, "quantize_blocks", metered)
+        rng = np.random.default_rng(12)
+        X, W = rng.normal(size=(5, 6)), rng.normal(size=(3, 6))
+        cfg = small_cfg(**kw)
+        Y, ctx = forward(X, W, cfg, seed=1, step=2)
+        backward(rng.normal(size=Y.shape), ctx, cfg)
+        assert sizes == [(5, 8), (3, 8), (5, 4), (3, 8)]
+
 
 class TestBackward:
     def test_dense_collapse_full_ste(self):
