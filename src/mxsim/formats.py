@@ -234,9 +234,9 @@ def round_array(
 
 def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator | None,
            out: np.ndarray | None = None) -> np.ndarray:
-    """The rounding kernel: round finite float64 ``x`` into ``out`` (new when
-    None; it may be ``x``), checking nothing and allocating one float and
-    one int array besides the draw and bool masks.
+    """The rounding kernel: round float64 ``x``, finite or +inf, into ``out``
+    (new when None; it may be ``x``), checking nothing and allocating one
+    float and one int array besides the draw and bool masks.
 
     ``t = clip(x) * 2**(mb + 1 - k)``, with ``k`` the frexp exponent clamped
     to the lowest binade's, is the integer significand: TiesToEven takes
@@ -250,9 +250,10 @@ def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator 
     data = fmt._grid
     max_fin = data.max_finite
     # Unsigned formats saturate negative overflows to max_finite too.
-    neg_over = not fmt.signed and x < -max_fin
-    out = np.clip(x, data.min_value, max_fin, out=out)
-    np.copyto(out, max_fin, where=neg_over)
+    neg_over = None if fmt.signed else x < -max_fin
+    out = x.clip(data.min_value, max_fin, out=out)
+    if neg_over is not None:
+        np.copyto(out, max_fin, where=neg_over)
     f, k = np.frexp(out)
     np.maximum(k, data.min_frexp, out=k)  # zero scales to zero whatever k is
     np.subtract(fmt.mantissa_bits + 1, k, out=k)
@@ -265,9 +266,10 @@ def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator 
         np.less(rng.random(x.shape), t, out=t)
         t += f
     elif fmt.exponent_only:
+        tie = t == 4.0 / 3.0
         np.greater(t, 4.0 / 3.0, out=f)
-        ties = np.flatnonzero(t == 4.0 / 3.0)
-        f.flat[ties] = (k.flat[ties] + (fmt.bias + 1)) % 2 == 0
+        if np.count_nonzero(tie):
+            f[tie] = (k[tie] + (fmt.bias + 1)) % 2 == 0
         np.add(f, 1.0, out=t)
     else:
         np.rint(t, out=t)

@@ -24,6 +24,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,9 +131,13 @@ class BlockQuantResult:
 
     qt: QuantizedTensor
     blocks: np.ndarray  # (num_blocks, block_size), tensor / g
-    mask: np.ndarray  # False on zero-padding positions
     z: np.ndarray  # per-block statistic of `blocks`
     s_ideal: np.ndarray  # elem_max / z (inf where z == 0)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """False on zero-padding positions, built when first read."""
+        return _partition(np.ones(self.qt.shape), self.qt.spec.block_size) > 0
 
     @property
     def s_eff(self) -> np.ndarray:
@@ -152,8 +157,8 @@ def z_values(
     a = np.abs(np.asarray(blocks, dtype=np.float64))
     if mask is not None:
         a = np.where(mask, a, 0.0)
-    m = a.max(axis=-1)
-    if z.kind == Z_ABSMAX:
+    m = a.max(axis=-1, initial=0.0)
+    if z.kind == Z_ABSMAX or not np.isfinite(m).all():  # no shift for inf/NaN
         return m
     # Log-sum-exp with a max shift so large beta * |x| cannot overflow.
     e = np.exp(z.beta * (a - m[..., None]))
@@ -169,15 +174,18 @@ def quantize_scales(
 
     +inf sentinels (zero blocks) saturate to the scale format's maximum;
     multipliers that round to zero are replaced according to the spec's
-    zero mode so dequantization never divides by zero.
+    zero mode so dequantization never divides by zero.  NaN, ``-inf`` and
+    negative multipliers are errors.
     """
     s = np.asarray(s, dtype=np.float64)
     fmt, mode = spec.scale_format, spec.scale_rounding
     _check_rounding(mode, rng)
-    finite = np.isfinite(s)
-    if finite.all():
+    if not s.min(initial=np.inf) >= 0:  # NaN propagates into the minimum
+        raise ValueError("scale multipliers must be >= 0 or +inf")
+    if rng is None or s.max(initial=0.0) < np.inf:  # _round saturates +inf
         out = _round(s, fmt, mode, rng)
-    else:
+    else:  # draw for the finite multipliers only
+        finite = s < np.inf
         out = np.full(s.shape, fmt.max_finite)
         out[finite] = _round(s[finite], fmt, mode, rng)
     if not fmt.exponent_only:  # an exponent-only grid has no zero
@@ -199,16 +207,16 @@ def _num_blocks(shape: tuple[int, ...], block_size: int) -> int:
     return max(1, math.prod(shape[:-1]) * -(-n // block_size))
 
 
-def _partition(X: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copy a tensor into zero-padded blocks along its last axis, plus a
-    validity mask."""
+def _partition(X: np.ndarray, block_size: int) -> np.ndarray:
+    """Copy a tensor into blocks along its last axis, each row zero-padded
+    to whole blocks."""
     rows = X.reshape(-1, X.shape[-1] if X.ndim else 1) if X.size else np.zeros((1, 0))
     n = rows.shape[1]
+    if rows.size and n % block_size == 0:
+        return np.array(rows, order="C").reshape(-1, block_size)
     padded = np.zeros((len(rows), max(1, -(-n // block_size)) * block_size))
     padded[:, :n] = rows
-    mask = np.zeros(padded.shape, dtype=bool)
-    mask[:, :n] = True
-    return padded.reshape(-1, block_size), mask.reshape(-1, block_size)
+    return padded.reshape(-1, block_size)
 
 
 def quantize_blocks(
@@ -220,9 +228,9 @@ def quantize_blocks(
 ) -> BlockQuantResult:
     """Quantize a tensor keeping every intermediate quantity.
 
-    It checks finiteness and the element rounding once (``quantize_scales``
-    checks the scale rounding) and rounds the elements in place in the
-    buffer of ``blocks * s_eff``, which becomes ``qt.elements``.
+    It checks finiteness (on the block statistics) and the element rounding
+    once (``quantize_scales`` checks the scale rounding) and rounds the
+    elements in place in the buffer of ``blocks * s_eff``, the ``qt.elements``.
 
     With tensor scaling the global factor ``g`` is the maximum block
     statistic of the raw tensor (identity when the tensor is all zero);
@@ -232,16 +240,18 @@ def quantize_blocks(
     E4M3 scale format, or for any format when ``generalized_rescale``.
     """
     X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
+    l = spec.block_size
+    blocks = _partition(X, l)
+    z_mask = None if blocks.size == X.size else _partition(np.ones(X.shape), l) > 0
+    z = z_values(blocks, spec.z, z_mask)
+    z_max = z.max()
+    if not z_max < np.inf:  # NaN fails too
         raise ValueError("quantization requires finite inputs")
     _check_rounding(spec.elem_rounding, rng)
-    blocks, mask = _partition(X, spec.block_size)
-    z_mask = mask if blocks.size != X.size else None  # only padding needs it
-    z = z_values(blocks, spec.z, z_mask)
 
     g = None
     if tensor_scaling:
-        g = float(z.max()) or 1.0  # identity for an all-zero tensor
+        g = float(z_max) or 1.0  # identity for an all-zero tensor
         blocks /= g  # _partition's copy
         z = z_values(blocks, spec.z, z_mask)
 
@@ -261,7 +271,7 @@ def quantize_blocks(
         shape=X.shape, scales=stored, elements=q, spec=spec, global_scale=g,
         rescale=rescale,
     )
-    return BlockQuantResult(qt=qt, blocks=blocks, mask=mask, z=z, s_ideal=s_ideal)
+    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s_ideal)
 
 
 def quantize_tensor(

@@ -28,7 +28,8 @@ from .hadamard import (
     transform_along_axis,
 )
 from .mx import BlockQuantResult, BlockSpec, quantize_blocks
-from .qgrad import GradConfig, TENSOR_GRAD_IGNORE, assemble_df_dX, assemble_dh_dX
+from .qgrad import (EST_STE, SCALE_GRAD_STE, TENSOR_GRAD_IGNORE, GradConfig,
+                    assemble_df_dX, assemble_dh_dX)
 
 SR_NONE = "None"
 SR_BACKWARD = "backward"
@@ -60,6 +61,14 @@ class QLinearConfig:
         """``spec`` rounding elements to nearest, and stochastically."""
         modes = (TIES_TO_EVEN, STOCHASTIC)
         return tuple(replace(self.spec, elem_rounding=m) for m in modes)
+
+    @cached_property
+    def _unit_operand_grad(self) -> bool:
+        """Whether the derivative of the operands' quantization is all ones."""
+        g = self.grad
+        return (g.elem_estimator.kind == EST_STE and g.scale_mode == SCALE_GRAD_STE
+                and not g.ste_second_term_one
+                and (not self.tensor_scaling or g.tensor_mode == TENSOR_GRAD_IGNORE))
 
 
 @dataclass
@@ -187,11 +196,9 @@ def backward(
         g2 = _quantize(g2, cfg, stochastic, ctx.seed, ctx.step, 3).qt.dequantize()
     gw_pad = g2 @ fx2
 
-    if cfg.quantize:
-        dq_x = _operand_grad(ctx.res_x, cfg)
-        dq_w = _operand_grad(ctx.res_w, cfg)
-        gx_pad = gx_pad * dq_x
-        gw_pad = gw_pad * dq_w
+    if cfg.quantize and not cfg._unit_operand_grad:  # x * 1.0 == x: skip it
+        gx_pad = gx_pad * _operand_grad(ctx.res_x, cfg)
+        gw_pad = gw_pad * _operand_grad(ctx.res_w, cfg)
 
     if cfg.hadamard.mode == HADAMARD_ALL:
         # Undo the forward rotation of the operands: X was transformed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,24 @@ class TestZValue:
     def test_absmax_all_zero_is_zero(self):
         assert z_values(np.zeros((1, 16)), ZFunction())[0] == 0.0
 
+    def test_zero_and_logsumexp_blocks_match_the_formulas(self):
+        # The row maximum starts from 0.0, which no |x| undercuts: all-zero
+        # blocks keep statistic 0 and log-sum-exp blocks are unchanged,
+        # with and without padding masked out.
+        blocks = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.5]])
+        assert z_values(blocks, ZFunction()).tolist() == [0.0, 3.0]
+        beta = 2.0
+
+        def lse(b):
+            a = np.abs(b)
+            m = np.max(a, axis=-1)
+            return m + np.log(np.exp(beta * (a - m[:, None])).sum(axis=-1)) / beta
+
+        z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
+        assert z_values(blocks, z_fn).tobytes() == lse(blocks).tobytes()
+        mask = np.array([[True, True, False, False]] * 2)
+        assert z_values(blocks, z_fn, mask).tobytes() == lse(blocks[:, :2]).tobytes()
+
 
 class TestBlockScale:
     def test_formula(self):
@@ -114,6 +133,31 @@ class TestQuantizeScale:
         out = quantize_scales(s, spec)
         assert (out > 0).all()
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("mode", [TIES_TO_EVEN, TOWARD_POSITIVE, STOCHASTIC])
+    @pytest.mark.parametrize("fmt", [E8M0, E4M3, UE5M3], ids=["E8M0", "E4M3", "UE5M3"])
+    def test_sentinel_saturates_and_draws_nothing(self, mode, fmt):
+        # Stochastic scale rounding draws for the finite multipliers only.
+        spec = BlockSpec(scale_format=fmt, scale_rounding=mode)
+        s = np.array([np.inf, 0.3, np.inf, 5.0])
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        out = quantize_scales(s, spec, rng if mode == STOCHASTIC else None)
+        assert out[0] == out[2] == fmt.max_finite
+        if mode == STOCHASTIC:
+            twin.random(2)
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0, -(2.0**-140)],
+                             ids=["nan", "-inf", "-1", "-tiny"])
+    @pytest.mark.parametrize("fmt", [E8M0, E4M3], ids=["E8M0", "E4M3"])
+    def test_invalid_multipliers_rejected(self, bad, fmt):
+        # Only +inf (a zero block) and 0 have a documented meaning; NaN
+        # used to saturate and -1.0 to round onto the grid.
+        spec = BlockSpec(scale_format=fmt)
+        with pytest.raises(ValueError, match="multipliers"):
+            quantize_scales(np.array([1.0, bad, np.inf]), spec)
+        with pytest.raises(ValueError, match="multipliers"):
+            quantize_scales(np.array([bad]), spec)
 
 
 class TestBlockRoundTrip:
@@ -290,6 +334,46 @@ class TestRowBlocking:
             from_bytes(to_bytes(flat))
 
 
+class TestPaddingMask:
+    """``res.mask`` is derived from the record's shape when first read."""
+
+    @staticmethod
+    def _explicit_mask(rows, cols, width, block_size):
+        mask = np.zeros((rows, width), dtype=bool)
+        mask[:, :cols] = True
+        return mask.reshape(-1, block_size)
+
+    def test_false_exactly_on_padding(self):
+        res = quantize_blocks(np.ones((3, 20)), BlockSpec(block_size=16))
+        np.testing.assert_array_equal(res.mask, self._explicit_mask(3, 20, 32, 16))
+
+    def test_all_true_without_padding(self):
+        res = quantize_blocks(np.ones((4, 32)), BlockSpec(block_size=16))
+        assert res.mask.shape == res.blocks.shape and res.mask.all()
+
+    @pytest.mark.parametrize("cols", [20, 32], ids=["padded", "whole-blocks"])
+    def test_gradients_match_an_explicit_mask(self, cols):
+        from mxsim.qgrad import (
+            SCALE_GRAD_ABSMAX, SCALE_GRAD_SOFTMAX, TENSOR_GRAD_ABSMAX, GradConfig,
+            assemble_dh_dX, dZ,
+        )
+
+        X = np.random.default_rng(9).normal(size=(3, cols))
+        spec = BlockSpec(block_size=16, z=ZFunction(Z_LOGSUMEXP, beta=4.0))
+        res = quantize_blocks(X, spec, tensor_scaling=True)
+        ref = quantize_blocks(X, spec, tensor_scaling=True)
+        ref.mask = self._explicit_mask(3, cols, 32, 16)  # as eagerly built before
+        for mode in (SCALE_GRAD_ABSMAX, SCALE_GRAD_SOFTMAX):
+            got = dZ(res.blocks, mode, 40.0, res.mask)
+            assert got.tobytes() == dZ(ref.blocks, mode, 40.0, ref.mask).tobytes()
+            if cols == 32:
+                assert got.tobytes() == dZ(res.blocks, mode, 40.0).tobytes()
+        cfg = GradConfig(scale_mode=SCALE_GRAD_SOFTMAX, tensor_mode=TENSOR_GRAD_ABSMAX)
+        got = assemble_dh_dX(res, cfg)
+        assert got.tobytes() == assemble_dh_dX(ref, cfg).tobytes()
+        assert not got[~ref.mask].any()
+
+
 class TestNvfp4Rescale:
     def test_constant(self):
         assert 1344.0 / nvfp4_rescale_constant(BlockSpec(scale_format=E4M3)) == 1.0
@@ -399,6 +483,20 @@ class TestEntryPointChecks:
     def test_nonfinite_input(self, bad):
         with pytest.raises(ValueError, match="finite"):
             quantize_blocks(np.array([[1.0, bad]]), BlockSpec(block_size=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("z", [ZFunction(), LSE], ids=["absmax", "lse"])
+    @pytest.mark.parametrize("cols", [2, 3], ids=["whole", "padded"])
+    def test_nonfinite_input_raises_before_any_warning(self, bad, z, cols):
+        # Finiteness is read off the block statistics, so no arithmetic on
+        # the non-finite value may warn before the ValueError.
+        X = np.ones((2, cols))
+        X[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tensor_scaling in (False, True):
+                with pytest.raises(ValueError, match="finite"):
+                    quantize_blocks(X, BlockSpec(block_size=2, z=z), tensor_scaling)
 
     @pytest.mark.parametrize("shape", [(4, 32), (4, 20), (3,)])
     @pytest.mark.parametrize("tensor_scaling", [False, True])

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -31,3 +32,20 @@ def test_every_binding_is_the_defining_function(name):
         module = importlib.import_module(f"mxsim.{mod_name}")
         assert hasattr(module, attr), f"mxsim.{mod_name} has no {attr}"
         assert getattr(module, attr) is original, f"mxsim.{mod_name}.{attr}"
+
+
+@pytest.mark.parametrize("tensor_scaling, z_calls", [(False, 1), (True, 2)])
+def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, tensor_scaling, z_calls):
+    # The tracer times z_values and quantize_scales at their mx bindings;
+    # folding either into quantize_blocks would make its metrics read 0.
+    mx = importlib.import_module("mxsim.mx")
+    calls = []
+    for attr in ("z_values", "quantize_scales"):
+        def counting(*args, _attr=attr, _fn=getattr(mx, attr), **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mx, attr, counting)
+    mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(), tensor_scaling=tensor_scaling)
+    assert calls.count("z_values") == z_calls
+    assert calls.count("quantize_scales") == 1

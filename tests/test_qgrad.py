@@ -258,8 +258,7 @@ def _smooth_record(spec, blocks, z, s, s_q, q_vals, g=None):
     """The smooth surrogate's quantities as a quantization record."""
     qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals,
                          spec=spec, global_scale=g)
-    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s,
-                            mask=np.ones(blocks.shape, dtype=bool))
+    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s)
 
 
 class TestAssembleDf:

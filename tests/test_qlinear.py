@@ -16,6 +16,7 @@ from mxsim.qgrad import (
     GradConfig,
     QGradEstimator,
     SCALE_GRAD_SOFTMAX,
+    TENSOR_GRAD_ABSMAX,
     assemble_df_dX,
 )
 from mxsim.qlinear import (
@@ -89,7 +90,9 @@ class TestForward:
 
     def test_six_site_accounting(self, monkeypatch):
         # Two fresh quantizations forward, two fresh ones backward (one
-        # per backward matmul), and the two forward records reused.
+        # per backward matmul), and the two forward records reused by the
+        # gradient assembly of a smoothed-gradient config.  A pure-STE
+        # config's operand derivative is all ones, so it assembles nothing.
         import mxsim.qlinear as qlinear
 
         quantized, assembled = [], []
@@ -106,13 +109,21 @@ class TestForward:
         monkeypatch.setattr(qlinear, "assemble_df_dX", recording_assemble)
         rng = np.random.default_rng(4)
         X, W = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
-        cfg = small_cfg()
+        cfg = small_cfg(grad=GradConfig(elem_estimator=QGradEstimator(EST_SPLINE),
+                                        scale_mode=SCALE_GRAD_SOFTMAX))
         Y, ctx = forward(X, W, cfg)
         assert quantized == [(4, 8), (3, 8)]
         backward(np.ones_like(Y), ctx, cfg)
         assert quantized[2:] == [(4, 4), (3, 4)]
         assert len(assembled) == 2
         assert assembled[0] is ctx.res_x and assembled[1] is ctx.res_w
+
+        quantized.clear()
+        ste = small_cfg()
+        Y, ctx = forward(X, W, ste)
+        backward(np.ones_like(Y), ctx, ste)
+        assert len(quantized) == 4
+        assert len(assembled) == 2  # nothing more
 
     @pytest.mark.parametrize("kw", [
         {},
@@ -217,6 +228,53 @@ class TestBackward:
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
 
+class TestUnitOperandGradient:
+    """A pure-STE operand derivative is all ones, so ``backward`` skips the
+    assembly and the multiply; the gradients stay bit-identical."""
+
+    @pytest.mark.parametrize("m, kw", [
+        (8, {}),
+        (8, {"hadamard": HadamardSpec(block_size=4, seed=5, mode=HADAMARD_ALL)}),
+        (6, {}),
+    ], ids=["plain", "hadamard-all", "m-not-whole-blocks"])
+    def test_skip_equals_explicit_multiply(self, monkeypatch, m, kw):
+        import mxsim.qlinear as qlinear
+
+        rng = np.random.default_rng(13)
+        X, W = rng.normal(size=(5, m)), rng.normal(size=(3, m))
+        cfg = small_cfg(**kw)
+        assert cfg._unit_operand_grad
+        Y, ctx = forward(X, W, cfg)
+        gY = rng.normal(size=Y.shape)
+        skipped = backward(gY, ctx, cfg)
+
+        assembled = []
+
+        def recording_assemble(res, grad):
+            assembled.append(res)
+            return assemble_df_dX(res, grad)
+
+        monkeypatch.setattr(QLinearConfig, "_unit_operand_grad", False)
+        monkeypatch.setattr(qlinear, "assemble_df_dX", recording_assemble)
+        explicit = backward(gY, ctx, small_cfg(**kw))
+        assert len(assembled) == 2
+        for a, b in zip(skipped, explicit):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kw, unit", [
+        ({}, True),
+        ({"tensor_scaling": True}, True),  # tensor_mode "ignore"
+        ({"tensor_scaling": True,
+          "grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, False),
+        ({"grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, True),
+        ({"grad": GradConfig(ste_second_term_one=True)}, False),
+        ({"grad": GradConfig(elem_estimator=QGradEstimator(EST_SPLINE))}, False),
+        ({"grad": GradConfig(scale_mode=SCALE_GRAD_SOFTMAX)}, False),
+    ])
+    def test_which_configs_skip(self, kw, unit):
+        assert small_cfg(**kw)._unit_operand_grad is unit
+
+
 class TestHadamardPlacement:
     def test_backward_only_leaves_forward_unchanged(self):
         rng = np.random.default_rng(11)
@@ -310,8 +368,7 @@ class TestLayerFiniteDifference:
         s_q = estimator_value(s, E8M0, scale_est)
         q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
         qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals, spec=spec)
-        res = BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s,
-                               mask=np.ones(blocks.shape, dtype=bool))
+        res = BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s)
         df = assemble_df_dX(res, cfg.grad).reshape(b, m)
         downstream = C @ smooth_quant(W)
         gX = downstream * df
