@@ -92,54 +92,67 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
-
-
-# Value type of each SweepConfig key, read off its default.
-_SWEEP_KEYS = {f.name: type(f.default) for f in fields(SweepConfig)}
+# The fields a config file may set, each under its file key.
+_SWEEP_KEYS = {f.name: f.name for f in fields(SweepConfig)}
 _GRID_KEYS = {f.name for f in fields(SweepGrid)}
-
-# Task and training keys, read by _task_from_dict and _train_config.
-_TRAIN_KEYS = {
-    "task", "n_samples", "dim", "n_classes", "hidden", "epochs", "batch_size", "lr"
-}
+_TASK_KEYS = {"task": "kind", **{k: k for k in ("n_samples", "dim", "n_classes")}}
+_TRAIN_KEYS = {k: k for k in ("hidden", "epochs", "batch_size", "lr")}
+_RUN_KEYS = _TASK_KEYS.keys() | _TRAIN_KEYS.keys()
 
 
-def _convert(key: str, value: str, kind) -> object:
-    if kind is bool:
-        return _parse_bool(key, value)
+def _convert(key: str, text: str, default, field: str | None = None) -> object:
+    """``text`` read for ``key`` as a value of the type of ``default``.
+
+    A tuple default makes ``text`` a comma-separated list, each item
+    converted by the type of ``default[0]``; an empty item is an error.
+    Strings take the option spellings of the SweepConfig ``field``
+    (default: ``key``).
+    """
+    if isinstance(default, tuple):
+        items = [item.strip() for item in text.split(",")] if text else []
+        if "" in items:
+            raise ConfigError(f"key {key!r}: empty item in list {text!r}")
+        return tuple(_convert(key, item, default[0], field) for item in items)
+    if isinstance(default, bool):
+        lowered = text.lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ConfigError(f"key {key!r}: expected a boolean, got {text!r}")
+    if isinstance(default, str):
+        return canonical_option(field or key, text)
     try:
-        return kind(value)
+        return type(default)(text)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
+def _build(cls, values: dict[str, str], keys: dict[str, str], **fixed):
+    """A ``cls`` from ``fixed`` and the ``values`` present for ``keys`` (file
+    key: field name), each converted by the field's default; a value the
+    constructor rejects is a ConfigError."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {field: _convert(key, values[key], defaults[field])
+              for key, field in keys.items() if key in values}
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _check_keys(values: dict[str, str], known) -> None:
+    valid = sorted(known | _RUN_KEYS)
     for key in values:
-        if key not in known and key not in _TRAIN_KEYS:
-            valid = sorted(set(known) | _TRAIN_KEYS)
+        if key not in valid:
             raise ConfigError(f"unknown key {key!r}; valid keys: {', '.join(valid)}")
 
 
 def sweep_config_from_dict(values: dict[str, str]) -> SweepConfig:
     """The run a `train` config file describes; option aliases are
     translated to their result-table spelling here."""
-    _check_keys(values, _SWEEP_KEYS)
-    kwargs = {
-        key: _convert(key, canonical_option(key, value), _SWEEP_KEYS[key])
-        for key, value in values.items()
-        if key in _SWEEP_KEYS
-    }
-    try:
-        cfg = SweepConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_keys(values, _SWEEP_KEYS.keys())
+    cfg = _build(SweepConfig, values, _SWEEP_KEYS)
     _validate_sweep_config(cfg)
     return cfg
 
@@ -166,38 +179,15 @@ def _validate_sweep_config(cfg: SweepConfig) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def _task_from_dict(values: dict[str, str], seed: int) -> TaskSpec:
-    kind = values.get("task", TASK_GAUSSIAN)
-    if kind not in (TASK_GAUSSIAN, TASK_CLASSIFICATION):
-        raise ConfigError(
-            f"unknown task {kind!r}; valid: {TASK_GAUSSIAN}, {TASK_CLASSIFICATION}"
-        )
-    n_samples = _convert("n_samples", values.get("n_samples", "5000"), int)
-    dim = _convert("dim", values.get("dim", "64"), int)
-    n_classes = _convert("n_classes", values.get("n_classes", "2"), int)
-    try:
-        return TaskSpec(kind=kind, n_samples=n_samples, dim=dim,
-                        n_classes=n_classes, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _train_config(values: dict[str, str], seed: int) -> TrainConfig:
-    """The training settings of a config file; each run sets the
+def _run_settings(values: dict[str, str], seed: int) -> tuple[TaskSpec, TrainConfig]:
+    """The task and training settings of a config file; each run sets the
     quantization and loss scaling of its :class:`SweepConfig`."""
-    hidden = values.get("hidden", "64,32")
-    try:
-        hidden_dims = tuple(int(h) for h in hidden.split(",") if h.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key 'hidden': {exc}") from exc
-    epochs = _convert("epochs", values.get("epochs", "20"), int)
-    batch_size = _convert("batch_size", values.get("batch_size", "128"), int)
-    lr = _convert("lr", values.get("lr", "1e-3"), float)
-    try:
-        return TrainConfig(hidden=hidden_dims, epochs=epochs, batch_size=batch_size,
-                           lr=lr, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    task = _build(TaskSpec, values, _TASK_KEYS, seed=seed)
+    if task.kind not in (TASK_GAUSSIAN, TASK_CLASSIFICATION):
+        raise ConfigError(
+            f"unknown task {task.kind!r}; valid: {TASK_GAUSSIAN}, {TASK_CLASSIFICATION}"
+        )
+    return task, _build(TrainConfig, values, _TRAIN_KEYS, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +317,7 @@ def _run_training(task: TaskSpec, tcfg: TrainConfig, cfg: SweepConfig, dense_run
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     cfg = sweep_config_from_dict(values)
-    seed = _resolve_seed(args)
-    task, tcfg = _task_from_dict(values, seed), _train_config(values, seed)
+    task, tcfg = _run_settings(values, _resolve_seed(args))
     record, dense = _run_training(task, tcfg, cfg, _dense_reference(task, tcfg))
     out = _out_dir(args)
     with open(out / "losses.csv", "w", newline="") as fh:
@@ -359,31 +348,24 @@ def _grid_from_dict(values: dict[str, str]) -> SweepGrid:
     """The grid a `sweep` config file describes: each key present replaces
     that axis with its comma-separated values, aliases translated.  Only
     Adam ships with this package, so it is the default optimiser axis."""
-    axes = {"optimisers": ("Adam",)}
-    for f in fields(SweepGrid):
-        if f.name not in values:
-            continue
-        items = [v.strip() for v in values[f.name].split(",")]
-        if isinstance(f.default[0], bool):
-            axes[f.name] = tuple(_parse_bool(f.name, v) for v in items)
-        else:
-            key = f.name[:-1]  # the SweepConfig field the axis sets
-            axes[f.name] = tuple(canonical_option(key, v) for v in items if v)
-    return SweepGrid(**axes)
+    axes = {
+        f.name: _convert(f.name, values[f.name], f.default, f.name[:-1])
+        for f in fields(SweepGrid)
+        if f.name in values
+    }
+    return SweepGrid(**{"optimisers": ("Adam",), **axes})
 
 
 def cmd_sweep(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     _check_keys(values, _GRID_KEYS)
-    train_values = {k: v for k, v in values.items() if k not in _GRID_KEYS}
     try:
         report = enumerate_configs(_grid_from_dict(values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for cfg in report.configs:
         _validate_sweep_config(cfg)
-    seed = _resolve_seed(args)
-    task, tcfg = _task_from_dict(train_values, seed), _train_config(train_values, seed)
+    task, tcfg = _run_settings(values, _resolve_seed(args))
     configs = report.configs[: args.limit or None]
     print(
         f"grid: {report.raw_count} raw combinations, "

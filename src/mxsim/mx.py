@@ -162,9 +162,10 @@ def z_values(
         return m
     # Log-sum-exp with a max shift so large beta * |x| cannot overflow.
     e = np.exp(z.beta * (a - m[..., None]))
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    return m + np.log(e.sum(axis=-1)) / z.beta
+    if mask is None:
+        return m + np.log(e.sum(axis=-1)) / z.beta
+    total = np.where(mask, e, 0.0).sum(axis=-1)  # 0 for an all-padding row
+    return m + np.log(total, out=np.zeros_like(total), where=total > 0) / z.beta
 
 
 def quantize_scales(
@@ -251,7 +252,7 @@ def quantize_blocks(
 
     g = None
     if tensor_scaling:
-        g = float(z_max) or 1.0  # identity for an all-zero tensor
+        g = float(z_max) if z_max > 0 else 1.0  # identity for a zero or empty tensor
         blocks /= g  # _partition's copy
         z = z_values(blocks, spec.z, z_mask)
 

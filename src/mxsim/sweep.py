@@ -302,28 +302,18 @@ class EnumerationReport:
     dropped: int
 
 
-def _valid(cfg: SweepConfig, prune_dead_scale_grad: bool) -> bool:
-    # With an STE block-maximum backward the scale-quantizer gradient path
-    # is inert, so those combinations can optionally be pruned as redundant.
-    if prune_dead_scale_grad and cfg.scale_grad != "STE" and cfg.max_grad == "STE":
-        return False
+def _valid(cfg: SweepConfig) -> bool:
     # With tensor scaling on, the tensor-scale gradient needs a real option.
-    if cfg.tensor_scaling and cfg.tensor_grad == NOT_APPLICABLE:
-        return False
-    return True
+    return not (cfg.tensor_scaling and cfg.tensor_grad == NOT_APPLICABLE)
 
 
-def enumerate_configs(
-    grid: SweepGrid | None = None, prune_dead_scale_grad: bool = False
-) -> EnumerationReport:
+def enumerate_configs(grid: SweepGrid | None = None) -> EnumerationReport:
     """Expand a grid into valid configurations.
 
     The block size follows the scale format (16 for E4M3, else 32), and the
     tensor-scale gradient axis collapses to ``N/A`` whenever tensor scaling
-    is disabled.  ``prune_dead_scale_grad`` additionally drops non-STE
-    scale-quantizer gradients when the block-maximum backward is STE, where
-    they have no effect on training.  Raises ``ValueError`` for an axis
-    value that :class:`SweepConfig` rejects.
+    is disabled.  Raises ``ValueError`` for an axis value that
+    :class:`SweepConfig` rejects.
     """
     grid = grid or SweepGrid()
     # Collapsing tensor_grad to N/A repeats configurations; each distinct
@@ -338,7 +328,7 @@ def enumerate_configs(
         key = tuple(kw.values())
         if key not in seen:
             cfg = SweepConfig(**kw)
-            seen[key] = cfg if _valid(cfg, prune_dead_scale_grad) else None
+            seen[key] = cfg if _valid(cfg) else None
     unique = tuple(cfg for cfg in seen.values() if cfg is not None)
     raw = grid.cardinality()
     return EnumerationReport(configs=unique, raw_count=raw, dropped=raw - len(unique))
@@ -468,26 +458,29 @@ def write_recon_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
 # Result persistence
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = [
-    "Dataset",
-    "Val loss",
-    "Train loss",
-    "Scale",
-    "Block size",
-    "Max grad.",
-    "Quant. grad",
-    "Hadamard",
-    "Scale grad",
-    "SR",
-    "Optimiser",
-    "Loss scaling",
-    "Round mode",
-    "Tensor scaling",
-    "Tensor grad",
-    "Complexity points",
-    "Score",
-    "NaN mode",
-]
+#: Result-table columns in order, each with the SweepConfig field or run
+#: quantity its cells show.
+_RESULT_FIELDS = {
+    "Dataset": "dataset",
+    "Val loss": "val_loss",
+    "Train loss": "train_loss",
+    "Scale": "scale_format",
+    "Block size": "block_size",
+    "Max grad.": "max_grad",
+    "Quant. grad": "quant_grad",
+    "Hadamard": "hadamard",
+    "Scale grad": "scale_grad",
+    "SR": "sr",
+    "Optimiser": "optimiser",
+    "Loss scaling": "loss_scaling",
+    "Round mode": "round_mode",
+    "Tensor scaling": "tensor_scaling",
+    "Tensor grad": "tensor_grad",
+    "Complexity points": "omega",
+    "Score": "score",
+    "NaN mode": "nan_mode",
+}
+RESULT_COLUMNS = list(_RESULT_FIELDS)
 
 
 def result_row(
@@ -498,26 +491,9 @@ def result_row(
     m_ref: float,
 ) -> dict[str, object]:
     omega = complexity_points(cfg)
-    return {
-        "Dataset": dataset,
-        "Val loss": val_loss,
-        "Train loss": train_loss,
-        "Scale": cfg.scale_format,
-        "Block size": cfg.block_size,
-        "Max grad.": cfg.max_grad,
-        "Quant. grad": cfg.quant_grad,
-        "Hadamard": cfg.hadamard,
-        "Scale grad": cfg.scale_grad,
-        "SR": cfg.sr,
-        "Optimiser": cfg.optimiser,
-        "Loss scaling": cfg.loss_scaling,
-        "Round mode": cfg.round_mode,
-        "Tensor scaling": cfg.tensor_scaling,
-        "Tensor grad": cfg.tensor_grad,
-        "Complexity points": f"{omega:.3f}",
-        "Score": f"{score(m_ref, val_loss, omega):.3f}",
-        "NaN mode": cfg.nan_mode,
-    }
+    values = dict(vars(cfg), dataset=dataset, val_loss=val_loss, train_loss=train_loss,
+                  omega=f"{omega:.3f}", score=f"{score(m_ref, val_loss, omega):.3f}")
+    return {column: values[name] for column, name in _RESULT_FIELDS.items()}
 
 
 def write_results_csv(path: str, rows: Iterable[dict[str, object]]) -> None:

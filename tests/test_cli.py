@@ -340,13 +340,51 @@ class TestOptionSpellings:
         assert train_calls == []
 
 
+# Fields of TaskSpec and TrainConfig that no config file sets.
+UNSETTABLE = [("seed", "1"), ("noise_std", "0.5"), ("val_fraction", "0.2"),
+              ("divergence_factor", "5"), ("qcfg", "none")]
+
+RUN_KEYS = {"task", "n_samples", "dim", "n_classes", "hidden", "epochs",
+            "batch_size", "lr"}
+TRAIN_FILE_KEYS = RUN_KEYS | {
+    "scale_format", "block_size", "max_grad", "quant_grad", "hadamard",
+    "scale_grad", "sr", "optimiser", "loss_scaling", "round_mode",
+    "tensor_scaling", "tensor_grad", "nan_mode",
+}
+SWEEP_FILE_KEYS = RUN_KEYS | {
+    "scale_formats", "max_grads", "round_modes", "quant_grads", "scale_grads",
+    "tensor_grads", "optimisers", "loss_scalings", "tensor_scalings", "srs",
+    "hadamards",
+}
+
+
+class TestConfigKeys:
+    """Config files set exactly these keys; defaults are the dataclasses'."""
+
+    @pytest.mark.parametrize(
+        "command, keys", [("train", TRAIN_FILE_KEYS), ("sweep", SWEEP_FILE_KEYS)]
+    )
+    def test_accepted_keys(self, tmp_path, capsys, command, keys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("bogus = 1\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        listed = capsys.readouterr().err.strip().split("valid keys: ")[1]
+        assert set(listed.split(", ")) == keys
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_run_settings_default_to_the_dataclasses(self, seed):
+        expected = (TaskSpec(seed=seed), TrainConfig(seed=seed))
+        assert cli._run_settings({}, seed) == expected
+
+
 class TestDegenerateConfigs:
     """Settings that cannot train exit 2 before any training."""
 
     @pytest.mark.parametrize(
         "key, value",
         [("epochs", "0"), ("batch_size", "0"), ("hidden", ""), ("lr", "nan"),
-         ("n_samples", "1"), ("dim", "0"), ("n_classes", "1")],
+         ("n_samples", "1"), ("dim", "0"), ("n_classes", "1"), ("hidden", "64,,32"),
+         *UNSETTABLE],
     )
     def test_train_exits_2(self, tmp_path, capsys, train_calls, key, value):
         values = {"epochs": "1", "n_samples": "200", key: value}
@@ -354,15 +392,24 @@ class TestDegenerateConfigs:
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert train_calls == []
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
-    @pytest.mark.parametrize("line", ["srs = ,", "batch_size = 0"])
-    def test_sweep_exits_2(self, tmp_path, train_calls, line):
+    @pytest.mark.parametrize(
+        "line",
+        ["srs = ,", "srs = None,", "loss_scalings = True,", "batch_size = 0",
+         *(f"{key} = {value}" for key, value in UNSETTABLE)],
+    )
+    def test_sweep_exits_2(self, tmp_path, capsys, train_calls, line):
         grid = tmp_path / "grid.cfg"
-        body = ALIAS_GRID.replace("srs = IntelFP4_exact\n", "")
+        key = line.split(" = ")[0]
+        body = "".join(
+            f"{row}\n" for row in ALIAS_GRID.splitlines() if not row.startswith(key)
+        )
         grid.write_text(body + line + "\n" + SMALL_RUN)
         assert main(["sweep", "--config", str(grid), "--out", str(tmp_path)]) == 2
         assert train_calls == []
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
 

@@ -324,6 +324,18 @@ class TestRowBlocking:
         back = from_bytes(to_bytes(qt))
         np.testing.assert_array_equal(dequantize_tensor(back), X)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
+    def test_empty_logsumexp_tensor_scaling(self, shape):
+        # The one block is all padding: its statistic is 0, not log(0), so
+        # the global factor is the identity and the record round-trips.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qt = quantize_tensor(np.zeros(shape), BlockSpec(block_size=4, z=LSE),
+                                 tensor_scaling=True)
+            back = from_bytes(to_bytes(qt))
+        assert back.global_scale == 1.0
+        assert dequantize_tensor(back).shape == shape
+
     def test_from_bytes_checks_row_block_count(self):
         spec = BlockSpec(block_size=16)
         qt = quantize_tensor(np.ones((2, 20)), spec)
