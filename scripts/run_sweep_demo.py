@@ -14,7 +14,7 @@ from mxsim.sweep import (
     enumerate_configs,
     pareto_front,
     run_many,
-    score_report,
+    score,
 )
 from mxsim.trainer import TASK_GAUSSIAN, TaskSpec, TrainConfig, train
 
@@ -40,9 +40,8 @@ def main() -> None:
         srs=("None", "all"),
         hadamards=("None", "all"),
     )
-    report = enumerate_configs(grid)
-    configs = report.configs[: args.limit]
-    print(f"evaluating {len(configs)} of {report.raw_count} configurations")
+    configs = enumerate_configs(grid)[: args.limit]
+    print(f"evaluating {len(configs)} of {grid.cardinality()} configurations")
 
     task = TaskSpec(kind=TASK_GAUSSIAN, n_samples=2000, dim=32,
                     seed=args.seed, noise_std=2.0)
@@ -59,21 +58,19 @@ def main() -> None:
     m_ref = train(task, dense_cfg).val_losses[-1]
 
     losses = run_many(configs, evaluate, jobs=args.jobs)
-    reports = []
-    for i, (cfg, loss) in enumerate(zip(configs, losses)):
-        omega = complexity_points(cfg)
-        reports.append((score_report(f"cfg{i}", m_ref, loss, omega), cfg))
+    omegas = [complexity_points(cfg) for cfg in configs]
+    points = [(w, score(m_ref, loss, w)) for w, loss in zip(omegas, losses)]
 
     print(f"{'omega':>6} {'score':>9} {'val_loss':>10}  configuration")
-    for rep, cfg in sorted(reports, key=lambda r: (r[0].omega, -r[0].score)):
+    rows = sorted(zip(points, losses, configs), key=lambda r: (r[0][0], -r[0][1]))
+    for (omega, s), loss, cfg in rows:
         desc = (f"round={cfg.round_mode} quant_grad={cfg.quant_grad} "
                 f"sr={cfg.sr} hadamard={cfg.hadamard}")
-        print(f"{rep.omega:>6.2f} {rep.score:>9.4f} {rep.m_c:>10.4f}  {desc}")
+        print(f"{omega:>6.2f} {s:>9.4f} {loss:>10.4f}  {desc}")
 
-    front = pareto_front([(rep.omega, rep.score) for rep, _ in reports])
+    front = pareto_front(points)
     print("pareto frontier (complexity, score):",
-          ", ".join(f"({r.omega:.2f}, {r.score:.4f})"
-                    for r in (reports[i][0] for i in front)))
+          ", ".join(f"({points[i][0]:.2f}, {points[i][1]:.4f})" for i in front))
 
 
 if __name__ == "__main__":

@@ -247,17 +247,20 @@ def _out_dir(args) -> Path:
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("MXSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"MXSIM_SEED must be an integer, got {env!r}") from exc
-    return args.seed
+    try:
+        seed = args.seed if env is None else int(env)
+    except ValueError as exc:
+        raise ConfigError(f"MXSIM_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def cmd_quantize(args) -> int:
     fmt = get_format(_check_format(args.format))
     x = read_tensor_file(args.input)
+    if x.size == 0:
+        raise ConfigError(f"tensor file {args.input} has no elements")
     spec = BlockSpec(block_size=args.block_size, scale_format=fmt)
     qt = quantize_tensor(x, spec)
     deq = dequantize_tensor(qt)
@@ -360,16 +363,17 @@ def cmd_sweep(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     _check_keys(values, _GRID_KEYS)
     try:
-        report = enumerate_configs(_grid_from_dict(values))
+        grid = _grid_from_dict(values)
+        valid = enumerate_configs(grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for cfg in report.configs:
+    for cfg in valid:
         _validate_sweep_config(cfg)
     task, tcfg = _run_settings(values, _resolve_seed(args))
-    configs = report.configs[: args.limit or None]
+    configs = valid[: args.limit or None]
     print(
-        f"grid: {report.raw_count} raw combinations, "
-        f"{len(report.configs)} valid, running {len(configs)}"
+        f"grid: {grid.cardinality()} raw combinations, "
+        f"{len(valid)} valid, running {len(configs)}"
     )
 
     dense_run = _dense_reference(task, tcfg)

@@ -8,8 +8,8 @@ semantics define them: ``frexp`` gives each value's binade (clamped to the
 subnormal one), which fixes the spacing ``ulp`` of the grid around it, and
 the rounding mode acts on the integer significand ``x / ulp`` in the one
 kernel ``_round``, whose callers check their inputs.  A sorted grid of every
-representable value, cached on the format, serves ``grid()``, the scalar
-``encode``/``decode``, the code table of ``decode_array`` and the constants.
+representable value, cached on the format, serves ``grid()``, the code table
+of ``decode_array`` and the constants.
 
 Signed zero is collapsed to +0 everywhere: the sign of zero never affects
 dequantization.
@@ -81,16 +81,14 @@ class FloatFormat:
 
 
 class _GridData:
-    """Cached enumeration of one format: sorted values, canonical codes, the
-    code-indexed value table, and the constants the arithmetic path uses."""
+    """Cached enumeration of one format: sorted values, their canonical codes,
+    the code-indexed value table, and the constants the arithmetic path uses."""
 
     def __init__(self, fmt: FloatFormat):
         codes, values = _enumerate(fmt)
         order = np.argsort(values, kind="stable")
         self.values = values[order]
         self.codes = codes[order]
-        self.code_of = {float(v): int(c) for v, c in zip(self.values, self.codes)}
-        self.value_of = {int(c): float(v) for v, c in zip(self.values, self.codes)}
         self.table = np.full(int(self.codes.max()) + 1, np.nan)
         self.table[self.codes] = self.values
         self.max_finite = float(self.values[-1])
@@ -146,21 +144,6 @@ def grid(fmt: FloatFormat) -> np.ndarray:
     return fmt._grid.values.copy()
 
 
-def encode(value: float, fmt: FloatFormat) -> int:
-    """Canonical bit pattern of an exactly representable value."""
-    code = fmt._grid.code_of.get(float(value))
-    if code is None:
-        raise ValueError(f"{value!r} is not representable in {fmt.name}")
-    return code
-
-
-def decode(code: int, fmt: FloatFormat) -> float:
-    value = fmt._grid.value_of.get(int(code))
-    if value is None:
-        raise ValueError(f"code {code:#x} is not a finite {fmt.name} value")
-    return value
-
-
 def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Canonical codes of exactly representable values (``-0`` encodes as
     ``+0``); raises ``ValueError`` if any value is off the grid."""
@@ -210,26 +193,21 @@ def round_array(
     fmt: FloatFormat,
     mode: str = TIES_TO_EVEN,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round every element of ``x`` onto the format grid with ``_round``.
+) -> np.ndarray:
+    """Round every element of ``x`` onto the format grid with ``_round``
+    and return the rounded array.
 
-    Returns ``(rounded, saturated, underflowed)``.  Overflows saturate to
-    ``sign(x) * max_finite``; inputs below the smallest positive grid value
-    of a zero-free format clamp to that value.  ``underflowed`` marks
-    nonzero inputs whose magnitude fell below the smallest positive
-    representable value (the result may still be 0 or the clamp value;
-    callers decide what underflow means for them).  NaN or infinite inputs
-    (the training loop screens them through its loss scaler), an unknown
-    mode and Stochastic rounding without an rng are errors.
+    Overflows saturate to ``sign(x) * max_finite``; inputs below the
+    smallest positive grid value of a zero-free format clamp to that value.
+    NaN or infinite inputs (the training loop screens them through its loss
+    scaler), an unknown mode and Stochastic rounding without an rng are
+    errors.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("round_array requires finite inputs")
     _check_rounding(mode, rng)
-    a = np.abs(x)
-    saturated = a > fmt.max_finite
-    underflowed = (x != 0) & (a < fmt.min_positive)
-    return _round(x, fmt, mode, rng), saturated, underflowed
+    return _round(x, fmt, mode, rng)
 
 
 def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator | None,
@@ -299,7 +277,6 @@ FORMATS: dict[str, FloatFormat] = {
 }
 
 FP4_MAX = E2M1.max_finite  # 6.0
-E4M3_MAX = E4M3.max_finite  # 448.0
 
 
 def get_format(name: str) -> FloatFormat:

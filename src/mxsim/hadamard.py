@@ -38,6 +38,8 @@ class HadamardSpec:
         l = self.block_size
         if l <= 0 or (l & (l - 1)) != 0:
             raise ValueError("block_size must be a power of two")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -229,7 +229,7 @@ def quantizer_curve_plot(estimator_kind: str = "sigmoid", n: int = 801) -> str:
     est = QGradEstimator(estimator_kind)
     xs = [-FP4_MAX + 2 * FP4_MAX * i / (n - 1) for i in range(n)]
     arr = np.array(xs)
-    hard, _, _ = round_array(arr, E2M1, TIES_TO_EVEN)
+    hard = round_array(arr, E2M1, TIES_TO_EVEN)
     smooth = estimator_value(arr, E2M1, est)
     slope = estimator_grad(arr, E2M1, est)
     return line_plot(
@@ -248,7 +248,7 @@ def scale_deviation_plot(scale_format: str = "E8M0", n: int = 2000) -> str:
     """Relative deviation between the ideal scale and its rounded value."""
     fmt = get_format(scale_format)
     s = np.logspace(-9, 9, n)
-    rounded, _, _ = round_array(s, fmt, TIES_TO_EVEN)
+    rounded = round_array(s, fmt, TIES_TO_EVEN)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rounded > 0, s / rounded, np.nan)
     return line_plot(

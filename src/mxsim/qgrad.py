@@ -112,7 +112,7 @@ def _decision_knots(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
         t = 2.0 * lo * hi / (lo + hi)
     else:
         t = 0.5 * (lo + hi)
-    b, _, _ = round_array(t, fmt)
+    b = round_array(t, fmt)
     return t, b
 
 

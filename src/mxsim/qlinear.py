@@ -55,6 +55,9 @@ class QLinearConfig:
     def __post_init__(self):
         if self.sr_policy not in SR_POLICIES:
             raise ValueError(f"unknown SR policy {self.sr_policy!r}")
+        h, l = self.hadamard.block_size, self.spec.block_size
+        if self.hadamard.mode != HADAMARD_NONE and l % h:
+            raise ValueError(f"Hadamard block size {h} does not divide block size {l}")
 
     @cached_property
     def _rounding_specs(self) -> tuple[BlockSpec, BlockSpec]:

@@ -44,11 +44,9 @@ __all__ = [
     "COMPLEXITY_WEIGHTS",
     "SweepConfig",
     "canonical_option",
-    "ScoreReport",
     "complexity_points",
     "score",
     "enumerate_configs",
-    "EnumerationReport",
     "pareto_front",
     "recon_error_cell",
     "recon_error_experiment",
@@ -65,13 +63,8 @@ __all__ = [
 
 NOT_APPLICABLE = "N/A"
 
-# Canonical value sets, written as they appear in result CSVs.
-MAX_GRAD_OPTIONS = SCALE_GRAD_MODES
+# The value sets only sweeps name; the others are the layers' own tuples.
 ESTIMATOR_OPTIONS = ("STE", "baseline", "spline")
-TENSOR_GRAD_OPTIONS = TENSOR_GRAD_MODES
-ROUND_MODE_OPTIONS = ROUNDING_MODES
-SR_OPTIONS = SR_POLICIES
-HADAMARD_OPTIONS = HADAMARD_MODES
 OPTIMISER_OPTIONS = ("Adam", "StableSPAM")
 
 #: Other spellings of option values that config files and published tables
@@ -121,16 +114,16 @@ class SweepConfig:
 
     scale_format: str = "E8M0"
     block_size: int = 32
-    max_grad: str = _option("STE", MAX_GRAD_OPTIONS)
+    max_grad: str = _option("STE", SCALE_GRAD_MODES)
     quant_grad: str = _option("STE", ESTIMATOR_OPTIONS)
-    hadamard: str = _option("None", HADAMARD_OPTIONS)
+    hadamard: str = _option("None", HADAMARD_MODES)
     scale_grad: str = _option("STE", ESTIMATOR_OPTIONS)
-    sr: str = _option("None", SR_OPTIONS)
+    sr: str = _option("None", SR_POLICIES)
     optimiser: str = _option("Adam", OPTIMISER_OPTIONS)
     loss_scaling: bool = False
-    round_mode: str = _option("TiesToEven", ROUND_MODE_OPTIONS)
+    round_mode: str = _option("TiesToEven", ROUNDING_MODES)
     tensor_scaling: bool = False
-    tensor_grad: str = _option(NOT_APPLICABLE, TENSOR_GRAD_OPTIONS + (NOT_APPLICABLE,))
+    tensor_grad: str = _option(NOT_APPLICABLE, TENSOR_GRAD_MODES + (NOT_APPLICABLE,))
     nan_mode: str = _option("nearest_subnormal", ZERO_MODES)
 
     def __post_init__(self):
@@ -213,18 +206,6 @@ def complexity_points(cfg: SweepConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    """Score summary for one run against a baseline reference loss."""
-
-    config_id: str
-    m_ref: float
-    m_c: float
-    gain: float
-    omega: float
-    score: float
-
-
 def score(m_ref: float, m_c: float, omega: float) -> float:
     """Efficiency score of a run with validation loss ``m_c``.
 
@@ -241,17 +222,6 @@ def score(m_ref: float, m_c: float, omega: float) -> float:
     return gain / penalty if gain >= 0 else gain * penalty
 
 
-def score_report(config_id: str, m_ref: float, m_c: float, omega: float) -> ScoreReport:
-    return ScoreReport(
-        config_id=config_id,
-        m_ref=m_ref,
-        m_c=m_c,
-        gain=(m_ref - m_c) / m_ref,
-        omega=omega,
-        score=score(m_ref, m_c, omega),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Grid enumeration
 # ---------------------------------------------------------------------------
@@ -266,16 +236,16 @@ class SweepGrid:
     """
 
     scale_formats: Sequence[str] = ("E8M0", "E4M3")
-    max_grads: Sequence[str] = MAX_GRAD_OPTIONS
-    round_modes: Sequence[str] = ROUND_MODE_OPTIONS
+    max_grads: Sequence[str] = SCALE_GRAD_MODES
+    round_modes: Sequence[str] = ROUNDING_MODES
     quant_grads: Sequence[str] = ESTIMATOR_OPTIONS
     scale_grads: Sequence[str] = ESTIMATOR_OPTIONS
-    tensor_grads: Sequence[str] = TENSOR_GRAD_OPTIONS
+    tensor_grads: Sequence[str] = TENSOR_GRAD_MODES
     optimisers: Sequence[str] = OPTIMISER_OPTIONS
     loss_scalings: Sequence[bool] = (True, False)
     tensor_scalings: Sequence[bool] = (True, False)
-    srs: Sequence[str] = SR_OPTIONS
-    hadamards: Sequence[str] = HADAMARD_OPTIONS
+    srs: Sequence[str] = SR_POLICIES
+    hadamards: Sequence[str] = HADAMARD_MODES
 
     def __post_init__(self):
         for f in fields(self):
@@ -295,20 +265,13 @@ class SweepGrid:
 _AXIS_FIELDS = tuple(f.name[:-1] for f in fields(SweepGrid))
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    configs: tuple[SweepConfig, ...]
-    raw_count: int
-    dropped: int
-
-
 def _valid(cfg: SweepConfig) -> bool:
     # With tensor scaling on, the tensor-scale gradient needs a real option.
     return not (cfg.tensor_scaling and cfg.tensor_grad == NOT_APPLICABLE)
 
 
-def enumerate_configs(grid: SweepGrid | None = None) -> EnumerationReport:
-    """Expand a grid into valid configurations.
+def enumerate_configs(grid: SweepGrid | None = None) -> tuple[SweepConfig, ...]:
+    """Expand a grid into its distinct valid configurations, in order.
 
     The block size follows the scale format (16 for E4M3, else 32), and the
     tensor-scale gradient axis collapses to ``N/A`` whenever tensor scaling
@@ -329,9 +292,7 @@ def enumerate_configs(grid: SweepGrid | None = None) -> EnumerationReport:
         if key not in seen:
             cfg = SweepConfig(**kw)
             seen[key] = cfg if _valid(cfg) else None
-    unique = tuple(cfg for cfg in seen.values() if cfg is not None)
-    raw = grid.cardinality()
-    return EnumerationReport(configs=unique, raw_count=raw, dropped=raw - len(unique))
+    return tuple(cfg for cfg in seen.values() if cfg is not None)
 
 
 # ---------------------------------------------------------------------------

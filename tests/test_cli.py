@@ -122,6 +122,20 @@ class TestExitCodes:
         assert from_bytes((out / "quantized.mxq").read_bytes()).num_blocks == 6
         assert np.loadtxt(out / "dequantized.csv", delimiter=",").shape == (6, 4)
 
+    @pytest.mark.filterwarnings("ignore:loadtxt")  # NumPy warns on the empty CSV
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_quantize_empty_tensor_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                           suffix):
+        t = tmp_path / f"t{suffix}"
+        if suffix == ".csv":
+            t.write_text("")
+        else:
+            write_tensor_file(str(t), np.zeros((0, 32)))
+        out = tmp_path / "out"
+        assert main(["quantize", str(t), "--out", str(out)]) == 2
+        assert "no elements" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_quantize_exits_0(self, tmp_path):
         t = tmp_path / "t.csv"
         np.savetxt(t, np.linspace(-4, 4, 64).reshape(2, 32), delimiter=",")
@@ -245,6 +259,21 @@ class TestSeedOverride:
         monkeypatch.setenv("MXSIM_SEED", "pi")
         rc = main(["recon", "--format", "E8M0", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["train", "recon", "sweep"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_exits_2_before_any_run(
+        self, tmp_path, monkeypatch, capsys, train_calls, command, source
+    ):
+        seed = ["--seed", "-1"] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv("MXSIM_SEED", "-3")
+        extra = ["--format", "E8M0"] if command == "recon" else []
+        out = tmp_path / "out"
+        assert main([command, *extra, *seed, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "non-negative" in captured.err and captured.out == ""
+        assert train_calls == [] and not out.exists()
 
 
 class TestSweepCommand:

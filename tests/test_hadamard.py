@@ -55,6 +55,10 @@ class TestSigns:
     def test_seed_changes_signs(self):
         assert not np.array_equal(block_signs(1, 4, 32), block_signs(2, 4, 32))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            HadamardSpec(seed=-1)
+
 
 class TestTransform:
     SPEC = HadamardSpec(block_size=16, seed=3, mode=HADAMARD_ALL)

@@ -148,7 +148,7 @@ class TestSigmoid:
         t, _ = _decision_knots(E2M1)
         x = x[np.min(np.abs(x[:, None] - t[None, :]), axis=1) > 1e-3]
         approx = q_sigmoid(x, E2M1, T=1e-6)
-        exact, _, _ = round_array(x, E2M1)
+        exact = round_array(x, E2M1)
         assert np.abs(approx - exact).max() <= 1e-6 * 2.0
 
 

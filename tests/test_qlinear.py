@@ -81,6 +81,22 @@ class TestForward:
         Y1, _ = forward(X, W, mixed)
         np.testing.assert_allclose(Y1, Y0, atol=1e-8)
 
+    @pytest.mark.parametrize("mode", [HADAMARD_ALL, HADAMARD_BACKWARD])
+    def test_hadamard_block_must_divide_block_size(self, mode):
+        # m = 48 pads to a multiple of 16, which 32-blocks would not divide.
+        with pytest.raises(ValueError, match="does not divide"):
+            QLinearConfig(spec=BlockSpec(block_size=16),
+                          hadamard=HadamardSpec(block_size=32, mode=mode))
+        QLinearConfig(spec=BlockSpec(block_size=16),  # no transform: not checked
+                      hadamard=HadamardSpec(block_size=32))
+        cfg = QLinearConfig(spec=BlockSpec(block_size=32),
+                            hadamard=HadamardSpec(block_size=16, mode=mode))
+        rng = np.random.default_rng(5)
+        X, W = rng.normal(size=(4, 48)), rng.normal(size=(3, 48))
+        Y, ctx = forward(X, W, cfg)
+        gx, gw = backward(np.ones_like(Y), ctx, cfg)
+        assert Y.shape == (4, 3) and gx.shape == X.shape and gw.shape == W.shape
+
     def test_padding_of_contraction_dim(self):
         rng = np.random.default_rng(3)
         X, W = rng.normal(size=(2, 6)), rng.normal(size=(3, 6))  # 6 % 4 != 0

@@ -12,16 +12,11 @@ from hypothesis import strategies as st
 
 from mxsim.formats import ROUNDING_MODES
 from mxsim.hadamard import HADAMARD_MODES
-from mxsim.qgrad import TENSOR_GRAD_MODES
+from mxsim.qgrad import SCALE_GRAD_MODES, TENSOR_GRAD_MODES
 from mxsim.qlinear import SR_POLICIES
 from mxsim.sweep import (
     COMPLEXITY_WEIGHTS,
-    HADAMARD_OPTIONS,
     OPTION_ALIASES,
-    ROUND_MODE_OPTIONS,
-    SR_OPTIONS,
-    TENSOR_GRAD_OPTIONS,
-    EnumerationReport,
     SweepConfig,
     SweepGrid,
     build_qlinear_config,
@@ -32,7 +27,6 @@ from mxsim.sweep import (
     recon_error_cell,
     recon_error_experiment,
     score,
-    score_report,
     write_recon_csv,
     write_results_csv,
     result_row,
@@ -196,12 +190,10 @@ class TestEnumeration:
             srs=("None",),
             hadamards=("None",),
         )
-        report = enumerate_configs(grid)
-        assert len(report.configs) == 6
+        assert len(enumerate_configs(grid)) == 6
 
     def test_tensor_grad_forced_na_without_tensor_scaling(self):
-        report = enumerate_configs()
-        for cfg in report.configs:
+        for cfg in enumerate_configs():
             if not cfg.tensor_scaling:
                 assert cfg.tensor_grad == "N/A"
             else:
@@ -210,29 +202,25 @@ class TestEnumeration:
     def test_full_grid_cardinality_exceeds_twenty_thousand(self):
         grid = SweepGrid()
         assert grid.cardinality() > 20000
-        report = enumerate_configs(grid)
-        assert report.raw_count > 20000
-        assert len(report.configs) < report.raw_count
+        assert len(enumerate_configs(grid)) < grid.cardinality()
 
     def test_no_duplicates(self):
-        report = enumerate_configs()
-        assert len(set(report.configs)) == len(report.configs)
+        configs = enumerate_configs()
+        assert len(set(configs)) == len(configs)
 
 
     def test_default_enumeration_is_pinned(self):
         # Digest of every default configuration, as tuples in enumeration
         # order, computed before the grid was derived from its fields.
-        configs = [astuple(cfg) for cfg in enumerate_configs().configs]
+        configs = [astuple(cfg) for cfg in enumerate_configs()]
         assert len(configs) == 31104
         digest = hashlib.sha256(repr(configs).encode()).hexdigest()
         assert digest == "00d931c3ebb917dbd9427cfcec0e840eb7e0b4266dbef72ab6fd33a65067dc17"
 
     def test_cardinality_is_the_raw_count(self):
         grid = SweepGrid(srs=("None", "all"), hadamards=("all",))
-        report = enumerate_configs(grid)
         # The default 46,656 with 2 of 3 SR values and 1 of 3 Hadamard modes.
-        assert report.raw_count == grid.cardinality() == 46656 // 9 * 2
-        assert report.dropped == report.raw_count - len(report.configs)
+        assert grid.cardinality() == 46656 // 9 * 2
 
     @pytest.mark.parametrize("axis", ["srs", "loss_scalings"])
     def test_empty_axis_rejected(self, axis):
@@ -250,10 +238,14 @@ def _checked_fields():
 
 class TestOptionVocabulary:
     def test_layer_constants_are_the_vocabulary(self):
-        assert SR_OPTIONS is SR_POLICIES == ("None", "backward", "all")
-        assert HADAMARD_OPTIONS is HADAMARD_MODES == ("None", "all", "backward")
-        assert ROUND_MODE_OPTIONS is ROUNDING_MODES
-        assert TENSOR_GRAD_OPTIONS is TENSOR_GRAD_MODES
+        valid, grid = dict(_checked_fields()), SweepGrid()
+        assert valid["sr"] is grid.srs is SR_POLICIES == ("None", "backward", "all")
+        assert valid["hadamard"] is grid.hadamards is HADAMARD_MODES == (
+            "None", "all", "backward")
+        assert valid["round_mode"] is grid.round_modes is ROUNDING_MODES
+        assert valid["max_grad"] is grid.max_grads is SCALE_GRAD_MODES
+        assert grid.tensor_grads is TENSOR_GRAD_MODES
+        assert valid["tensor_grad"] == TENSOR_GRAD_MODES + ("N/A",)
 
     def test_every_alias_maps_to_a_canonical_value(self):
         valid = dict(_checked_fields())
@@ -434,8 +426,3 @@ class TestResultsCsv:
         header = path.read_text().splitlines()[0]
         assert header.startswith("Dataset,Val loss,Train loss,Scale")
         assert header.endswith("Complexity points,Score,NaN mode")
-
-    def test_score_report(self):
-        rep = score_report("id", 2.0, 1.0, 0.0)
-        assert rep.gain == pytest.approx(0.5)
-        assert rep.score == pytest.approx(0.5)
