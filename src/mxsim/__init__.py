@@ -3,7 +3,7 @@
 from mxsim.formats import FORMATS, FloatFormat, get_format
 from mxsim.hadamard import HadamardSpec
 from mxsim.mx import BlockSpec, dequantize_tensor, quantize_tensor
-from mxsim.qgrad import GradConfig, QGradEstimator
+from mxsim.qgrad import GradConfig
 from mxsim.qlinear import QLinearConfig, backward, forward
 from mxsim.sweep import SweepConfig, SweepGrid, complexity_points, score
 from mxsim.trainer import TaskSpec, TrainConfig, train
@@ -17,7 +17,6 @@ __all__ = [
     "quantize_tensor",
     "dequantize_tensor",
     "GradConfig",
-    "QGradEstimator",
     "QLinearConfig",
     "forward",
     "backward",

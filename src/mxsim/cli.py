@@ -4,8 +4,8 @@ Subcommands: ``quantize`` (round-trip a tensor file), ``recon``
 (reconstruction-error grid), ``train`` (one quantized training run),
 ``sweep`` (grid of training runs), ``pareto`` (frontier extraction), and
 ``plot`` (SVG rendering of result CSVs).  Every subcommand is deterministic
-given its configuration and seed; the ``MXSIM_SEED`` environment variable
-overrides ``--seed``.
+given its inputs; ``recon``, ``train`` and ``sweep`` also read ``--seed``,
+which the ``MXSIM_SEED`` environment variable overrides.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -37,6 +37,7 @@ from .plots import (
     scale_deviation_plot,
     scatter_plot,
 )
+from .qgrad import ESTIMATORS
 from .qlinear import QLinearConfig
 from .sweep import (
     SweepConfig,
@@ -261,6 +262,8 @@ def cmd_quantize(args) -> int:
     x = read_tensor_file(args.input)
     if x.size == 0:
         raise ConfigError(f"tensor file {args.input} has no elements")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"tensor file {args.input} holds NaN or inf")
     spec = BlockSpec(block_size=args.block_size, scale_format=fmt)
     qt = quantize_tensor(x, spec)
     deq = dequantize_tensor(qt)
@@ -411,12 +414,24 @@ def _read_csv(path: str | None, columns: tuple[str, ...], what: str) -> list[dic
     return rows
 
 
-_RESULT_SCORE_COLUMNS = ("Complexity points", "Score")
+def _numbers(rows: list[dict], column: str, path: str) -> list[float]:
+    """The cells of ``column`` read as numbers."""
+    try:
+        return [float(r[column]) for r in rows]
+    except (TypeError, ValueError) as exc:  # TypeError: a row short of cells
+        raise ConfigError(f"{path}: column {column!r}: {exc}") from exc
+
+
+def _score_points(path: str | None) -> tuple[list[dict], list]:
+    """Rows of a results file and their (complexity, score) points."""
+    columns = ("Complexity points", "Score")
+    rows = _read_csv(path, columns, "results file")
+    xs, ys = (_numbers(rows, c, path) for c in columns)
+    return rows, list(zip(xs, ys))
 
 
 def cmd_pareto(args) -> int:
-    rows = _read_csv(args.results, _RESULT_SCORE_COLUMNS, "results file")
-    points = [(float(r["Complexity points"]), float(r["Score"])) for r in rows]
+    rows, points = _score_points(args.results)
     front = pareto_front(points)
     out = _out_dir(args)
     with open(out / "frontier.csv", "w", newline="") as fh:
@@ -437,7 +452,6 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    out = _out_dir(args)
     kind = args.kind
     if kind == "quantizer":
         svg = quantizer_curve_plot(args.estimator)
@@ -445,9 +459,9 @@ def cmd_plot(args) -> int:
         svg = scale_deviation_plot(_check_format(args.format or "E8M0"))
     elif kind == "loss":
         rows = _read_csv(args.input, ("epoch",), "loss-curve CSV")
-        epochs = [float(r["epoch"]) for r in rows]
+        epochs = _numbers(rows, "epoch", args.input)
         series = {
-            col: (epochs, [float(r[col]) for r in rows])
+            col: (epochs, _numbers(rows, col, args.input))
             for col in rows[0]
             if col != "epoch"
         }
@@ -457,13 +471,15 @@ def cmd_plot(args) -> int:
             args.input, ("format", "l", "scale", "beta", "mean_rel_err"),
             "reconstruction-error CSV",
         )
+        columns = (_numbers(rows, c, args.input)
+                   for c in ("l", "scale", "mean_rel_err"))
         series: dict[str, tuple[list[float], list[float]]] = {}
-        for r in rows:
-            if r["beta"] or float(r["scale"]) != 1.0:
+        for r, l, scale, err in zip(rows, *columns):
+            if r["beta"] or scale != 1.0:
                 continue
             xs, ys = series.setdefault(r["format"], ([], []))
-            xs.append(float(r["l"]))
-            ys.append(float(r["mean_rel_err"]))
+            xs.append(l)
+            ys.append(err)
         svg = line_plot(
             series,
             title="Reconstruction error vs block size",
@@ -472,17 +488,14 @@ def cmd_plot(args) -> int:
             log_y=True,
         )
     elif kind == "pareto":
-        rows = _read_csv(args.input, _RESULT_SCORE_COLUMNS, "results file")
-        points = [
-            (float(r["Complexity points"]), float(r["Score"])) for r in rows
-        ]
+        _, points = _score_points(args.input)
         svg = scatter_plot(
             points, title="Score vs complexity", xlabel="complexity points",
             ylabel="score",
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown plot kind {kind!r}")
-    path = out / f"{kind}.svg"
+    path = _out_dir(args) / f"{kind}.svg"
     path.write_text(svg)
     print(f"wrote {path}")
     return 0
@@ -513,9 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = sub.add_parser("quantize", help="round-trip a tensor file")
     p.add_argument("input", help="tensor file (.csv or binary with dims header)")
@@ -526,18 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recon", help="reconstruction-error grid")
     p.add_argument("--format", default=None, help="restrict to one scale format")
     p.add_argument("--block-size", type=int, default=None, choices=(16, 32))
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("train", help="one quantized training run")
     p.add_argument("--config", default=None, help="key = value config file")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("sweep", help="grid of training runs")
     p.add_argument("--config", default=None, help="key = value grid file")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="concurrent runs")
     p.add_argument("--limit", type=_int_at_least(0), default=0,
                    help="run at most N configs (0: all)")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("pareto", help="extract the efficiency frontier")
     p.add_argument("results", help="results CSV")
@@ -551,9 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", default=None, help="input CSV where applicable")
     p.add_argument("--format", default=None, help="scale format for curves")
-    p.add_argument(
-        "--estimator", default="sigmoid", help="surrogate kind for quantizer plots"
-    )
+    p.add_argument("--estimator", default="sigmoid", choices=ESTIMATORS,
+                   help="surrogate kind for quantizer plots")
     common(p)
 
     return parser

@@ -416,14 +416,3 @@ def from_bytes(data: bytes) -> QuantizedTensor:
         rescale=rescale,
     )
 
-
-def to_csv(qt: QuantizedTensor) -> str:
-    """Human-readable dump: one row per element with its block and scale."""
-    l = qt.spec.block_size
-    s_eff = qt.rescale * qt.scales
-    lines = ["block,scale,code,value,dequantized"]
-    for i, (code, val) in enumerate(zip(qt.codes, qt.elements.ravel())):
-        b = i // l
-        deq = val / s_eff[b] * (qt.global_scale if qt.global_scale else 1.0)
-        lines.append(f"{b},{qt.scales[b]!r},{int(code)},{val!r},{deq!r}")
-    return "\n".join(lines) + "\n"

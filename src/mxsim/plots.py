@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .formats import E2M1, FP4_MAX, TIES_TO_EVEN, get_format, round_array
-from .qgrad import QGradEstimator, estimator_grad, estimator_value
+from .qgrad import estimator_grad, estimator_value
 
 __all__ = [
     "line_plot",
@@ -226,12 +226,11 @@ def scatter_plot(
 def quantizer_curve_plot(estimator_kind: str = "sigmoid", n: int = 801) -> str:
     """Stepped 4-bit quantizer (round to nearest, ties to even), its smooth
     surrogate, and the clipped slope."""
-    est = QGradEstimator(estimator_kind)
     xs = [-FP4_MAX + 2 * FP4_MAX * i / (n - 1) for i in range(n)]
     arr = np.array(xs)
     hard = round_array(arr, E2M1, TIES_TO_EVEN)
-    smooth = estimator_value(arr, E2M1, est)
-    slope = estimator_grad(arr, E2M1, est)
+    smooth = estimator_value(arr, E2M1, estimator_kind)
+    slope = estimator_grad(arr, E2M1, estimator_kind)
     return line_plot(
         {
             "rounded": (xs, hard.tolist()),

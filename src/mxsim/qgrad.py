@@ -13,7 +13,7 @@ incoming gradient.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,51 +48,22 @@ TENSOR_GRAD_STE = "STE"
 
 TENSOR_GRAD_MODES = (TENSOR_GRAD_IGNORE, TENSOR_GRAD_ABSMAX, TENSOR_GRAD_STE)
 
-# Gate threshold covering the first four positive values of the narrow
-# scale format (4 * 2^-9): the multiplier range where rounding error is
-# proportionally largest.
-DEFAULT_GATE_THRESHOLD = 2.0**-7
-
-
-@dataclass(frozen=True)
-class QGradEstimator:
-    """Surrogate derivative for a rounding step.
-
-    ``w`` is the inverse-power exponent of the baseline estimator;
-    ``clip_min`` floors the spline slope so gradients are never masked
-    out entirely; ``clamp_max`` bounds the baseline's singular midpoint
-    derivative; ``temperature`` controls the sigmoid sharpness.
-    """
-
-    kind: str = EST_STE
-    w: int = 5
-    clip_min: float = 0.05
-    clamp_max: float = 1e3
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.kind!r}")
-        if self.kind == EST_SIGMOID and self.temperature <= 0:
-            raise ValueError("sigmoid estimator needs a positive temperature")
-
-
-STE = QGradEstimator(EST_STE)
-
 
 @dataclass(frozen=True)
 class GradConfig:
-    """Backward-pass configuration for one quantized tensor."""
+    """Backward-pass configuration for one quantized tensor; each estimator
+    is named by its kind, one of :data:`ESTIMATORS`."""
 
-    elem_estimator: QGradEstimator = STE
+    elem_estimator: str = EST_STE
     scale_mode: str = SCALE_GRAD_STE
-    scale_q_estimator: QGradEstimator = STE
+    scale_q_estimator: str = EST_STE
     beta: float = 40.0
-    gate_threshold: float | None = None  # None: q' applied everywhere
     tensor_mode: str = TENSOR_GRAD_IGNORE
-    ste_second_term_one: bool = False
 
     def __post_init__(self):
+        for kind in (self.elem_estimator, self.scale_q_estimator):
+            if kind not in ESTIMATORS:
+                raise ValueError(f"unknown estimator {kind!r}")
         if self.scale_mode not in SCALE_GRAD_MODES:
             raise ValueError(f"unknown scale gradient mode {self.scale_mode!r}")
         if self.tensor_mode not in TENSOR_GRAD_MODES:
@@ -197,26 +168,30 @@ def q_sigmoid_grad(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarra
     return (12.0 / T) * sig * (1.0 - sig)
 
 
-def estimator_value(x: np.ndarray, fmt: FloatFormat, est: QGradEstimator) -> np.ndarray:
-    """Relaxed quantizer value (pass-through for STE)."""
-    if est.kind == EST_STE:
+def estimator_value(x: np.ndarray, fmt: FloatFormat, kind: str) -> np.ndarray:
+    """Relaxed quantizer value of the estimator ``kind`` (pass-through for STE)."""
+    if kind == EST_STE:
         return np.asarray(x, dtype=np.float64)
-    if est.kind == EST_SPLINE:
+    if kind == EST_SPLINE:
         return q_spline(x, fmt)
-    if est.kind == EST_BASELINE:
-        return q_baseline(x, fmt, est.w)
-    return q_sigmoid(x, fmt, est.temperature)
+    if kind == EST_BASELINE:
+        return q_baseline(x, fmt)
+    if kind == EST_SIGMOID:
+        return q_sigmoid(x, fmt)
+    raise ValueError(f"unknown estimator {kind!r}")
 
 
-def estimator_grad(x: np.ndarray, fmt: FloatFormat, est: QGradEstimator) -> np.ndarray:
-    """Relaxed quantizer derivative (ones for STE)."""
-    if est.kind == EST_STE:
+def estimator_grad(x: np.ndarray, fmt: FloatFormat, kind: str) -> np.ndarray:
+    """Relaxed quantizer derivative of the estimator ``kind`` (ones for STE)."""
+    if kind == EST_STE:
         return np.ones_like(np.asarray(x, dtype=np.float64))
-    if est.kind == EST_SPLINE:
-        return q_spline_grad(x, fmt, est.clip_min)
-    if est.kind == EST_BASELINE:
-        return q_baseline_grad(x, fmt, est.w, est.clamp_max)
-    return q_sigmoid_grad(x, fmt, est.temperature)
+    if kind == EST_SPLINE:
+        return q_spline_grad(x, fmt)
+    if kind == EST_BASELINE:
+        return q_baseline_grad(x, fmt)
+    if kind == EST_SIGMOID:
+        return q_sigmoid_grad(x, fmt)
+    raise ValueError(f"unknown estimator {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +240,6 @@ def ds_dX(blocks: np.ndarray, z: np.ndarray, dz: np.ndarray, elem_max: float) ->
     return coef[:, None] * dz
 
 
-def selective_scale_gate(s: np.ndarray, threshold: float) -> np.ndarray:
-    """True where the multiplier is small enough for the q' adjustment."""
-    return np.asarray(s, dtype=np.float64) < threshold
-
-
 # ---------------------------------------------------------------------------
 # Gradient assembly
 # ---------------------------------------------------------------------------
@@ -287,15 +257,12 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
 
     The result is Q'(s_q x) plus the scale-path correction
     ds/dX * (q'(s)/s_q) * (x Q'(s_q x) - Q(s_q x)/s_q); a pass-through
-    scale gradient drops the correction entirely (or replaces it with +1
-    when ``ste_second_term_one``).
+    scale gradient drops the correction entirely.
     """
     spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
     qg = estimator_grad(s_q[:, None] * blocks, spec.elem_format, cfg.elem_estimator)
 
     if cfg.scale_mode == SCALE_GRAD_STE:
-        if cfg.ste_second_term_one:
-            return qg + 1.0
         return qg
 
     dz = dZ(blocks, cfg.scale_mode, cfg.beta, res.mask)
@@ -304,10 +271,6 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     s_pre = res.s_ideal / res.qt.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
     qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
-    if cfg.gate_threshold is not None:
-        qprime = np.where(
-            selective_scale_gate(finite_pre, cfg.gate_threshold), qprime, 1.0
-        )
 
     q_vals = res.values * s_q[:, None]
     bracket = (qprime / s_q)[:, None] * (blocks * qg - q_vals / s_q[:, None])

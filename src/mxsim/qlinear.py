@@ -69,8 +69,7 @@ class QLinearConfig:
     def _unit_operand_grad(self) -> bool:
         """Whether the derivative of the operands' quantization is all ones."""
         g = self.grad
-        return (g.elem_estimator.kind == EST_STE and g.scale_mode == SCALE_GRAD_STE
-                and not g.ste_second_term_one
+        return (g.elem_estimator == EST_STE and g.scale_mode == SCALE_GRAD_STE
                 and (not self.tensor_scaling or g.tensor_mode == TENSOR_GRAD_IGNORE))
 
 

@@ -33,7 +33,6 @@ from .mx import (
 )
 from .qgrad import (
     GradConfig,
-    QGradEstimator,
     SCALE_GRAD_MODES,
     TENSOR_GRAD_IGNORE,
     TENSOR_GRAD_MODES,
@@ -478,9 +477,9 @@ def build_qlinear_config(cfg: SweepConfig, beta: float = 40.0) -> QLinearConfig:
         cfg.tensor_grad if cfg.tensor_grad != NOT_APPLICABLE else TENSOR_GRAD_IGNORE
     )
     grad = GradConfig(
-        elem_estimator=QGradEstimator(cfg.quant_grad),
+        elem_estimator=cfg.quant_grad,
         scale_mode=cfg.max_grad,
-        scale_q_estimator=QGradEstimator(cfg.scale_grad),
+        scale_q_estimator=cfg.scale_grad,
         beta=beta,
         tensor_mode=tensor_mode,
     )

@@ -43,7 +43,6 @@ from mxsim.mx import (
 from mxsim.qgrad import (
     EST_SIGMOID,
     GradConfig,
-    QGradEstimator,
     SCALE_GRAD_SOFTMAX,
     TENSOR_GRAD_ABSMAX,
     assemble_df_dX,
@@ -197,8 +196,8 @@ def test_criterion_03_gradient_fidelity():
     l, n_blocks, beta = 8, 1250, 4.0  # 10^4 points
     z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
     spec = BlockSpec(block_size=l, z=z_fn)
-    elem_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
-    scale_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
+    elem_est = EST_SIGMOID
+    scale_est = EST_SIGMOID
     cfg = GradConfig(
         elem_estimator=elem_est,
         scale_mode=SCALE_GRAD_SOFTMAX,

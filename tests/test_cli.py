@@ -136,6 +136,40 @@ class TestExitCodes:
         assert "no elements" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_quantize_non_finite_tensor_exits_2_writing_nothing(self, tmp_path,
+                                                                capsys, suffix):
+        t = tmp_path / f"t{suffix}"
+        if suffix == ".csv":
+            t.write_text("1,2,nan\n")
+        else:
+            write_tensor_file(str(t), np.array([[1.0, np.inf, 3.0]]))
+        out = tmp_path / "out"
+        assert main(["quantize", str(t), "--out", str(out)]) == 2
+        assert "NaN or inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, column", [
+        (["pareto", "{}"], "Score"),
+        (["plot", "--kind", "pareto", "--input", "{}"], "Score"),
+        (["plot", "--kind", "loss", "--input", "{}"], "val_loss"),
+        (["plot", "--kind", "recon", "--input", "{}"], "mean_rel_err"),
+    ], ids=["pareto", "plot-pareto", "plot-loss", "plot-recon"])
+    def test_non_numeric_cell_exits_2_writing_nothing(self, tmp_path, capsys, argv,
+                                                     column):
+        bad = {
+            "Score": "Complexity points,Score\n1,0.5\n2,abc\n",
+            "val_loss": "epoch,train_loss,val_loss\n1,0.5,0.6\n2,0.4,x\n",
+            "mean_rel_err": "format,l,scale,beta,mean_rel_err\nE8M0,16,1.0,,x\n",
+        }
+        path = tmp_path / "bad.csv"
+        path.write_text(bad[column])
+        out = tmp_path / "out"
+        assert main([a.format(path) for a in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err and repr(column) in err
+        assert not out.exists()
+
     def test_quantize_exits_0(self, tmp_path):
         t = tmp_path / "t.csv"
         np.savetxt(t, np.linspace(-4, 4, 64).reshape(2, 32), delimiter=",")
@@ -274,6 +308,44 @@ class TestSeedOverride:
         captured = capsys.readouterr()
         assert "non-negative" in captured.err and captured.out == ""
         assert train_calls == [] and not out.exists()
+
+
+class TestSeedFlag:
+    """Only the subcommands whose runs draw random numbers take --seed."""
+
+    @pytest.mark.parametrize("argv, seeded", [
+        (["quantize", "t.csv"], False),
+        (["recon"], True),
+        (["train"], True),
+        (["sweep"], True),
+        (["pareto", "results.csv"], False),
+        (["plot", "--kind", "quantizer"], False),
+    ], ids=["quantize", "recon", "train", "sweep", "pareto", "plot"])
+    def test_seed_only_where_a_run_reads_it(self, tmp_path, capsys, argv, seeded):
+        out = tmp_path / "out"
+        args = [*argv, "--seed", "5", "--out", str(out)]
+        if seeded:
+            assert cli.build_parser().parse_args(args).seed == 5
+        else:
+            assert main(args) == 2
+            assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+            assert not out.exists()
+
+
+class TestEstimatorFlag:
+    def test_unknown_estimator_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["plot", "--kind", "quantizer", "--estimator", "bogus",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--estimator" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ste_estimator_writes_its_svg(self, tmp_path):
+        rc = main(["plot", "--kind", "quantizer", "--estimator", "STE",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "STE surrogate" in (tmp_path / "quantizer.svg").read_text()
 
 
 class TestSweepCommand:

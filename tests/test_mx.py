@@ -38,7 +38,6 @@ from mxsim.mx import (
     quantize_scales,
     quantize_tensor,
     to_bytes,
-    to_csv,
     z_values,
 )
 
@@ -592,14 +591,6 @@ class TestSerialization:
         tensors += [scaled, quantize_tensor(np.zeros((0,)), BlockSpec())]
         digest = hashlib.sha256(b"".join(to_bytes(qt) for qt in tensors)).hexdigest()
         assert digest == "caea65929109ba9a36ad05999ab43b4bea3e30aa9606bed7b83dc3bb0b7834b1"
-
-    def test_csv_dump_has_header_and_rows(self):
-        spec = BlockSpec(block_size=4)
-        qt = quantize_tensor(np.array([1.0, 2.0, 3.0, 4.0]), spec)
-        text = to_csv(qt)
-        lines = text.strip().split("\n")
-        assert lines[0] == "block,scale,code,value,dequantized"
-        assert len(lines) == 5
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

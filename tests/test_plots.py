@@ -17,7 +17,7 @@ from mxsim.plots import (
     scale_deviation_plot,
     scatter_plot,
 )
-from mxsim.qgrad import QGradEstimator, estimator_grad, estimator_value
+from mxsim.qgrad import EST_SIGMOID, estimator_grad, estimator_value
 
 from test_formats import _grid_round
 
@@ -98,7 +98,7 @@ class TestQuantizerCurve:
         n = 801
         xs = [-FP4_MAX + 2 * FP4_MAX * i / (n - 1) for i in range(n)]
         arr = np.array(xs)
-        est = QGradEstimator("sigmoid")
+        est = EST_SIGMOID
         rounded = _grid_round(arr, E2M1, TIES_TO_EVEN)
         assert rounded[xs.index(0.75)] == 1.0  # a tie goes to the even value
         expected = line_plot(

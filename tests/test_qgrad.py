@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxsim.formats import E4M3, E2M1, E8M0, FloatFormat, grid, round_array
+from mxsim.formats import E2M1, E8M0, FloatFormat, grid, round_array
 from mxsim.mx import (
     BlockQuantResult,
     BlockSpec,
@@ -18,13 +20,11 @@ from mxsim.mx import (
     z_values,
 )
 from mxsim.qgrad import (
-    DEFAULT_GATE_THRESHOLD,
     EST_BASELINE,
     EST_SIGMOID,
     EST_SPLINE,
-    STE,
+    EST_STE,
     GradConfig,
-    QGradEstimator,
     SCALE_GRAD_ABSMAX,
     SCALE_GRAD_HYBRID,
     SCALE_GRAD_SOFTMAX,
@@ -44,7 +44,6 @@ from mxsim.qgrad import (
     q_sigmoid_grad,
     q_spline,
     q_spline_grad,
-    selective_scale_gate,
     tensor_scale_grad,
 )
 
@@ -152,6 +151,36 @@ class TestSigmoid:
         assert np.abs(approx - exact).max() <= 1e-6 * 2.0
 
 
+class TestEstimatorKinds:
+    def test_kinds_use_the_surrogate_defaults(self):
+        x = np.linspace(-7.0, 7.0, 1001)
+        cases = {
+            EST_SPLINE: (q_spline(x, E2M1), q_spline_grad(x, E2M1, clip_min=0.05)),
+            EST_BASELINE: (q_baseline(x, E2M1, w=5),
+                           q_baseline_grad(x, E2M1, w=5, clamp_max=1e3)),
+            EST_SIGMOID: (q_sigmoid(x, E2M1, T=1.0), q_sigmoid_grad(x, E2M1, T=1.0)),
+            EST_STE: (x, np.ones_like(x)),
+        }
+        for kind, (value, grad) in cases.items():
+            assert estimator_value(x, E2M1, kind).tobytes() == value.tobytes()
+            assert estimator_grad(x, E2M1, kind).tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("fn", [estimator_value, estimator_grad])
+    def test_unknown_kind_raises(self, fn):
+        with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+            fn(np.zeros(3), E2M1, "bogus")
+
+    @pytest.mark.parametrize("field", ["elem_estimator", "scale_q_estimator"])
+    def test_config_rejects_unknown_kind(self, field):
+        with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+            GradConfig(**{field: "bogus"})
+
+    def test_config_fields_are_modes_and_beta(self):
+        assert [f.name for f in dataclasses.fields(GradConfig)] == [
+            "elem_estimator", "scale_mode", "scale_q_estimator", "beta", "tensor_mode",
+        ]
+
+
 class TestDZ:
     def test_absmax_one_hot(self):
         out = dZ(np.array([[1.0, -3.0, 2.0]]), SCALE_GRAD_ABSMAX)
@@ -233,18 +262,6 @@ class TestDsDX:
         np.testing.assert_array_equal(out, 0.0)
 
 
-class TestGate:
-    def test_strict_threshold(self):
-        thr = DEFAULT_GATE_THRESHOLD
-        assert thr == 4 * 2.0**-9
-        assert selective_scale_gate(np.array([thr * 0.9]), thr)[0]
-        assert not selective_scale_gate(np.array([thr]), thr)[0]
-
-    def test_zero_threshold_disables(self):
-        s = np.array([1e-30, 1.0, 1e30])
-        assert not selective_scale_gate(s, 0.0).any()
-
-
 def _smooth_forward(blocks, spec, elem_est, scale_est, beta):
     """Fully differentiable surrogate of the per-block quantizer."""
     z = z_values(blocks, ZFunction(Z_LOGSUMEXP, beta=beta))
@@ -271,18 +288,11 @@ class TestAssembleDf:
         out = assemble_df_dX(res, cfg)
         np.testing.assert_array_equal(out, 1.0)
 
-    def test_ste_alternative_reading_adds_one(self):
-        spec = BlockSpec(block_size=4)
-        res = quantize_blocks(np.array([1.0, 2.0, 3.0, 4.0]), spec)
-        cfg = GradConfig(ste_second_term_one=True)
-        out = assemble_df_dX(res, cfg)
-        np.testing.assert_array_equal(out, 2.0)
-
     def test_absmax_off_argmax_is_elem_grad_only(self):
         spec = BlockSpec(block_size=4)
         blocks = np.array([[1.0, -3.0, 2.0, 0.5]])
         res = quantize_blocks(blocks.ravel(), spec)
-        spline = QGradEstimator(EST_SPLINE)
+        spline = EST_SPLINE
         cfg = GradConfig(elem_estimator=spline, scale_mode=SCALE_GRAD_ABSMAX)
         out = assemble_df_dX(res, cfg)
         expected = estimator_grad(res.s_eff[:, None] * res.blocks, E2M1, spline)
@@ -294,8 +304,8 @@ class TestAssembleDf:
         rng = np.random.default_rng(7)
         l, beta = 8, 4.0
         spec = BlockSpec(block_size=l, z=ZFunction(Z_LOGSUMEXP, beta=beta))
-        elem_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
-        scale_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
+        elem_est = EST_SIGMOID
+        scale_est = EST_SIGMOID
         cfg = GradConfig(
             elem_estimator=elem_est,
             scale_mode=SCALE_GRAD_SOFTMAX,
@@ -323,24 +333,6 @@ class TestAssembleDf:
             rel_err[:, j] = np.abs(got[:, j] - fd) / denom
         frac_ok = np.mean(rel_err <= 1e-3)
         assert frac_ok >= 0.99
-
-    def test_gate_changes_small_scale_blocks_only(self):
-        spec = BlockSpec(block_size=4, scale_format=E4M3)
-        # One block with a huge absmax (tiny multiplier, inside the gate)
-        # and one ordinary block (outside the gate).
-        X = np.array([4000.0, 1.1, 2.3, 3.1, 1.1, 0.7, 0.3, 2.3])
-        res = quantize_blocks(X, spec)
-        est = QGradEstimator(EST_SIGMOID, temperature=1.0)
-        base = dict(
-            elem_estimator=STE, scale_mode=SCALE_GRAD_ABSMAX, scale_q_estimator=est
-        )
-        gated = GradConfig(**base, gate_threshold=DEFAULT_GATE_THRESHOLD)
-        ungated = GradConfig(**base)
-        out_g = assemble_df_dX(res, gated)
-        out_u = assemble_df_dX(res, ungated)
-        assert res.s_ideal[0] < DEFAULT_GATE_THRESHOLD < res.s_ideal[1]
-        np.testing.assert_array_equal(out_g[0], out_u[0])
-        assert not np.array_equal(out_g[1], out_u[1])
 
 
 class TestTensorScaleGrad:
@@ -391,8 +383,8 @@ class TestAssembleDh:
         l, beta = 8, 4.0
         z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
         spec = BlockSpec(block_size=l, z=z_fn)
-        elem_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
-        scale_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
+        elem_est = EST_SIGMOID
+        scale_est = EST_SIGMOID
         cfg = GradConfig(
             elem_estimator=elem_est,
             scale_mode=SCALE_GRAD_SOFTMAX,
@@ -438,9 +430,9 @@ class TestAssembleDh:
 def test_estimator_values_bounded_by_grid(x):
     arr = np.array([x])
     for est in (
-        QGradEstimator(EST_SPLINE),
-        QGradEstimator(EST_BASELINE),
-        QGradEstimator(EST_SIGMOID, temperature=1.0),
+        EST_SPLINE,
+        EST_BASELINE,
+        EST_SIGMOID,
     ):
         v = estimator_value(arr, E2M1, est)[0]
         assert GRID[0] - 1e-9 <= v <= GRID[-1] + 1e-9

@@ -14,7 +14,6 @@ from mxsim.qgrad import (
     EST_SIGMOID,
     EST_SPLINE,
     GradConfig,
-    QGradEstimator,
     SCALE_GRAD_SOFTMAX,
     TENSOR_GRAD_ABSMAX,
     assemble_df_dX,
@@ -125,7 +124,7 @@ class TestForward:
         monkeypatch.setattr(qlinear, "assemble_df_dX", recording_assemble)
         rng = np.random.default_rng(4)
         X, W = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
-        cfg = small_cfg(grad=GradConfig(elem_estimator=QGradEstimator(EST_SPLINE),
+        cfg = small_cfg(grad=GradConfig(elem_estimator=EST_SPLINE,
                                         scale_mode=SCALE_GRAD_SOFTMAX))
         Y, ctx = forward(X, W, cfg)
         assert quantized == [(4, 8), (3, 8)]
@@ -201,13 +200,12 @@ class TestBackward:
 
     def test_spline_clip_floor_on_input_gradient(self):
         # With the scale-gradient term off, gX = (qg(gY) @ f(W)) * Q' and
-        # Q' >= clip_min, so no entry loses more than the clip factor.
+        # Q' >= 0.05, the spline's slope floor, so no entry loses more than
+        # that factor.
         rng = np.random.default_rng(8)
         X, W = rng.normal(size=(2, 8)), rng.normal(size=(3, 8))
-        clip = 0.25
-        cfg = small_cfg(
-            grad=GradConfig(elem_estimator=QGradEstimator(EST_SPLINE, clip_min=clip))
-        )
+        clip = 0.05
+        cfg = small_cfg(grad=GradConfig(elem_estimator=EST_SPLINE))
         Y, ctx = forward(X, W, cfg)
         gY = rng.normal(size=Y.shape)
         gX, _ = backward(gY, ctx, cfg)
@@ -283,8 +281,7 @@ class TestUnitOperandGradient:
         ({"tensor_scaling": True,
           "grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, False),
         ({"grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, True),
-        ({"grad": GradConfig(ste_second_term_one=True)}, False),
-        ({"grad": GradConfig(elem_estimator=QGradEstimator(EST_SPLINE))}, False),
+        ({"grad": GradConfig(elem_estimator=EST_SPLINE)}, False),
         ({"grad": GradConfig(scale_mode=SCALE_GRAD_SOFTMAX)}, False),
     ])
     def test_which_configs_skip(self, kw, unit):
@@ -351,8 +348,8 @@ class TestLayerFiniteDifference:
         from mxsim.mx import z_values
         from mxsim.qgrad import estimator_value
 
-        elem_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
-        scale_est = QGradEstimator(EST_SIGMOID, temperature=1.0)
+        elem_est = EST_SIGMOID
+        scale_est = EST_SIGMOID
         spec = BlockSpec(block_size=l, z=ZFunction(Z_LOGSUMEXP, beta=beta))
         cfg = small_cfg(
             spec=spec,
