@@ -225,7 +225,6 @@ def quantize_blocks(
     spec: BlockSpec,
     tensor_scaling: bool = False,
     rng: np.random.Generator | None = None,
-    generalized_rescale: bool = False,
 ) -> BlockQuantResult:
     """Quantize a tensor keeping every intermediate quantity.
 
@@ -237,8 +236,7 @@ def quantize_blocks(
     statistic of the raw tensor (identity when the tensor is all zero);
     blocks of ``X / g`` are then quantized, and the statistic is
     recomputed on the normalized blocks (it is not linear in general).
-    The fixed rescale divisor is applied automatically for the narrow
-    E4M3 scale format, or for any format when ``generalized_rescale``.
+    The fixed rescale divisor is applied for the narrow E4M3 scale format.
     """
     X = np.asarray(X, dtype=np.float64)
     l = spec.block_size
@@ -260,7 +258,7 @@ def quantize_blocks(
         s_ideal = np.where(z > 0, spec.elem_format.max_finite / z, np.inf)
 
     rescale = 1.0
-    if tensor_scaling and (spec.scale_format.name == E4M3.name or generalized_rescale):
+    if tensor_scaling and spec.scale_format.name == E4M3.name:
         rescale = nvfp4_rescale_constant(spec)
 
     stored = quantize_scales(s_ideal / rescale, spec, rng)
@@ -280,10 +278,9 @@ def quantize_tensor(
     spec: BlockSpec,
     tensor_scaling: bool = False,
     rng: np.random.Generator | None = None,
-    generalized_rescale: bool = False,
 ) -> QuantizedTensor:
     """Quantize a tensor into per-block scales and element values."""
-    return quantize_blocks(X, spec, tensor_scaling, rng, generalized_rescale).qt
+    return quantize_blocks(X, spec, tensor_scaling, rng).qt
 
 
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:

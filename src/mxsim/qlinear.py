@@ -3,13 +3,15 @@
 Forward: Y = f(X) @ f(W).T where f quantizes each operand along the
 contraction dimension.  Backward quantizes the incoming gradient twice
 (once per backward matmul, blocked along each matmul's own contraction
-dimension) and reuses the forward's dequantized operands, for six
-quantization events per step in total (four fresh, two reused).  The
-incoming-gradient and activation quantizations can use stochastic
-rounding; weights are always rounded to nearest.  An optional random
-sign-plus-Hadamard transform is applied to both operands of a matmul
-along the contraction dimension, where it cancels in exact arithmetic
-but spreads outliers before quantization.
+dimension) and reuses the forward's quantized operands, for six
+quantization events per step in total (four fresh, two reused); the
+forward saves their records only if the backward reads the operand
+derivative, else the matrices it multiplied.  The incoming-gradient and
+activation quantizations can use stochastic rounding; weights are always
+rounded to nearest.  An optional random sign-plus-Hadamard transform is
+applied to both operands of a matmul along the contraction dimension,
+where it cancels in exact arithmetic but spreads outliers before
+quantization.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ class QLinearConfig:
     grad: GradConfig = field(default_factory=GradConfig)
     hadamard: HadamardSpec = field(default_factory=HadamardSpec)
     tensor_scaling: bool = False
-    generalized_rescale: bool = False
     sr_policy: str = SR_NONE
     quantize: bool = True  # False: exact dense layer (debug / oracle path)
 
     def __post_init__(self):
         if self.sr_policy not in SR_POLICIES:
             raise ValueError(f"unknown SR policy {self.sr_policy!r}")
+        if self.spec.elem_rounding != TIES_TO_EVEN:
+            raise ValueError(f"element rounding {self.spec.elem_rounding!r}: "
+                             "sr_policy sets the element rounding")
         h, l = self.hadamard.block_size, self.spec.block_size
         if self.hadamard.mode != HADAMARD_NONE and l % h:
             raise ValueError(f"Hadamard block size {h} does not divide block size {l}")
@@ -75,12 +79,12 @@ class QLinearConfig:
 
 @dataclass
 class LayerContext:
-    """Saved state sufficient to reproduce the backward pass bit-exactly."""
+    """Saved state sufficient to reproduce the backward pass bit-exactly.
+    Each operand, padded along m, is saved once: its quantization record if
+    backward reads the operand derivative, else the matrix forward multiplied."""
 
-    fx: np.ndarray  # dequantized forward operands, padded along m
-    fw: np.ndarray
-    res_x: BlockQuantResult | None
-    res_w: BlockQuantResult | None
+    x: np.ndarray | BlockQuantResult
+    w: np.ndarray | BlockQuantResult
     m: int  # contraction length before padding
     seed: int
     step: int
@@ -107,10 +111,7 @@ def _quantize(
     rng = None
     if STOCHASTIC in (spec.scale_rounding, spec.elem_rounding):
         rng = np.random.default_rng([np.uint64(seed), np.uint64(step), np.uint64(site)])
-    return quantize_blocks(
-        a, spec, tensor_scaling=cfg.tensor_scaling, rng=rng,
-        generalized_rescale=cfg.generalized_rescale,
-    )
+    return quantize_blocks(a, spec, tensor_scaling=cfg.tensor_scaling, rng=rng)
 
 
 def _step_hadamard(cfg: QLinearConfig, step: int) -> HadamardSpec:
@@ -125,8 +126,8 @@ def forward(
     """Y = f(X) @ f(W).T with X: [b, m], W: [n, m]."""
     X = np.asarray(X, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
-    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
-        raise ValueError(f"shape mismatch: X {X.shape} vs W {W.shape}")
+    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1] or 0 in X.shape + W.shape:
+        raise ValueError(f"X {X.shape}, W {W.shape}: need non-empty [b, m] and [n, m]")
     l = cfg.spec.block_size
 
     x_pad = _pad_axis(X, 1, l)
@@ -140,16 +141,12 @@ def forward(
     if cfg.quantize:
         res_x = _quantize(x_pad, cfg, cfg.sr_policy == SR_ALL, seed, step, 0)
         res_w = _quantize(w_pad, cfg, False, seed, step, 1)
-        fx, fw = res_x.qt.dequantize(), res_w.qt.dequantize()
-    else:
-        res_x = res_w = None
-        fx, fw = x_pad, w_pad
+        x_pad, w_pad = res_x.qt.dequantize(), res_w.qt.dequantize()
 
-    Y = fx @ fw.T
-    ctx = LayerContext(
-        fx=fx, fw=fw, res_x=res_x, res_w=res_w, m=X.shape[1], seed=seed, step=step,
-    )
-    return Y, ctx
+    Y = x_pad @ w_pad.T
+    records = cfg.quantize and not cfg._unit_operand_grad  # backward reads them
+    x, w = (res_x, res_w) if records else (x_pad, w_pad)
+    return Y, LayerContext(x=x, w=w, m=X.shape[1], seed=seed, step=step)
 
 
 def _operand_grad(res: BlockQuantResult, cfg: QLinearConfig) -> np.ndarray:
@@ -168,7 +165,8 @@ def backward(
     gY = np.asarray(gY, dtype=np.float64)
     if not np.isfinite(gY).all():
         raise NonFiniteGradientError("incoming gradient is not finite")
-    fw, fx = ctx.fw, ctx.fx
+    fx, fw = (a.qt.dequantize() if isinstance(a, BlockQuantResult) else a
+              for a in (ctx.x, ctx.w))
     b, n = fx.shape[0], fw.shape[0]
     if gY.shape != (b, n):
         raise ValueError(f"gradient shape {gY.shape} != {(b, n)}")
@@ -198,9 +196,9 @@ def backward(
         g2 = _quantize(g2, cfg, stochastic, ctx.seed, ctx.step, 3).qt.dequantize()
     gw_pad = g2 @ fx2
 
-    if cfg.quantize and not cfg._unit_operand_grad:  # x * 1.0 == x: skip it
-        gx_pad = gx_pad * _operand_grad(ctx.res_x, cfg)
-        gw_pad = gw_pad * _operand_grad(ctx.res_w, cfg)
+    if isinstance(ctx.x, BlockQuantResult):  # else the derivative is all ones
+        gx_pad = gx_pad * _operand_grad(ctx.x, cfg)
+        gw_pad = gw_pad * _operand_grad(ctx.w, cfg)
 
     if cfg.hadamard.mode == HADAMARD_ALL:
         # Undo the forward rotation of the operands: X was transformed

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mxsim.formats import STOCHASTIC, TOWARD_POSITIVE
+from mxsim.formats import STOCHASTIC, TIES_TO_EVEN, TOWARD_POSITIVE
 from mxsim.hadamard import HADAMARD_ALL, HADAMARD_BACKWARD, HadamardSpec
-from mxsim.mx import BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks
+from mxsim.mx import BlockQuantResult, BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks
 from mxsim.qgrad import (
     EST_SIGMOID,
     EST_SPLINE,
@@ -53,13 +53,34 @@ class TestForward:
         X[0, 5] = 1.0
         cfg = small_cfg()
         Y, ctx = forward(X, W, cfg)
-        fx = ctx.fx[0]
-        expected = fx @ ctx.fw.T
+        fx = ctx.x[0]
+        expected = fx @ ctx.w.T
         np.testing.assert_allclose(Y[0], expected)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             forward(np.ones((2, 4)), np.ones((3, 5)), small_cfg())
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((3, 0), (2, 0)), ((0, 5), (2, 5)), ((3, 5), (0, 5)),
+    ], ids=["m0", "b0", "n0"])
+    @pytest.mark.parametrize("kw", [{}, {"grad": GradConfig(elem_estimator=EST_SPLINE)}],
+                             ids=["ste", "spline"])
+    def test_empty_operand_rejected(self, x_shape, w_shape, kw):
+        # An empty operand still gets one quantization block, so a smoothed
+        # backward would fail late on its reshape; every config refuses it
+        # in forward, naming both shapes.
+        with pytest.raises(ValueError) as err:
+            forward(np.ones(x_shape), np.ones(w_shape), small_cfg(**kw))
+        assert str(x_shape) in str(err.value) and str(w_shape) in str(err.value)
+
+    @pytest.mark.parametrize("mode", [TOWARD_POSITIVE, STOCHASTIC])
+    def test_element_rounding_is_set_by_sr_policy(self, mode):
+        # The layer rounds elements as sr_policy says, so any other element
+        # rounding in the spec would be silently ignored.
+        with pytest.raises(ValueError, match="sr_policy sets the element rounding"):
+            QLinearConfig(spec=BlockSpec(elem_rounding=mode))
+        QLinearConfig(spec=BlockSpec(elem_rounding=TIES_TO_EVEN))
 
     def test_quantize_disabled_is_exact_dense(self):
         rng = np.random.default_rng(1)
@@ -101,7 +122,7 @@ class TestForward:
         X, W = rng.normal(size=(2, 6)), rng.normal(size=(3, 6))  # 6 % 4 != 0
         Y, ctx = forward(X, W, small_cfg())
         assert Y.shape == (2, 3)
-        assert ctx.fx.shape == (2, 8) and ctx.fw.shape == (3, 8)
+        assert ctx.x.shape == (2, 8) and ctx.w.shape == (3, 8)
 
     def test_six_site_accounting(self, monkeypatch):
         # Two fresh quantizations forward, two fresh ones backward (one
@@ -131,7 +152,7 @@ class TestForward:
         backward(np.ones_like(Y), ctx, cfg)
         assert quantized[2:] == [(4, 4), (3, 4)]
         assert len(assembled) == 2
-        assert assembled[0] is ctx.res_x and assembled[1] is ctx.res_w
+        assert assembled[0] is ctx.x and assembled[1] is ctx.w
 
         quantized.clear()
         ste = small_cfg()
@@ -270,7 +291,10 @@ class TestUnitOperandGradient:
 
         monkeypatch.setattr(QLinearConfig, "_unit_operand_grad", False)
         monkeypatch.setattr(qlinear, "assemble_df_dX", recording_assemble)
-        explicit = backward(gY, ctx, small_cfg(**kw))
+        cfg = small_cfg(**kw)
+        Y_explicit, ctx = forward(X, W, cfg)  # saves the records
+        assert Y_explicit.tobytes() == Y.tobytes()
+        explicit = backward(gY, ctx, cfg)
         assert len(assembled) == 2
         for a, b in zip(skipped, explicit):
             assert a.tobytes() == b.tobytes()
@@ -286,6 +310,33 @@ class TestUnitOperandGradient:
     ])
     def test_which_configs_skip(self, kw, unit):
         assert small_cfg(**kw)._unit_operand_grad is unit
+
+
+class TestLayerContext:
+    """Each operand is saved once: its record when the backward reads the
+    operand derivative, otherwise the matrix the forward multiplied."""
+
+    @pytest.mark.parametrize("kw, records", [
+        ({}, False),
+        ({"quantize": False}, False),
+        ({"grad": GradConfig(elem_estimator=EST_SPLINE,
+                             scale_mode=SCALE_GRAD_SOFTMAX)}, True),
+    ], ids=["ste", "dense", "spline-softsoftmax"])
+    def test_saves_each_operand_once(self, kw, records):
+        rng = np.random.default_rng(15)
+        X, W = rng.normal(size=(5, 6)), rng.normal(size=(3, 6))  # m pads to 8
+        cfg = small_cfg(**kw)
+        Y, ctx = forward(X, W, cfg, seed=2, step=3)
+        assert [f.name for f in fields(ctx)] == ["x", "w", "m", "seed", "step"]
+        assert (ctx.m, ctx.seed, ctx.step) == (6, 2, 3)
+        if records:
+            assert isinstance(ctx.x, BlockQuantResult) and isinstance(ctx.w, BlockQuantResult)
+            fx, fw = ctx.x.qt.dequantize(), ctx.w.qt.dequantize()
+        else:
+            assert isinstance(ctx.x, np.ndarray) and isinstance(ctx.w, np.ndarray)
+            fx, fw = ctx.x, ctx.w
+        assert fx.shape == (5, 8) and fw.shape == (3, 8)
+        assert Y.tobytes() == (fx @ fw.T).tobytes()
 
 
 class TestHadamardPlacement:
