@@ -15,6 +15,7 @@ with ``transform_along_axis(..., inverse=True)``.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,26 @@ def block_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-@functools.lru_cache(maxsize=16)
+# Sign arrays each thread keeps for its latest seed.
+_SIGNS_KEPT = 16
+_kept = threading.local()
+
+
 def _shared_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
     """Read-only :func:`block_signs`, drawn once per argument triple: one
     ``qlinear`` step under ``all`` transforms eight operands along three
-    distinct lengths with the same seed.  The bound holds a few layer steps;
-    a miss only draws the rows again."""
-    signs = block_signs(seed, num_blocks, l)
-    signs.setflags(write=False)
+    distinct lengths with the same seed.  Each thread keeps only its latest
+    seed's draws, at most ``_SIGNS_KEPT`` of them, so how often a thread
+    draws does not depend on what other threads run."""
+    if getattr(_kept, "seed", None) != seed:
+        _kept.seed, _kept.rows = seed, {}
+    rows = _kept.rows
+    signs = rows.get((num_blocks, l))
+    if signs is None:
+        if len(rows) == _SIGNS_KEPT:
+            del rows[next(iter(rows))]  # the oldest
+        signs = rows[num_blocks, l] = block_signs(seed, num_blocks, l)
+        signs.setflags(write=False)
     return signs
 
 

@@ -289,10 +289,10 @@ def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
 
 
 def _unblock(values: np.ndarray, qt: QuantizedTensor) -> np.ndarray:
-    """Re-apply the global factor to dequantized blocks and drop each
-    row's padding."""
+    """Re-apply the global factor to dequantized blocks, in place in
+    ``values``, and drop each row's padding."""
     if qt.global_scale is not None:
-        values = values * qt.global_scale
+        values *= qt.global_scale
     n = qt.shape[-1] if qt.shape else 1
     l = qt.spec.block_size
     rows = values.reshape(-1, -(-n // l) * l) if math.prod(qt.shape) else values[:0]

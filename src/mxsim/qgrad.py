@@ -13,12 +13,13 @@ incoming gradient.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .formats import FloatFormat, grid, round_array
-from .mx import BlockQuantResult, ZFunction, Z_ABSMAX, Z_LOGSUMEXP, z_values
+from .mx import BlockQuantResult, Z_ABSMAX, z_values
 
 # Element / scale quantizer gradient estimators.
 EST_STE = "STE"
@@ -110,11 +111,62 @@ def q_spline(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
                     np.where(x < t[0], b[0], b[-1]))
 
 
-def q_spline_grad(x: np.ndarray, fmt: FloatFormat, clip_min: float = 0.05) -> np.ndarray:
-    """Spline slope, floored at ``clip_min`` (saturating regions report it too)."""
-    _, _, slopes, i, inside = _spline_interval(np.asarray(x, dtype=np.float64), fmt)
+def _spline_slope(x: np.ndarray, fmt: FloatFormat, clip_min: float) -> np.ndarray:
+    """Spline slope floored at ``clip_min``, found by a search of the knots."""
+    _, _, slopes, i, inside = _spline_interval(x, fmt)
     a = np.where(inside, slopes[i], 0.0)
     return np.maximum(a, clip_min)
+
+
+# Cells of the largest slope table; of the FORMATS, only E2M1's knots fit.
+_MAX_TABLE = 4096
+
+
+@functools.cache
+def _spline_slope_table(fmt: FloatFormat, clip_min: float):
+    """:func:`_spline_slope` per cell ``[k, k + 1) / 2**s``, or None unless
+    every knot is a multiple of ``2**-s`` for an ``s >= 0`` at which at
+    most ``_MAX_TABLE`` cells span the knots.
+
+    Returns ``(2**s, offset, table)``: ``x`` lies in cell
+    ``floor(x * 2**s) + offset``, clipped to the table, whose two end cells
+    stand for everything beyond the knots.  Each cell holds the search's
+    slope at its left edge.  E2M1's knots are quarters in [-5, 5], so its
+    table has 42 cells.
+    """
+    t = _spline_data(fmt)[0]
+    for s in range(64):
+        scale = 2.0**s
+        lo, hi = t[0] * scale, t[-1] * scale
+        if hi - lo + 2 > _MAX_TABLE:
+            return None
+        if np.array_equal(t * scale, np.floor(t * scale)):
+            break
+    table = _spline_slope(np.arange(lo - 1, hi + 1) / scale, fmt, clip_min)
+    table.setflags(write=False)
+    return scale, 1 - lo, table
+
+
+def q_spline_grad(x: np.ndarray, fmt: FloatFormat, clip_min: float = 0.05) -> np.ndarray:
+    """Spline slope, floored at ``clip_min`` (saturating regions report it too,
+    and so do NaN inputs).
+
+    Read from the format's slope table where it has one: ``x * 2**s`` is
+    exact, ``fmax``/``fmin`` send NaN to the cell below the knots, and the
+    cell numbers are cast to integers in their own buffer.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lookup = _spline_slope_table(fmt, clip_min)
+    if lookup is None:
+        return _spline_slope(x, fmt, clip_min)
+    scale, offset, table = lookup
+    cell = np.multiply(x, scale, out=np.empty(x.shape))
+    np.floor(cell, out=cell)
+    cell += offset
+    np.fmax(cell, 0.0, out=cell)
+    index = cell.view(np.int64)
+    np.fmin(cell, len(table) - 1, out=index, casting="unsafe")
+    return table.take(index)
 
 
 def _baseline_interval(x: np.ndarray, fmt: FloatFormat):
@@ -224,11 +276,16 @@ def dZ(
         return out
     if mode in (SCALE_GRAD_SOFTMAX, SCALE_GRAD_HYBRID):
         m = a.max(axis=-1, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        e = np.exp(beta * (a - m))
-        e = np.where(np.isfinite(a), e, 0.0)
-        weights = e / e.sum(axis=-1, keepdims=True)
-        return weights * np.sign(blocks)
+        finite = np.isfinite(m)
+        e = a - np.where(finite, m, 0.0)
+        e *= beta
+        np.exp(e, out=e)
+        # A row with a finite maximum holds only finite |x| unless masked.
+        if mask is not None or not finite.all():
+            e = np.where(np.isfinite(a), e, 0.0)
+        e /= e.sum(axis=-1, keepdims=True)
+        e *= np.sign(blocks, out=a)
+        return e
     raise ValueError(f"no statistic derivative for mode {mode!r}")
 
 
@@ -245,6 +302,16 @@ def ds_dX(blocks: np.ndarray, z: np.ndarray, dz: np.ndarray, elem_max: float) ->
 # ---------------------------------------------------------------------------
 
 
+def _padding_mask(res: BlockQuantResult) -> np.ndarray | None:
+    """``res.mask``, or None when the record has no padding to mask (as
+    every ``qlinear`` operand, padded to whole blocks before quantizing)."""
+    return None if res.blocks.size == math.prod(res.qt.shape) else res.mask
+
+
+def _unpad(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return d if mask is None else np.where(mask, d, 0.0)
+
+
 def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     """Per-element derivative of block quantization.
 
@@ -257,7 +324,8 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
 
     The result is Q'(s_q x) plus the scale-path correction
     ds/dX * (q'(s)/s_q) * (x Q'(s_q x) - Q(s_q x)/s_q); a pass-through
-    scale gradient drops the correction entirely.
+    scale gradient drops the correction entirely.  The correction is
+    formed in place, operation for operation.
     """
     spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
     qg = estimator_grad(s_q[:, None] * blocks, spec.elem_format, cfg.elem_estimator)
@@ -265,60 +333,77 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     if cfg.scale_mode == SCALE_GRAD_STE:
         return qg
 
-    dz = dZ(blocks, cfg.scale_mode, cfg.beta, res.mask)
+    mask = _padding_mask(res)
+    dz = dZ(blocks, cfg.scale_mode, cfg.beta, mask)
     ds = ds_dX(blocks, res.z, dz, spec.elem_format.max_finite)
 
     s_pre = res.s_ideal / res.qt.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
     qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
 
-    q_vals = res.values * s_q[:, None]
-    bracket = (qprime / s_q)[:, None] * (blocks * qg - q_vals / s_q[:, None])
-    return np.where(res.mask, qg + ds * bracket, 0.0)
+    q_over_s = res.values
+    q_over_s *= s_q[:, None]  # q_vals
+    q_over_s /= s_q[:, None]
+    out = blocks * qg
+    out -= q_over_s
+    out *= (qprime / s_q)[:, None]  # the bracket
+    out *= ds
+    out += qg
+    return _unpad(out, mask)
 
 
-def tensor_scale_grad(
-    raw_blocks: np.ndarray,
-    z_raw: np.ndarray,
-    z_fn: ZFunction,
-    mode: str,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Derivative of the global factor g = max over blocks of Z(X_p).
+def tensor_scale_grad(res: BlockQuantResult) -> tuple[int, np.ndarray]:
+    """Derivative of the global factor g = max over blocks of Z(X_p): the
+    block p it is nonzero in, and its row there.
 
     Away from ties only the block with the largest statistic contributes;
-    inside it the local statistic gradient applies (one-hot under the
-    hard max, softmax weights under the smooth statistic).
+    inside it the local statistic gradient applies (one-hot under the hard
+    max, softmax weights under the smooth statistic).  The raw blocks are
+    ``res.blocks`` times the global factor.  Under the hard max their
+    statistic is ``res.z`` times it, because ``x -> fl(x * g)`` is monotone.
     """
-    raw_blocks = np.asarray(raw_blocks, dtype=np.float64)
-    if mode == TENSOR_GRAD_IGNORE:
-        return np.zeros_like(raw_blocks)
-    if mode == TENSOR_GRAD_STE:
-        return np.ones_like(raw_blocks)
-    out = np.zeros_like(raw_blocks)
-    p = int(np.argmax(z_raw))
-    block = raw_blocks[p : p + 1]
-    m = mask[p : p + 1] if mask is not None else None
+    z_fn, g = res.qt.spec.z, res.qt.global_scale or 1.0
+    mask = _padding_mask(res)
     if z_fn.kind == Z_ABSMAX:
-        out[p : p + 1] = dZ(block, SCALE_GRAD_ABSMAX, mask=m)
+        z_raw = res.z * g
     else:
-        out[p : p + 1] = dZ(block, SCALE_GRAD_SOFTMAX, z_fn.beta, mask=m)
-    return out
+        z_raw = z_values(res.blocks * g, z_fn, mask)
+    p = int(np.argmax(z_raw))
+    block = res.blocks[p : p + 1] * g
+    m = None if mask is None else mask[p : p + 1]
+    if z_fn.kind == Z_ABSMAX:
+        return p, dZ(block, SCALE_GRAD_ABSMAX, mask=m)[0]
+    return p, dZ(block, SCALE_GRAD_SOFTMAX, z_fn.beta, mask=m)[0]
+
+
+def _correction_is_finite(res: BlockQuantResult, df_dU: np.ndarray) -> bool:
+    """Whether every f(U) - U * df/dU is finite, bounded through the
+    largest magnitude of each factor (rounding is monotone)."""
+    q, u, d = (np.maximum(a.max(), -a.min()) for a in (res.qt.elements, res.blocks, df_dU))
+    return bool(np.isfinite(q / res.s_eff.min() + u * d))  # NaN fails too
 
 
 def assemble_dh_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     """Per-element derivative with the global tensor factor included.
 
     dh/dX = df/dU + dg/dX * (f(U) - U * df/dU), with the correction term
-    zeroed when the global-factor gradient is ignored.  The raw blocks are
-    ``res.blocks`` times the global factor.
+    zeroed when the global-factor gradient is ignored.  Under the hard max
+    over blocks, dg/dX vanishes off one block, which alone is corrected
+    when the correction is finite everywhere: elsewhere it would add
+    0 * (a finite value) to df/dU, which is never -0.0.
     """
     df_dU = assemble_df_dX(res, cfg)
     if cfg.tensor_mode == TENSOR_GRAD_IGNORE:
         return df_dU
-    z_fn = res.qt.spec.z
-    raw_blocks = res.blocks * (res.qt.global_scale or 1.0)
-    z_raw = z_values(raw_blocks, z_fn, res.mask)
-    dg = tensor_scale_grad(raw_blocks, z_raw, z_fn, cfg.tensor_mode, res.mask)
+    mask = _padding_mask(res)
+    dg = 1.0  # TENSOR_GRAD_STE
+    if cfg.tensor_mode == TENSOR_GRAD_ABSMAX:
+        p, row = tensor_scale_grad(res)
+        if _correction_is_finite(res, df_dU):
+            values_p = res.qt.elements[p] / res.s_eff[p]
+            df_dU[p] += row * (values_p - res.blocks[p] * df_dU[p])
+            return _unpad(df_dU, mask)
+        dg = np.zeros_like(df_dU)
+        dg[p] = row
     out = df_dU + dg * (res.values - res.blocks * df_dU)
-    return np.where(res.mask, out, 0.0)
+    return _unpad(out, mask)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -139,11 +141,31 @@ class TestAxisTransform:
             transform_along_axis(np.ones(20), 0, spec)
 
 
+def _in_new_thread(fn):
+    """Run ``fn`` in a fresh thread, which has drawn no signs yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60)
+
+
 class TestSignDraws:
-    def test_one_draw_per_length_per_layer_step(self, monkeypatch):
-        import mxsim.hadamard as hadamard
+    @staticmethod
+    def _layer_step():
+        """One forward and backward step under ``all``.  Padded lengths:
+        contraction 48, output 16 and batch 32, so the eight transforms of
+        one step use three lengths."""
         from mxsim.mx import BlockSpec
         from mxsim.qlinear import QLinearConfig, backward, forward
+
+        cfg = QLinearConfig(spec=BlockSpec(block_size=16),
+                            hadamard=HadamardSpec(block_size=16, mode=HADAMARD_ALL))
+        rng = np.random.default_rng(12)
+        X, W = rng.normal(size=(20, 40)), rng.normal(size=(3, 40))
+        Y, ctx = forward(X, W, cfg, step=5)
+        backward(np.ones_like(Y), ctx, cfg)
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        import mxsim.hadamard as hadamard
 
         draws = []
 
@@ -151,22 +173,33 @@ class TestSignDraws:
             draws.append((num_blocks, l))
             return block_signs(seed, num_blocks, l)
 
-        hadamard._shared_signs.cache_clear()
         monkeypatch.setattr(hadamard, "block_signs", counting)
-        cfg = QLinearConfig(spec=BlockSpec(block_size=16),
-                            hadamard=HadamardSpec(block_size=16, mode=HADAMARD_ALL))
-        rng = np.random.default_rng(12)
-        # Padded lengths: contraction 48, output 16 and batch 32, so the
-        # eight transforms of one step use three lengths.
-        X, W = rng.normal(size=(20, 40)), rng.normal(size=(3, 40))
-        Y, ctx = forward(X, W, cfg, step=5)
-        backward(np.ones_like(Y), ctx, cfg)
+        return draws
+
+    def test_one_draw_per_length_per_layer_step(self, monkeypatch):
+        draws = self._count_draws(monkeypatch)
+        _in_new_thread(self._layer_step)
         assert sorted(draws) == [(1, 16), (2, 16), (3, 16)]
 
-    def test_shared_rows_are_read_only_and_bounded(self):
-        from mxsim.hadamard import _shared_signs
+    def test_draws_do_not_depend_on_other_threads(self, monkeypatch):
+        # The same step in a second thread draws its own rows, as the
+        # sweep's pool threads must for a run's counts to repeat.
+        draws = self._count_draws(monkeypatch)
+        _in_new_thread(self._layer_step)
+        in_a = len(draws)
+        _in_new_thread(self._layer_step)
+        assert (in_a, len(draws) - in_a) == (3, 3)
 
-        signs = _shared_signs(21, 3, 8)
+    def test_shared_rows_are_read_only_and_bounded(self):
+        import mxsim.hadamard as hadamard
+
+        def draw():
+            signs = hadamard._shared_signs(21, 3, 8)
+            for n in range(1, 2 * hadamard._SIGNS_KEPT):
+                hadamard._shared_signs(21, n, 8)
+            return signs, len(hadamard._kept.rows)
+
+        signs, kept = _in_new_thread(draw)
         np.testing.assert_array_equal(signs, block_signs(21, 3, 8))
         assert not signs.flags.writeable
-        assert _shared_signs.cache_info().maxsize is not None
+        assert kept == hadamard._SIGNS_KEPT

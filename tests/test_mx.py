@@ -235,6 +235,23 @@ class TestTensorPath:
         scaled = dequantize_tensor(quantize_tensor(X, spec, tensor_scaling=True))
         np.testing.assert_allclose(scaled, plain, rtol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(6, 40), (4, 32), (0, 5)])
+    @pytest.mark.parametrize("scale_format", [E8M0, E4M3])
+    def test_dequantized_bytes(self, shape, scale_format):
+        # The global factor multiplies the dequantized blocks, which are
+        # then cut back to the tensor's shape.
+        X = np.random.default_rng(4).normal(size=shape) * 3.0
+        spec = BlockSpec(block_size=16, scale_format=scale_format)
+        for tensor_scaling in (False, True):
+            qt = quantize_tensor(X, spec, tensor_scaling=tensor_scaling)
+            blocks = qt.elements / (qt.rescale * qt.scales)[:, None]
+            if qt.global_scale is not None:
+                blocks = blocks * qt.global_scale
+            n = -(-shape[1] // 16) * 16
+            expected = blocks.reshape(-1, n)[:, : shape[1]] if X.size else X
+            assert dequantize_tensor(qt).tobytes() == expected.tobytes()
+            assert dequantize_tensor(qt).shape == shape
+
     def test_all_zero_tensor_g_is_one(self):
         spec = BlockSpec(block_size=8)
         qt = quantize_tensor(np.zeros(8), spec, tensor_scaling=True)

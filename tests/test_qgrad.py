@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxsim.formats import E2M1, E8M0, FloatFormat, grid, round_array
+from mxsim.formats import E2M1, E4M3, E8M0, FORMATS, FloatFormat, grid, round_array
 from mxsim.mx import (
     BlockQuantResult,
     BlockSpec,
     QuantizedTensor,
     ZFunction,
+    Z_ABSMAX,
     Z_LOGSUMEXP,
     quantize_blocks,
     z_values,
@@ -32,6 +33,7 @@ from mxsim.qgrad import (
     TENSOR_GRAD_ABSMAX,
     TENSOR_GRAD_IGNORE,
     TENSOR_GRAD_STE,
+    _spline_data,
     assemble_df_dX,
     assemble_dh_dX,
     dZ,
@@ -336,21 +338,30 @@ class TestAssembleDf:
 
 
 class TestTensorScaleGrad:
+    @staticmethod
+    def _record():
+        X = np.array([[1.0, 2.0], [-5.0, 0.5], [3.0, 1.0]])
+        return quantize_blocks(X, BlockSpec(block_size=2), tensor_scaling=True)
+
     def test_ignore_is_zero(self):
-        blocks = np.ones((3, 4))
-        out = tensor_scale_grad(blocks, np.ones(3), ZFunction(), TENSOR_GRAD_IGNORE)
-        np.testing.assert_array_equal(out, 0.0)
+        # dg/dX = 0: the tensor-factor correction adds nothing.
+        res = quantize_blocks(np.ones((3, 4)), BlockSpec(block_size=4), tensor_scaling=True)
+        cfg = GradConfig(elem_estimator=EST_SPLINE, tensor_mode=TENSOR_GRAD_IGNORE)
+        assert assemble_dh_dX(res, cfg).tobytes() == assemble_df_dX(res, cfg).tobytes()
 
     def test_ste_is_one(self):
-        blocks = np.ones((3, 4))
-        out = tensor_scale_grad(blocks, np.ones(3), ZFunction(), TENSOR_GRAD_STE)
-        np.testing.assert_array_equal(out, 1.0)
+        # dg/dX = 1 on every element: the whole correction is added.
+        res = quantize_blocks(np.ones((3, 4)), BlockSpec(block_size=4), tensor_scaling=True)
+        cfg = GradConfig(elem_estimator=EST_SPLINE, tensor_mode=TENSOR_GRAD_STE)
+        df = assemble_df_dX(res, cfg)
+        expected = df + 1.0 * (res.values - res.blocks * df)
+        assert assemble_dh_dX(res, cfg).tobytes() == expected.tobytes()
 
     def test_hard_max_one_hot_at_global_argmax(self):
-        blocks = np.array([[1.0, 2.0], [-5.0, 0.5], [3.0, 1.0]])
-        z = np.abs(blocks).max(axis=1)
-        out = tensor_scale_grad(blocks, z, ZFunction(), TENSOR_GRAD_ABSMAX)
-        expected = np.zeros_like(blocks)
+        p, row = tensor_scale_grad(self._record())
+        out = np.zeros((3, 2))
+        out[p] = row
+        expected = np.zeros((3, 2))
         expected[1, 0] = -1.0
         np.testing.assert_array_equal(out, expected)
 
@@ -423,6 +434,181 @@ class TestAssembleDh:
                 fd = (hp - hm) / (2 * h)
                 rel_err[p, j] = abs(got[p, j] - fd) / max(abs(fd), 1e-3)
         assert np.mean(rel_err <= 1e-3) >= 0.99
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the search of the knots, and the derivative built in full arrays
+# ---------------------------------------------------------------------------
+
+
+def _searched_spline_slope(x, fmt, clip_min):
+    t, _, slopes = _spline_data(fmt)
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+    inside = (x >= t[0]) & (x < t[-1])
+    return np.maximum(np.where(inside, slopes[i], 0.0), clip_min)
+
+
+def _spline_inputs(fmt):
+    t = _spline_data(fmt)[0]
+    edges = np.concatenate([t, np.arange(-24, 25) / 4.0])
+    return np.concatenate([
+        np.random.default_rng(0).standard_normal(3_000_000),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, 6.0, -6.0, 1e300, -1e300, np.inf, -np.inf, np.nan],
+    ])
+
+
+class TestSplineSlopeTable:
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_equals_the_knot_search(self, name):
+        fmt = FORMATS[name]
+        x = _spline_inputs(fmt)
+        for clip_min in (0.05, 0.0, 0.3):
+            got = q_spline_grad(x, fmt, clip_min=clip_min)
+            assert got.tobytes() == _searched_spline_slope(x, fmt, clip_min).tobytes()
+
+    def test_e2m1_has_a_42_cell_table_and_wide_formats_none(self):
+        from mxsim.qgrad import _spline_slope_table
+
+        assert len(_spline_slope_table(E2M1, 0.05)[2]) == 42
+        assert _spline_slope_table(E8M0, 0.05) is None
+        assert _spline_slope_table(E4M3, 0.05) is None
+
+    def test_nan_and_infinities_read_the_floor(self):
+        x = np.array([np.nan, np.inf, -np.inf])
+        np.testing.assert_array_equal(q_spline_grad(x, E2M1, clip_min=0.07), 0.07)
+
+    def test_shapes_and_strides(self):
+        x = np.random.default_rng(1).uniform(-7.0, 7.0, size=(64, 32))
+        for a in (x, x.T, x[::3, 1::2], np.asarray(1.3)):
+            got = q_spline_grad(a, E2M1)
+            assert got.shape == a.shape
+            assert got.tobytes() == _searched_spline_slope(a, E2M1, 0.05).tobytes()
+
+
+def _full_dZ(blocks, mode, beta, mask):
+    a = np.abs(blocks)
+    a = np.where(mask, a, -np.inf)
+    if mode == SCALE_GRAD_ABSMAX:
+        out = np.zeros_like(blocks)
+        idx = np.argmax(a, axis=-1)
+        rows = np.arange(blocks.shape[0])
+        out[rows, idx] = np.sign(blocks[rows, idx])
+        out[a[rows, idx] <= 0, :] = 0.0
+        return out
+    m = a.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(beta * (a - m))
+    e = np.where(np.isfinite(a), e, 0.0)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return weights * np.sign(blocks)
+
+
+def _full_df_dX(res, cfg):
+    spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
+    qg = estimator_grad(s_q[:, None] * blocks, spec.elem_format, cfg.elem_estimator)
+    if cfg.scale_mode == SCALE_GRAD_STE:
+        return qg
+    dz = _full_dZ(blocks, cfg.scale_mode, cfg.beta, res.mask)
+    ds = ds_dX(blocks, res.z, dz, spec.elem_format.max_finite)
+    s_pre = res.s_ideal / res.qt.rescale
+    finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
+    qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
+    q_vals = res.values * s_q[:, None]
+    bracket = (qprime / s_q)[:, None] * (blocks * qg - q_vals / s_q[:, None])
+    return np.where(res.mask, qg + ds * bracket, 0.0)
+
+
+def _full_dh_dX(res, cfg):
+    """dh/dX with dg/dX as a full array and the mask applied everywhere."""
+    df_dU = _full_df_dX(res, cfg)
+    if cfg.tensor_mode == TENSOR_GRAD_IGNORE:
+        return df_dU
+    z_fn = res.qt.spec.z
+    raw_blocks = res.blocks * (res.qt.global_scale or 1.0)
+    if cfg.tensor_mode == TENSOR_GRAD_STE:
+        dg = np.ones_like(raw_blocks)
+    else:
+        z_raw = z_values(raw_blocks, z_fn, res.mask)
+        p = int(np.argmax(z_raw))
+        dg = np.zeros_like(raw_blocks)
+        mode = SCALE_GRAD_ABSMAX if z_fn.kind == Z_ABSMAX else SCALE_GRAD_SOFTMAX
+        dg[p] = _full_dZ(raw_blocks[p : p + 1], mode, z_fn.beta, res.mask[p : p + 1])
+    out = df_dU + dg * (res.values - res.blocks * df_dU)
+    return np.where(res.mask, out, 0.0)
+
+
+def _grad_configs(tensor_modes):
+    for elem in (EST_SPLINE, EST_BASELINE, EST_SIGMOID, EST_STE):
+        for scale_mode in (SCALE_GRAD_STE, SCALE_GRAD_ABSMAX, SCALE_GRAD_SOFTMAX,
+                           SCALE_GRAD_HYBRID):
+            for scale_q in (EST_STE, EST_SPLINE):
+                for tensor_mode in tensor_modes:
+                    yield GradConfig(elem_estimator=elem, scale_mode=scale_mode,
+                                     scale_q_estimator=scale_q, beta=7.0,
+                                     tensor_mode=tensor_mode)
+
+
+_TENSOR_MODES = (TENSOR_GRAD_ABSMAX, TENSOR_GRAD_STE, TENSOR_GRAD_IGNORE)
+
+
+class TestAssemblyOracle:
+    """The assembled derivatives equal, byte for byte, the full-array
+    formulas with the padding mask applied at every step."""
+
+    @pytest.mark.parametrize("z", [ZFunction(), ZFunction(Z_LOGSUMEXP, beta=9.0)])
+    @pytest.mark.parametrize("shape", [(6, 48), (4, 64)], ids=["padded", "unpadded"])
+    @pytest.mark.parametrize("scale_format, l", [(E8M0, 32), (E4M3, 16)])
+    @pytest.mark.parametrize("tensor_scaling", [True, False])
+    def test_equals_full_formula(self, z, shape, scale_format, l, tensor_scaling):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal(shape) * np.exp(rng.uniform(-4.0, 4.0, size=(shape[0], 1)))
+        X[0, :l] = 0.0  # a dead block
+        spec = BlockSpec(block_size=l, scale_format=scale_format, z=z)
+        res = quantize_blocks(X, spec, tensor_scaling=tensor_scaling)
+        for cfg in _grad_configs(_TENSOR_MODES):
+            assert assemble_df_dX(res, cfg).tobytes() == _full_df_dX(res, cfg).tobytes()
+            assert assemble_dh_dX(res, cfg).tobytes() == _full_dh_dX(res, cfg).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 48), (2, 64)], ids=["padded", "unpadded"])
+    def test_infinite_df_dU(self, shape):
+        # A block 1e-200 times the tensor's largest: Z * Z underflows, so
+        # ds/dX and with it df/dU are infinite there, and 0 * inf makes the
+        # full formula NaN off the argmax block.
+        X = np.full(shape, 0.5)
+        X[1] *= 1e-200
+        res = quantize_blocks(X, BlockSpec(block_size=32), tensor_scaling=True)
+        cfgs = list(_grad_configs((TENSOR_GRAD_ABSMAX,)))
+        with np.errstate(invalid="ignore"):
+            assert any(not np.isfinite(assemble_df_dX(res, c)).all() for c in cfgs)
+            for cfg in cfgs:
+                assert assemble_dh_dX(res, cfg).tobytes() == _full_dh_dX(res, cfg).tobytes()
+
+    def test_overflowing_correction(self):
+        # A record built by hand whose f(U) - U * df/dU overflows off the
+        # argmax block while df/dU stays finite.
+        qt = QuantizedTensor(shape=(2, 4), scales=np.array([1.0, 4e-308]),
+                             elements=np.array([[6.0, 1.0, 0.0, 0.0], [6.0, 0.0, 0.0, 0.0]]),
+                             spec=BlockSpec(block_size=4))
+        blocks = np.array([[1.7e308, 1.0, 0.0, 0.0], [-1.5e308, 0.0, 0.0, 0.0]])
+        res = BlockQuantResult(qt=qt, blocks=blocks, z=np.abs(blocks).max(axis=1),
+                               s_ideal=6.0 / np.abs(blocks).max(axis=1))
+        cfg = GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)
+        assert np.isfinite(assemble_df_dX(res, cfg)).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _full_dh_dX(res, cfg)
+            got = assemble_dh_dX(res, cfg)
+        assert np.isnan(expected[1, 0])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", [SCALE_GRAD_ABSMAX, SCALE_GRAD_SOFTMAX])
+    def test_dZ_on_non_finite_and_masked_rows(self, mode):
+        blocks = np.array([[1.0, -np.inf, 2.0], [np.nan, 1.0, 0.0], [0.0, -0.5, 3.0]])
+        mask = np.array([[True, True, True], [True, True, True], [True, False, False]])
+        for m in (None, mask):
+            got = dZ(blocks, mode, 5.0, m)
+            full = _full_dZ(blocks, mode, 5.0, np.ones_like(mask) if m is None else m)
+            assert got.tobytes() == full.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
