@@ -47,7 +47,7 @@ def main() -> None:
                     seed=args.seed, noise_std=2.0)
 
     def evaluate(cfg):
-        qcfg = build_qlinear_config(cfg)
+        qcfg = build_qlinear_config(cfg, args.seed)
         tcfg = TrainConfig(qcfg=qcfg, hidden=(32,), epochs=args.epochs,
                            seed=args.seed)
         return train(task, tcfg).val_losses[-1]

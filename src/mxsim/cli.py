@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
+import math
 import os
 import struct
 import sys
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .formats import FORMATS, get_format
-from .hadamard import HadamardSpec
 from .mx import (
     BlockSpec,
     dequantize_tensor,
@@ -55,7 +54,6 @@ from .sweep import (
 from .trainer import (
     TASK_CLASSIFICATION,
     TASK_GAUSSIAN,
-    RunRecord,
     TaskSpec,
     TrainConfig,
     train,
@@ -218,7 +216,7 @@ def read_tensor_file(path: str) -> np.ndarray:
     if ndim == 0 or ndim > 8 or len(raw) < header:
         raise ConfigError(f"binary tensor {path} has an invalid dims header")
     dims = struct.unpack_from(f"<{ndim}I", raw, 4)
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # np.prod would wrap around
     if len(raw) != header + 4 * count:
         raise ConfigError(
             f"binary tensor {path}: payload size does not match dims {dims}"
@@ -296,35 +294,24 @@ def cmd_recon(args) -> int:
     return 0
 
 
-def _dense_reference(task: TaskSpec, tcfg: TrainConfig):
-    """The reference run of a layer configuration: the same training with
-    quantization disabled, memoized for one task and training settings.
-
-    A dense layer reads only the block size (its padding) and the Hadamard
-    transform, so those are the key.  ``functools.cache`` keeps its table
-    consistent across threads: two threads may train one key at once, but
-    each stores a whole record.
-    """
-
-    @functools.cache
-    def run(block_size: int, hadamard: HadamardSpec) -> RunRecord:
-        spec = BlockSpec(block_size=block_size)
-        qcfg = QLinearConfig(spec=spec, hadamard=hadamard, quantize=False)
-        return train(task, replace(tcfg, qcfg=qcfg, loss_scaling=False))
-
-    return lambda qcfg: run(qcfg.spec.block_size, qcfg.hadamard)
-
-
-def _run_training(task: TaskSpec, tcfg: TrainConfig, cfg: SweepConfig, dense_run):
-    tcfg = replace(tcfg, qcfg=build_qlinear_config(cfg), loss_scaling=cfg.loss_scaling)
-    return train(task, tcfg), dense_run(tcfg.qcfg)
+def _run_configs(tcfg: TrainConfig, cfg: SweepConfig) -> tuple[TrainConfig, TrainConfig]:
+    """The training settings of ``cfg``'s run and of its dense reference,
+    the same training with quantization disabled.  A dense layer reads only
+    the block size (its padding) and the Hadamard transform, so
+    configurations equal in those share one reference."""
+    qcfg = build_qlinear_config(cfg, tcfg.seed)
+    dense = QLinearConfig(spec=BlockSpec(block_size=cfg.block_size),
+                          hadamard=qcfg.hadamard, quantize=False)
+    return (replace(tcfg, qcfg=qcfg, loss_scaling=cfg.loss_scaling),
+            replace(tcfg, qcfg=dense, loss_scaling=False))
 
 
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     cfg = sweep_config_from_dict(values)
     task, tcfg = _run_settings(values, _resolve_seed(args))
-    record, dense = _run_training(task, tcfg, cfg, _dense_reference(task, tcfg))
+    run, reference = _run_configs(tcfg, cfg)
+    record, dense = train(task, run), train(task, reference)
     out = _out_dir(args)
     with open(out / "losses.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -379,16 +366,23 @@ def cmd_sweep(args) -> int:
         f"{len(valid)} valid, running {len(configs)}"
     )
 
-    dense_run = _dense_reference(task, tcfg)
+    # The distinct dense references train first, each kept as its best
+    # validation loss only; then the configurations.
+    runs = {cfg: _run_configs(tcfg, cfg) for cfg in configs}
+    references = {ref.qcfg: ref for _, ref in runs.values()}
+    losses = run_many(list(references.values()),
+                      lambda ref: min(train(task, ref).val_losses), jobs=args.jobs)
+    m_refs = dict(zip(references, losses))
 
     def runner(cfg: SweepConfig) -> dict[str, object]:
-        record, dense = _run_training(task, tcfg, cfg, dense_run)
+        run, reference = runs[cfg]
+        record = train(task, run)
         return result_row(
             record.dataset,
             cfg,
             val_loss=record.val_losses[-1],
             train_loss=record.train_losses[-1],
-            m_ref=min(dense.val_losses),
+            m_ref=m_refs[reference.qcfg],
         )
 
     rows = run_many(configs, runner, jobs=args.jobs)

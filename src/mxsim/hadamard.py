@@ -15,7 +15,6 @@ with ``transform_along_axis(..., inverse=True)``.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,49 +67,39 @@ def block_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-# Sign arrays each thread keeps for its latest seed.
-_SIGNS_KEPT = 16
-_kept = threading.local()
-
-
-def _shared_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
-    """Read-only :func:`block_signs`, drawn once per argument triple: one
-    ``qlinear`` step under ``all`` transforms eight operands along three
-    distinct lengths with the same seed.  Each thread keeps only its latest
-    seed's draws, at most ``_SIGNS_KEPT`` of them, so how often a thread
-    draws does not depend on what other threads run."""
-    if getattr(_kept, "seed", None) != seed:
-        _kept.seed, _kept.rows = seed, {}
-    rows = _kept.rows
-    signs = rows.get((num_blocks, l))
-    if signs is None:
-        if len(rows) == _SIGNS_KEPT:
-            del rows[next(iter(rows))]  # the oldest
-        signs = rows[num_blocks, l] = block_signs(seed, num_blocks, l)
-        signs.setflags(write=False)
-    return signs
+def step_signs(spec: HadamardSpec, step: int, num_blocks: int) -> np.ndarray:
+    """The sign rows of one layer step: a fresh diagonal every step,
+    replayable from ``(spec.seed, step)``.  Row ``i`` depends only on those
+    and ``i``, so the rows drawn for the step's longest axis serve every
+    axis."""
+    mixed = int(np.random.SeedSequence([spec.seed, step]).generate_state(1)[0])
+    return block_signs(mixed, num_blocks, spec.block_size)
 
 
 def transform_along_axis(
-    a: np.ndarray, axis: int, spec: HadamardSpec, inverse: bool = False
+    a: np.ndarray, axis: int, signs: np.ndarray, inverse: bool = False
 ) -> np.ndarray:
     """Apply H @ S to consecutive length-l blocks along ``axis``, or with
     ``inverse`` its exact inverse S @ H (both factors are involutions).
 
-    The axis length must be a multiple of the block size (callers zero-pad
-    first).  Block ``i`` along the axis uses the sign row for index ``i``,
+    ``signs`` holds one row of l signs per block index, at least as many
+    rows as the axis has blocks.  The axis length must be a multiple of l
+    (callers zero-pad first).  Block ``i`` along the axis uses row ``i``,
     so the two operands of a matmul transformed along their shared
     contraction axis see identical signs and the rotation cancels.
     """
     a = np.asarray(a, dtype=np.float64)
-    l = spec.block_size
+    l = signs.shape[1]
     n = a.shape[axis]
+    k = n // l
     if n % l:
         raise ValueError(f"axis length {n} not a multiple of block size {l}")
+    if k > len(signs):
+        raise ValueError(f"axis of {k} blocks, only {len(signs)} sign rows")
     moved = np.moveaxis(a, axis, -1)
     lead = moved.shape[:-1]
-    blocks = moved.reshape(*lead, n // l, l)
-    signs = _shared_signs(spec.seed, n // l, l)
+    blocks = moved.reshape(*lead, k, l)
+    signs = signs[:k]
     if inverse:
         out = (blocks @ sylvester(l)) * signs
     else:

@@ -24,9 +24,9 @@ import numpy as np
 from .formats import STOCHASTIC, TIES_TO_EVEN
 from .hadamard import (
     HADAMARD_ALL,
-    HADAMARD_BACKWARD,
     HADAMARD_NONE,
     HadamardSpec,
+    step_signs,
     transform_along_axis,
 )
 from .mx import BlockQuantResult, BlockSpec, quantize_blocks
@@ -88,6 +88,7 @@ class LayerContext:
     m: int  # contraction length before padding
     seed: int
     step: int
+    signs: np.ndarray | None  # the step's Hadamard sign rows, if any
 
 
 def _pad_axis(a: np.ndarray, axis: int, multiple: int) -> np.ndarray:
@@ -114,12 +115,6 @@ def _quantize(
     return quantize_blocks(a, spec, tensor_scaling=cfg.tensor_scaling, rng=rng)
 
 
-def _step_hadamard(cfg: QLinearConfig, step: int) -> HadamardSpec:
-    """Fresh sign diagonal every step, replayable from (seed, step)."""
-    mixed = int(np.random.SeedSequence([cfg.hadamard.seed, step]).generate_state(1)[0])
-    return replace(cfg.hadamard, seed=mixed)
-
-
 def forward(
     X: np.ndarray, W: np.ndarray, cfg: QLinearConfig, seed: int = 0, step: int = 0
 ) -> tuple[np.ndarray, LayerContext]:
@@ -133,10 +128,14 @@ def forward(
     x_pad = _pad_axis(X, 1, l)
     w_pad = _pad_axis(W, 1, l)
 
+    signs = None
+    if cfg.hadamard.mode != HADAMARD_NONE:
+        # One draw per step, for the longest of the padded b, n and m.
+        longest = -(-max(*X.shape, W.shape[0]) // l) * l
+        signs = step_signs(cfg.hadamard, step, longest // cfg.hadamard.block_size)
     if cfg.hadamard.mode == HADAMARD_ALL:
-        hspec = _step_hadamard(cfg, step)
-        x_pad = transform_along_axis(x_pad, 1, hspec)
-        w_pad = transform_along_axis(w_pad, 1, hspec)
+        x_pad = transform_along_axis(x_pad, 1, signs)
+        w_pad = transform_along_axis(w_pad, 1, signs)
 
     if cfg.quantize:
         res_x = _quantize(x_pad, cfg, cfg.sr_policy == SR_ALL, seed, step, 0)
@@ -146,7 +145,7 @@ def forward(
     Y = x_pad @ w_pad.T
     records = cfg.quantize and not cfg._unit_operand_grad  # backward reads them
     x, w = (res_x, res_w) if records else (x_pad, w_pad)
-    return Y, LayerContext(x=x, w=w, m=X.shape[1], seed=seed, step=step)
+    return Y, LayerContext(x=x, w=w, m=X.shape[1], seed=seed, step=step, signs=signs)
 
 
 def _operand_grad(res: BlockQuantResult, cfg: QLinearConfig) -> np.ndarray:
@@ -171,16 +170,14 @@ def backward(
     if gY.shape != (b, n):
         raise ValueError(f"gradient shape {gY.shape} != {(b, n)}")
     l = cfg.spec.block_size
-
-    backward_had = cfg.hadamard.mode in (HADAMARD_ALL, HADAMARD_BACKWARD)
+    signs = ctx.signs
 
     # Matmul 1 (input gradient): contract over n.
     g1 = _pad_axis(gY, 1, l)
     fw1 = _pad_axis(fw.T, 1, l).T  # pad n rows of fw
-    if backward_had:
-        hspec = _step_hadamard(cfg, ctx.step)
-        g1 = transform_along_axis(g1, 1, hspec)
-        fw1 = transform_along_axis(fw1, 0, hspec)
+    if signs is not None:
+        g1 = transform_along_axis(g1, 1, signs)
+        fw1 = transform_along_axis(fw1, 0, signs)
     stochastic = cfg.sr_policy != SR_NONE
     if cfg.quantize:
         g1 = _quantize(g1, cfg, stochastic, ctx.seed, ctx.step, 2).qt.dequantize()
@@ -189,9 +186,9 @@ def backward(
     # Matmul 2 (weight gradient): contract over the batch b.
     g2 = _pad_axis(gY.T, 1, l)
     fx2 = _pad_axis(fx.T, 1, l).T  # pad batch rows of fx
-    if backward_had:
-        g2 = transform_along_axis(g2, 1, hspec)
-        fx2 = transform_along_axis(fx2, 0, hspec)
+    if signs is not None:
+        g2 = transform_along_axis(g2, 1, signs)
+        fx2 = transform_along_axis(fx2, 0, signs)
     if cfg.quantize:
         g2 = _quantize(g2, cfg, stochastic, ctx.seed, ctx.step, 3).qt.dequantize()
     gw_pad = g2 @ fx2
@@ -204,7 +201,7 @@ def backward(
         # Undo the forward rotation of the operands: X was transformed
         # before f, so the chain rule sends the gradient back through the
         # inverse (transpose) of the same orthogonal map.
-        gx_pad = transform_along_axis(gx_pad, 1, hspec, inverse=True)
-        gw_pad = transform_along_axis(gw_pad, 1, hspec, inverse=True)
+        gx_pad = transform_along_axis(gx_pad, 1, signs, inverse=True)
+        gw_pad = transform_along_axis(gw_pad, 1, signs, inverse=True)
 
     return gx_pad[:, : ctx.m], gw_pad[:, : ctx.m]

@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from itertools import groupby, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -463,8 +463,11 @@ def write_results_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
         writer.writerows(rows)
 
 
-def build_qlinear_config(cfg: SweepConfig, beta: float = 40.0) -> QLinearConfig:
-    """Translate a sweep record into an executable layer configuration."""
+def build_qlinear_config(
+    cfg: SweepConfig, seed: int = 0, beta: float = 40.0
+) -> QLinearConfig:
+    """Translate a sweep record into an executable layer configuration whose
+    Hadamard signs follow the run ``seed``."""
     z_kind = Z_LOGSUMEXP if cfg.max_grad == "softsoftmax" else Z_ABSMAX
     spec = BlockSpec(
         block_size=cfg.block_size,
@@ -486,17 +489,17 @@ def build_qlinear_config(cfg: SweepConfig, beta: float = 40.0) -> QLinearConfig:
     return QLinearConfig(
         spec=spec,
         grad=grad,
-        hadamard=HadamardSpec(block_size=cfg.block_size, mode=cfg.hadamard),
+        hadamard=HadamardSpec(cfg.block_size, mode=cfg.hadamard, seed=seed),
         tensor_scaling=cfg.tensor_scaling,
         sr_policy=cfg.sr,
     )
 
 
-def run_many(
-    configs: Sequence[SweepConfig],
-    runner: Callable[[SweepConfig], dict[str, object]],
-    jobs: int = 1,
-) -> list[dict[str, object]]:
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def run_many(configs: Sequence[T], runner: Callable[[T], R], jobs: int = 1) -> list[R]:
     """Execute ``runner`` over configurations, up to ``jobs`` at a time.
 
     Results are collected in configuration order regardless of completion

@@ -24,6 +24,7 @@ from mxsim.hadamard import (
     HADAMARD_ALL,
     HADAMARD_NONE,
     HadamardSpec,
+    block_signs,
     sylvester,
     transform_along_axis,
 )
@@ -297,11 +298,10 @@ def test_criterion_04_hadamard():
         assert err <= 1e-12, f"l={l}: orthogonality error {err}"
 
         # A single-spike block spreads to uniform magnitude |c| / sqrt(l).
-        spec = HadamardSpec(block_size=l, seed=5, mode=HADAMARD_ALL)
         c = -3.75
         x = np.zeros((1, l))
         x[0, 2] = c
-        t = transform_along_axis(x, 1, spec)
+        t = transform_along_axis(x, 1, block_signs(5, 1, l))
         assert np.abs(t).max() == abs(c) / np.sqrt(l)
         assert np.abs(t).min() == abs(c) / np.sqrt(l)
 

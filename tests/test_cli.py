@@ -1,8 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
-import concurrent.futures
 import csv
-import sys
+import struct
 import time
 from dataclasses import replace
 
@@ -21,7 +20,6 @@ from mxsim.cli import (
 from mxsim.hadamard import HADAMARD_MODES
 from mxsim.mx import from_bytes
 from mxsim.plots import scatter_plot
-from mxsim.sweep import SweepConfig, build_qlinear_config
 from mxsim.trainer import TaskSpec, TrainConfig
 
 
@@ -82,6 +80,17 @@ class TestTensorFiles:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             read_tensor_file("/nonexistent/tensor.bin")
+
+    def test_overflowing_dims_rejected(self, tmp_path):
+        # 2**95 elements with an empty payload: a 64-bit product of the dims
+        # wraps around to 0, which would match the payload.
+        path = tmp_path / "t.bin"
+        path.write_bytes(struct.pack("<5I", 4, 2**31, 2**31, 2**31, 4))
+        with pytest.raises(ConfigError, match="payload size"):
+            read_tensor_file(str(path))
+        out = tmp_path / "out"
+        assert main(["quantize", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -393,6 +402,20 @@ def train_calls(monkeypatch):
     return calls
 
 
+class TestHadamardSeed:
+    @pytest.mark.parametrize("command, text", [
+        ("train", "hadamard = all\n" + SMALL_RUN),
+        ("sweep", ALIAS_GRID + SMALL_RUN),
+    ], ids=["train", "sweep"])
+    def test_signs_follow_the_run_seed(self, tmp_path, train_calls, command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        # The run and its dense reference.
+        assert [tcfg.qcfg.hadamard.seed for _, tcfg in train_calls] == [3, 3]
+
+
 class TestOptionSpellings:
     def test_train_and_sweep_write_result_table_spelling(self, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -541,49 +564,60 @@ def _same_record(a, b):
 
 
 class TestDenseReference:
-    """The sweep trains one dense reference per block size and Hadamard
-    transform, and that record is the one each configuration's own dense
-    run would give."""
+    """The sweep trains each distinct dense reference once, before the
+    configurations, and a reference is the record each configuration's own
+    dense run would give."""
 
-    def test_memoized_record_equals_a_fresh_run(self, train_calls):
-        # dim 20 pads at both block sizes; the sweep configs differ in more
-        # than the key (max-grad, element SR, scale format).
-        task = TaskSpec(n_samples=120, dim=20, seed=3)
-        tcfg = TrainConfig(hidden=(24, 12), epochs=2, batch_size=32, seed=3)
-        configs = [
-            SweepConfig(scale_format=fmt, block_size=l, hadamard=h, max_grad=m, sr=sr)
-            for fmt, l in (("E8M0", 32), ("E4M3", 16))
-            for h in HADAMARD_MODES
-            for m, sr in (("STE", "None"), ("absmax", "all"))
-        ]
-        dense_run = cli._dense_reference(task, tcfg)
-        for cfg in configs:
-            qcfg = build_qlinear_config(cfg)
+    def test_each_reference_equals_a_fresh_run(self, tmp_path, monkeypatch):
+        runs = []
+        real = cli.train
+
+        def recording(task, tcfg):
+            runs.append((task, tcfg, real(task, tcfg)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(cli, "train", recording)
+        # dim 20 pads at both block sizes; the configs differ in more than
+        # the block size and transform (max-grad, element SR, scale format).
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(
+            "scale_formats = E8M0,E4M3\nhadamards = None,all,backward\n"
+            "max_grads = STE,absmax\nround_modes = TiesToEven\nquant_grads = STE\n"
+            "scale_grads = STE\nsrs = None,all\ntensor_scalings = False\n"
+            "loss_scalings = False\nn_samples = 120\ndim = 20\nhidden = 24,12\n"
+            "epochs = 2\nbatch_size = 32\n"
+        )
+        assert main(["sweep", "--config", str(grid), "--seed", "3", "--jobs", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        quantized = [(task, t) for task, t, _ in runs if t.qcfg.quantize]
+        references = {(t.qcfg.spec.block_size, t.qcfg.hadamard): record
+                      for _, t, record in runs if not t.qcfg.quantize}
+        assert len(quantized) == 24
+        assert {t.qcfg.sr_policy for _, t in quantized} == {"None", "all"}
+        assert len(references) == len(runs) - 24 == 2 * len(HADAMARD_MODES)
+        for task, t in quantized:
             fresh = trainer.train(task, replace(
-                tcfg, qcfg=replace(qcfg, quantize=False), loss_scaling=False
+                t, qcfg=replace(t.qcfg, quantize=False), loss_scaling=False
             ))
-            _same_record(dense_run(qcfg), fresh)
-        assert len(train_calls) == 2 * len(HADAMARD_MODES)
+            _same_record(references[t.qcfg.spec.block_size, t.qcfg.hadamard], fresh)
 
-    def test_concurrent_callers_get_whole_records(self, monkeypatch):
+    def test_concurrent_runs_share_one_reference(self, tmp_path, monkeypatch):
+        # Two configurations with one reference, run by two threads whose
+        # training takes long enough to overlap.
         calls = []
+        real = cli.train
 
         def slow_train(task, tcfg):
-            calls.append(tcfg.qcfg)
-            time.sleep(0.002)
-            return (tcfg.qcfg.spec.block_size, tcfg.qcfg.hadamard)
+            calls.append(tcfg.qcfg.quantize)
+            time.sleep(0.3)
+            return real(task, tcfg)
 
         monkeypatch.setattr(cli, "train", slow_train)
-        dense_run = cli._dense_reference(TaskSpec(), TrainConfig())
-        keys = [build_qlinear_config(SweepConfig(block_size=l, hadamard=h))
-                for l in (16, 32) for h in HADAMARD_MODES]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(dense_run, q) for q in keys * 8]
-                results = [f.result(timeout=30) for f in futures]
-        finally:
-            sys.setswitchinterval(switch)
-        assert results == [(q.spec.block_size, q.hadamard) for q in keys * 8]
-        assert {(q.spec.block_size, q.hadamard) for q in calls} == set(results)
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(ALIAS_GRID.replace("max_grads = STE", "max_grads = STE,absmax")
+                        + SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(grid), "--jobs", "2",
+                     "--out", str(out)]) == 0
+        assert len(_result_rows(out / "results.csv")) == 2
+        assert calls == [False, True, True]

@@ -63,43 +63,43 @@ class TestSigns:
 
 
 class TestTransform:
-    SPEC = HadamardSpec(block_size=16, seed=3, mode=HADAMARD_ALL)
+    SIGNS = block_signs(3, 10, 16)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=6 * 16)
-        t = transform_along_axis(x, 0, self.SPEC)
-        y = transform_along_axis(t, 0, self.SPEC, inverse=True)
+        t = transform_along_axis(x, 0, self.SIGNS)
+        y = transform_along_axis(t, 0, self.SIGNS, inverse=True)
         np.testing.assert_allclose(y, x, atol=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=16)
-        y = transform_along_axis(x, 0, self.SPEC)
+        y = transform_along_axis(x, 0, self.SIGNS)
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-10)
 
     def test_dot_preserved(self):
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(2, 3 * 16))
-        tx, ty = transform_along_axis(np.stack([x, y]), 1, self.SPEC)
+        tx, ty = transform_along_axis(np.stack([x, y]), 1, self.SIGNS)
         assert tx[32:] @ ty[32:] == pytest.approx(x[32:] @ y[32:], abs=1e-10)
 
     def test_unit_vector_spreads_fully(self):
         x = np.zeros(16)
         x[4] = 3.0
-        y = transform_along_axis(x, 0, self.SPEC)
+        y = transform_along_axis(x, 0, self.SIGNS)
         np.testing.assert_allclose(np.abs(y), 3.0 / 4.0)
 
     def test_deterministic(self):
         x = np.tile(np.arange(16.0), 10)
         np.testing.assert_array_equal(
-            transform_along_axis(x, 0, self.SPEC)[9 * 16 :],
-            transform_along_axis(x, 0, self.SPEC)[9 * 16 :],
+            transform_along_axis(x, 0, self.SIGNS)[9 * 16 :],
+            transform_along_axis(x, 0, self.SIGNS)[9 * 16 :],
         )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            transform_along_axis(np.ones(8), 0, self.SPEC)
+            transform_along_axis(np.ones(8), 0, self.SIGNS)
 
 
 class TestAxisTransform:
@@ -107,20 +107,19 @@ class TestAxisTransform:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 32))
         b = rng.normal(size=(32, 4))
-        spec = HadamardSpec(block_size=16, seed=11)
-        at = transform_along_axis(a, 1, spec)
-        bt = transform_along_axis(b, 0, spec)
+        signs = block_signs(11, 2, 16)
+        at = transform_along_axis(a, 1, signs)
+        bt = transform_along_axis(b, 0, signs)
         np.testing.assert_allclose(at @ bt, a @ b, atol=1e-10)
 
     def test_matches_per_block_apply(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=32)
-        spec = HadamardSpec(block_size=16, seed=5)
         signs, h = block_signs(5, 2, 16), sylvester(16)
-        got = transform_along_axis(x, 0, spec)
+        got = transform_along_axis(x, 0, signs)
         expected = np.concatenate([(x[:16] * signs[0]) @ h, (x[16:] * signs[1]) @ h])
         np.testing.assert_allclose(got, expected, atol=1e-12)
-        got = transform_along_axis(x, 0, spec, inverse=True)
+        got = transform_along_axis(x, 0, signs, inverse=True)
         expected = np.concatenate([(x[:16] @ h) * signs[0], (x[16:] @ h) * signs[1]])
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -128,21 +127,33 @@ class TestAxisTransform:
     def test_inverse_undoes_either_axis(self, axis):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(32, 64))
-        spec = HadamardSpec(block_size=16, seed=8)
-        t = transform_along_axis(a, axis, spec)
+        signs = block_signs(8, 4, 16)
+        t = transform_along_axis(a, axis, signs)
         assert not np.allclose(t, a)
         np.testing.assert_allclose(
-            transform_along_axis(t, axis, spec, inverse=True), a, atol=1e-12
+            transform_along_axis(t, axis, signs, inverse=True), a, atol=1e-12
         )
 
     def test_rejects_indivisible_axis(self):
-        spec = HadamardSpec(block_size=16)
-        with pytest.raises(ValueError):
-            transform_along_axis(np.ones(20), 0, spec)
+        with pytest.raises(ValueError, match="multiple"):
+            transform_along_axis(np.ones(20), 0, block_signs(0, 2, 16))
+
+    def test_rejects_axis_with_more_blocks_than_sign_rows(self):
+        signs = block_signs(0, 2, 16)
+        transform_along_axis(np.ones(32), 0, signs)
+        with pytest.raises(ValueError, match="3 blocks, only 2 sign rows"):
+            transform_along_axis(np.ones(48), 0, signs)
+
+    def test_uses_the_leading_rows(self):
+        # Rows drawn for a longer axis give the bits of an exact draw.
+        x = np.random.default_rng(9).normal(size=(3, 32))
+        for inverse in (False, True):
+            got = transform_along_axis(x, 1, block_signs(4, 6, 16), inverse)
+            want = transform_along_axis(x, 1, block_signs(4, 2, 16), inverse)
+            assert got.tobytes() == want.tobytes()
 
 
 def _in_new_thread(fn):
-    """Run ``fn`` in a fresh thread, which has drawn no signs yet."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(fn).result(timeout=60)
 
@@ -176,10 +187,11 @@ class TestSignDraws:
         monkeypatch.setattr(hadamard, "block_signs", counting)
         return draws
 
-    def test_one_draw_per_length_per_layer_step(self, monkeypatch):
+    def test_one_draw_per_layer_step(self, monkeypatch):
+        # The rows for the longest axis, the contraction, serve all three.
         draws = self._count_draws(monkeypatch)
-        _in_new_thread(self._layer_step)
-        assert sorted(draws) == [(1, 16), (2, 16), (3, 16)]
+        self._layer_step()
+        assert draws == [(3, 16)]
 
     def test_draws_do_not_depend_on_other_threads(self, monkeypatch):
         # The same step in a second thread draws its own rows, as the
@@ -188,18 +200,4 @@ class TestSignDraws:
         _in_new_thread(self._layer_step)
         in_a = len(draws)
         _in_new_thread(self._layer_step)
-        assert (in_a, len(draws) - in_a) == (3, 3)
-
-    def test_shared_rows_are_read_only_and_bounded(self):
-        import mxsim.hadamard as hadamard
-
-        def draw():
-            signs = hadamard._shared_signs(21, 3, 8)
-            for n in range(1, 2 * hadamard._SIGNS_KEPT):
-                hadamard._shared_signs(21, n, 8)
-            return signs, len(hadamard._kept.rows)
-
-        signs, kept = _in_new_thread(draw)
-        np.testing.assert_array_equal(signs, block_signs(21, 3, 8))
-        assert not signs.flags.writeable
-        assert kept == hadamard._SIGNS_KEPT
+        assert (in_a, len(draws) - in_a) == (1, 1)

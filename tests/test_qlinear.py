@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mxsim.formats import STOCHASTIC, TIES_TO_EVEN, TOWARD_POSITIVE
-from mxsim.hadamard import HADAMARD_ALL, HADAMARD_BACKWARD, HadamardSpec
+from mxsim.hadamard import HADAMARD_ALL, HADAMARD_BACKWARD, HadamardSpec, step_signs
 from mxsim.mx import BlockQuantResult, BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks
 from mxsim.qgrad import (
     EST_SIGMOID,
@@ -327,8 +327,8 @@ class TestLayerContext:
         X, W = rng.normal(size=(5, 6)), rng.normal(size=(3, 6))  # m pads to 8
         cfg = small_cfg(**kw)
         Y, ctx = forward(X, W, cfg, seed=2, step=3)
-        assert [f.name for f in fields(ctx)] == ["x", "w", "m", "seed", "step"]
-        assert (ctx.m, ctx.seed, ctx.step) == (6, 2, 3)
+        assert [f.name for f in fields(ctx)] == ["x", "w", "m", "seed", "step", "signs"]
+        assert (ctx.m, ctx.seed, ctx.step, ctx.signs) == (6, 2, 3, None)
         if records:
             assert isinstance(ctx.x, BlockQuantResult) and isinstance(ctx.w, BlockQuantResult)
             fx, fw = ctx.x.qt.dequantize(), ctx.w.qt.dequantize()
@@ -337,6 +337,30 @@ class TestLayerContext:
             fx, fw = ctx.x, ctx.w
         assert fx.shape == (5, 8) and fw.shape == (3, 8)
         assert Y.tobytes() == (fx @ fw.T).tobytes()
+
+
+    @pytest.mark.parametrize("mode", [HADAMARD_BACKWARD, HADAMARD_ALL])
+    def test_one_sign_draw_serves_the_step(self, monkeypatch, mode):
+        # Padded b, n and m are 12, 4 and 8: forward draws the 3 rows of the
+        # batch axis once, and backward transforms with those rows.
+        import mxsim.hadamard as hadamard
+
+        hspec = HadamardSpec(block_size=4, seed=7, mode=mode)
+        cfg = small_cfg(hadamard=hspec)
+        expected = step_signs(hspec, 3, 3)
+        draws, real = [], hadamard.block_signs
+
+        def counting(seed, num_blocks, l):
+            draws.append((num_blocks, l))
+            return real(seed, num_blocks, l)
+
+        monkeypatch.setattr(hadamard, "block_signs", counting)
+        rng = np.random.default_rng(16)
+        X, W = rng.normal(size=(9, 6)), rng.normal(size=(3, 6))
+        Y, ctx = forward(X, W, cfg, seed=2, step=3)
+        assert ctx.signs.tobytes() == expected.tobytes()
+        backward(np.ones_like(Y), ctx, cfg)
+        assert draws == [(3, 4)]
 
 
 class TestHadamardPlacement:

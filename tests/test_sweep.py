@@ -302,6 +302,8 @@ class TestOptionVocabulary:
         assert qcfg.sr_policy == "backward"
         assert qcfg.hadamard.mode == "all"
         assert qcfg.spec.scale_rounding == "Stochastic"
+        assert qcfg.hadamard.seed == 0
+        assert build_qlinear_config(cfg, 3).hadamard.seed == 3  # the run seed
 
 
 def _dominates(o, r):
