@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Enumerate a restricted configuration grid, train each candidate on a tiny
-regression task, score the results against the quantization-disabled
-reference, and print the complexity/score Pareto frontier."""
+regression task, score each result against the best validation loss of its
+quantization-disabled reference, as ``mxsim sweep`` does, and print the
+complexity/score Pareto frontier."""
 
 import argparse
 
-from mxsim.mx import BlockSpec
-from mxsim.qlinear import QLinearConfig
 from mxsim.sweep import (
     SweepGrid,
-    build_qlinear_config,
     complexity_points,
     enumerate_configs,
     pareto_front,
+    run_configs,
     run_many,
     score,
 )
@@ -46,20 +45,18 @@ def main() -> None:
     task = TaskSpec(kind=TASK_GAUSSIAN, n_samples=2000, dim=32,
                     seed=args.seed, noise_std=2.0)
 
-    def evaluate(cfg):
-        qcfg = build_qlinear_config(cfg, args.seed)
-        tcfg = TrainConfig(qcfg=qcfg, hidden=(32,), epochs=args.epochs,
-                           seed=args.seed)
-        return train(task, tcfg).val_losses[-1]
+    tcfg = TrainConfig(hidden=(32,), epochs=args.epochs, seed=args.seed)
+    runs = [run_configs(tcfg, cfg) for cfg in configs]
+    references = {ref.qcfg: ref for _, ref in runs}
+    best = run_many(list(references.values()),
+                    lambda ref: min(train(task, ref).val_losses), jobs=args.jobs)
+    m_refs = dict(zip(references, best))
 
-    dense_qcfg = QLinearConfig(spec=BlockSpec(), quantize=False)
-    dense_cfg = TrainConfig(qcfg=dense_qcfg, hidden=(32,), epochs=args.epochs,
-                            seed=args.seed)
-    m_ref = train(task, dense_cfg).val_losses[-1]
-
-    losses = run_many(configs, evaluate, jobs=args.jobs)
+    losses = run_many([run for run, _ in runs],
+                      lambda run: train(task, run).val_losses[-1], jobs=args.jobs)
     omegas = [complexity_points(cfg) for cfg in configs]
-    points = [(w, score(m_ref, loss, w)) for w, loss in zip(omegas, losses)]
+    points = [(w, score(m_refs[ref.qcfg], loss, w))
+              for w, loss, (_, ref) in zip(omegas, losses, runs)]
 
     print(f"{'omega':>6} {'score':>9} {'val_loss':>10}  configuration")
     rows = sorted(zip(points, losses, configs), key=lambda r: (r[0][0], -r[0][1]))

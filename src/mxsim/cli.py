@@ -18,7 +18,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .plots import (
     scatter_plot,
 )
 from .qgrad import ESTIMATORS
-from .qlinear import QLinearConfig
 from .sweep import (
     SweepConfig,
     SweepGrid,
@@ -47,17 +46,12 @@ from .sweep import (
     pareto_front,
     recon_error_experiment,
     result_row,
+    run_configs,
     run_many,
     write_recon_csv,
     write_results_csv,
 )
-from .trainer import (
-    TASK_CLASSIFICATION,
-    TASK_GAUSSIAN,
-    TaskSpec,
-    TrainConfig,
-    train,
-)
+from .trainer import TaskSpec, TrainConfig, train
 
 
 class ConfigError(Exception):
@@ -181,12 +175,8 @@ def _validate_sweep_config(cfg: SweepConfig) -> None:
 def _run_settings(values: dict[str, str], seed: int) -> tuple[TaskSpec, TrainConfig]:
     """The task and training settings of a config file; each run sets the
     quantization and loss scaling of its :class:`SweepConfig`."""
-    task = _build(TaskSpec, values, _TASK_KEYS, seed=seed)
-    if task.kind not in (TASK_GAUSSIAN, TASK_CLASSIFICATION):
-        raise ConfigError(
-            f"unknown task {task.kind!r}; valid: {TASK_GAUSSIAN}, {TASK_CLASSIFICATION}"
-        )
-    return task, _build(TrainConfig, values, _TRAIN_KEYS, seed=seed)
+    return (_build(TaskSpec, values, _TASK_KEYS, seed=seed),
+            _build(TrainConfig, values, _TRAIN_KEYS, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +284,11 @@ def cmd_recon(args) -> int:
     return 0
 
 
-def _run_configs(tcfg: TrainConfig, cfg: SweepConfig) -> tuple[TrainConfig, TrainConfig]:
-    """The training settings of ``cfg``'s run and of its dense reference,
-    the same training with quantization disabled.  A dense layer reads only
-    the block size (its padding) and the Hadamard transform, so
-    configurations equal in those share one reference."""
-    qcfg = build_qlinear_config(cfg, tcfg.seed)
-    dense = QLinearConfig(spec=BlockSpec(block_size=cfg.block_size),
-                          hadamard=qcfg.hadamard, quantize=False)
-    return (replace(tcfg, qcfg=qcfg, loss_scaling=cfg.loss_scaling),
-            replace(tcfg, qcfg=dense, loss_scaling=False))
-
-
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     cfg = sweep_config_from_dict(values)
     task, tcfg = _run_settings(values, _resolve_seed(args))
-    run, reference = _run_configs(tcfg, cfg)
+    run, reference = run_configs(tcfg, cfg)
     record, dense = train(task, run), train(task, reference)
     out = _out_dir(args)
     with open(out / "losses.csv", "w", newline="") as fh:
@@ -368,7 +346,7 @@ def cmd_sweep(args) -> int:
 
     # The distinct dense references train first, each kept as its best
     # validation loss only; then the configurations.
-    runs = {cfg: _run_configs(tcfg, cfg) for cfg in configs}
+    runs = {cfg: run_configs(tcfg, cfg) for cfg in configs}
     references = {ref.qcfg: ref for _, ref in runs.values()}
     losses = run_many(list(references.values()),
                       lambda ref: min(train(task, ref).val_losses), jobs=args.jobs)
@@ -593,5 +571,5 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # pragma: no cover - runs only as a script, not in a test
     sys.exit(main())

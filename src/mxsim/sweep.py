@@ -14,7 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby, product
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -38,6 +38,7 @@ from .qgrad import (
     TENSOR_GRAD_MODES,
 )
 from .qlinear import QLinearConfig, SR_NONE, SR_POLICIES
+from .trainer import TrainConfig
 
 __all__ = [
     "COMPLEXITY_WEIGHTS",
@@ -463,16 +464,18 @@ def write_results_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
         writer.writerows(rows)
 
 
-def build_qlinear_config(
-    cfg: SweepConfig, seed: int = 0, beta: float = 40.0
-) -> QLinearConfig:
+#: Inverse temperature of the smooth block maximum and its gradient.
+SMOOTH_MAX_BETA = 40.0
+
+
+def build_qlinear_config(cfg: SweepConfig, seed: int = 0) -> QLinearConfig:
     """Translate a sweep record into an executable layer configuration whose
     Hadamard signs follow the run ``seed``."""
     z_kind = Z_LOGSUMEXP if cfg.max_grad == "softsoftmax" else Z_ABSMAX
     spec = BlockSpec(
         block_size=cfg.block_size,
         scale_format=get_format(cfg.scale_format),
-        z=ZFunction(z_kind, beta=beta),
+        z=ZFunction(z_kind, beta=SMOOTH_MAX_BETA),
         scale_rounding=cfg.round_mode,
         zero_mode=cfg.nan_mode,
     )
@@ -483,7 +486,7 @@ def build_qlinear_config(
         elem_estimator=cfg.quant_grad,
         scale_mode=cfg.max_grad,
         scale_q_estimator=cfg.scale_grad,
-        beta=beta,
+        beta=SMOOTH_MAX_BETA,
         tensor_mode=tensor_mode,
     )
     return QLinearConfig(
@@ -493,6 +496,18 @@ def build_qlinear_config(
         tensor_scaling=cfg.tensor_scaling,
         sr_policy=cfg.sr,
     )
+
+
+def run_configs(tcfg: TrainConfig, cfg: SweepConfig) -> tuple[TrainConfig, TrainConfig]:
+    """The training settings of ``cfg``'s run and of its dense reference,
+    the same training with quantization disabled.  A dense layer reads only
+    the block size (its padding) and the Hadamard transform, so configurations
+    equal in those share one reference, whose best validation loss scores them."""
+    qcfg = build_qlinear_config(cfg, tcfg.seed)
+    dense = QLinearConfig(spec=BlockSpec(block_size=cfg.block_size),
+                          hadamard=qcfg.hadamard, quantize=False)
+    return (replace(tcfg, qcfg=qcfg, loss_scaling=cfg.loss_scaling),
+            replace(tcfg, qcfg=dense, loss_scaling=False))
 
 
 T = TypeVar("T")

@@ -2,14 +2,13 @@
 
 A small MLP of quantized linear layers (plus an unquantized output head)
 is trained with bias-corrected Adam and optional dynamic loss scaling.
-Tasks are synthetic regression/classification generators plus an IDX
-image-file loader; everything is deterministic given the seed.
+Tasks are synthetic regression and classification generators; everything
+is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +19,14 @@ from .qlinear import NonFiniteGradientError, QLinearConfig, backward, forward
 # Optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -38,7 +38,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
         m += (1 - b1) * g
@@ -46,12 +46,15 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         v += (1 - b2) * g * g
         mhat = m / (1 - b1**state.t)
         vhat = v / (1 - b2**state.t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # Dynamic loss scaling
 # ---------------------------------------------------------------------------
+
+MIN_LOSS_SCALE = 1.0
+MAX_LOSS_SCALE = 2.0**24
 
 
 @dataclass
@@ -61,8 +64,6 @@ class LossScaler:
     scale: float = 2.0**16
     growth_interval: int = 2000
     good_steps: int = 0
-    min_scale: float = 1.0
-    max_scale: float = 2.0**24
     enabled: bool = True
 
     def update(self, grads_finite: bool) -> bool:
@@ -72,10 +73,10 @@ class LossScaler:
         if grads_finite:
             self.good_steps += 1
             if self.good_steps >= self.growth_interval:
-                self.scale = min(self.scale * 2.0, self.max_scale)
+                self.scale = min(self.scale * 2.0, MAX_LOSS_SCALE)
                 self.good_steps = 0
             return True
-        self.scale = max(self.scale / 2.0, self.min_scale)
+        self.scale = max(self.scale / 2.0, MIN_LOSS_SCALE)
         self.good_steps = 0
         return False
 
@@ -90,7 +91,7 @@ class LossScaler:
 
 TASK_GAUSSIAN = "gaussian_regression"
 TASK_CLASSIFICATION = "synthetic_classification"
-TASK_MNIST = "mnist"
+TASKS = (TASK_GAUSSIAN, TASK_CLASSIFICATION)
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ class TaskSpec:
     n_classes: int = 2
     seed: int = 0
     noise_std: float = 0.0
-    mnist_images: str | None = None
-    mnist_labels: str | None = None
 
     def __post_init__(self):
+        if self.kind not in TASKS:
+            raise ValueError(f"unknown task {self.kind!r}; valid: {', '.join(TASKS)}")
         if self.n_samples < 2:
             raise ValueError(
                 "n_samples must be at least 2: one training and one validation sample"
@@ -138,50 +139,24 @@ def gen_synthetic_classification(
     return X, labels
 
 
-def load_mnist_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse big-endian IDX image/label files into [0,1] floats and ints."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise ValueError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != 0x00000803:
-            raise ValueError(f"{images_path}: bad image magic {magic:#010x}")
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    if data.size != count * rows * cols:
-        raise ValueError(f"{images_path}: expected {count}x{rows}x{cols} pixels")
-    images = data.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise ValueError(f"{labels_path}: truncated IDX header")
-        magic, lcount = struct.unpack(">II", header)
-        if magic != 0x00000801:
-            raise ValueError(f"{labels_path}: bad label magic {magic:#010x}")
-        labels = np.frombuffer(fh.read(), dtype=np.uint8)
-    if lcount != count or labels.size != lcount:
-        raise ValueError("image/label counts disagree")
-    return images, labels.astype(np.int64)
-
-
 def load_task(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, bool]:
     """Returns (features, targets, is_classification)."""
     if spec.kind == TASK_GAUSSIAN:
         X, y, _ = gen_gaussian_regression(spec)
         return X, y, False
-    if spec.kind == TASK_CLASSIFICATION:
-        X, y = gen_synthetic_classification(spec)
-        return X, y, True
-    if spec.kind == TASK_MNIST:
-        X, y = load_mnist_idx(spec.mnist_images, spec.mnist_labels)
-        return X, y, True
-    raise ValueError(f"unknown task {spec.kind!r}")
+    X, y = gen_synthetic_classification(spec)
+    return X, y, True
 
 
 # ---------------------------------------------------------------------------
 # Model and training
 # ---------------------------------------------------------------------------
+
+#: A run diverges after DIVERGENCE_PATIENCE epochs in a row whose training
+#: loss is non-finite or above DIVERGENCE_FACTOR times the first finite one.
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 3
+VAL_FRACTION = 0.1
 
 
 @dataclass
@@ -193,9 +168,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     loss_scaling: bool = False
-    divergence_factor: float = 10.0
-    divergence_patience: int = 3
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -279,9 +251,8 @@ def _eval_loss(X, y, ws, head_w, head_b, cfg, is_classification, step):
 def train(task: TaskSpec, cfg: TrainConfig) -> RunRecord:
     """Train the quantized MLP; deterministic for a given (task, cfg)."""
     X, y, is_classification = load_task(task)
-    n_val = max(1, int(len(X) * cfg.val_fraction))
-    if n_val >= len(X):
-        raise ValueError(f"{len(X)} samples leave no training split")
+    # A task holds at least 2 samples, so at least one is left to train on.
+    n_val = max(1, int(len(X) * VAL_FRACTION))
     X_train, y_train = X[:-n_val], y[:-n_val]
     X_val, y_val = X[-n_val:], y[-n_val:]
 
@@ -341,10 +312,10 @@ def train(task: TaskSpec, cfg: TrainConfig) -> RunRecord:
             initial_loss = train_loss
         blown_up = not np.isfinite(train_loss) or (
             initial_loss is not None
-            and train_loss > cfg.divergence_factor * initial_loss
+            and train_loss > DIVERGENCE_FACTOR * initial_loss
         )
         bad_epochs = bad_epochs + 1 if blown_up else 0
-        if bad_epochs >= cfg.divergence_patience:
+        if bad_epochs >= DIVERGENCE_PATIENCE:
             diverged = True
             break
 

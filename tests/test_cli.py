@@ -19,7 +19,7 @@ from mxsim.cli import (
 )
 from mxsim.hadamard import HADAMARD_MODES
 from mxsim.mx import from_bytes
-from mxsim.plots import scatter_plot
+from mxsim.plots import line_plot, scatter_plot
 from mxsim.trainer import TaskSpec, TrainConfig
 
 
@@ -56,6 +56,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="Adam"):
             sweep_config_from_dict({"optimiser": "StableSPAM"})
 
+    def test_unreadable_config_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config_file(str(tmp_path))  # a directory
+
+    def test_empty_key_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 1\n= 5\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:2: empty key"):
+            parse_config_file(str(path))
+
+    @pytest.mark.parametrize("text, value", [
+        ("yes", True), ("TRUE", True), ("1", True), ("no", False), ("False", False),
+        ("0", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        assert sweep_config_from_dict({"loss_scaling": text}).loss_scaling is value
+
+    def test_non_boolean_rejected(self):
+        with pytest.raises(ConfigError, match="key 'loss_scaling': expected a boolean"):
+            sweep_config_from_dict({"loss_scaling": "maybe"})
+
+    def test_hadamard_block_size_must_be_a_power_of_two(self):
+        with pytest.raises(ConfigError, match="power of two"):
+            sweep_config_from_dict({"block_size": "24", "hadamard": "all"})
+
 
 class TestTensorFiles:
     def test_binary_round_trip(self, tmp_path):
@@ -80,6 +105,18 @@ class TestTensorFiles:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             read_tensor_file("/nonexistent/tensor.bin")
+
+    def test_binary_shorter_than_its_ndim_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"\x02\x00")
+        with pytest.raises(ConfigError, match="truncated"):
+            read_tensor_file(str(path))
+
+    def test_unparsable_csv_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,2\n3,abc\n")
+        with pytest.raises(ConfigError, match="cannot parse CSV tensor"):
+            read_tensor_file(str(path))
 
     def test_overflowing_dims_rejected(self, tmp_path):
         # 2**95 elements with an empty payload: a 64-bit product of the dims
@@ -179,6 +216,27 @@ class TestExitCodes:
         assert "config error" in err and str(path) in err and repr(column) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["plot", "--kind", "recon"], None, "needs a reconstruction-error CSV (--input)"),
+        (["plot", "--kind", "loss", "--input", "{}"], "epoch,train_loss\n", "is empty"),
+        (["pareto", "{}"], "Complexity points\n1\n", "lacks column 'Score'"),
+    ], ids=["no-input", "header-only", "no-column"])
+    def test_unusable_csv_exits_2_writing_nothing(self, tmp_path, capsys, argv, text,
+                                                  message):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert main([a.format(path) for a in argv] + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "out"
+        taken.write_text("a file, not a directory\n")
+        assert main(["plot", "--kind", "quantizer", "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_quantize_exits_0(self, tmp_path):
         t = tmp_path / "t.csv"
         np.savetxt(t, np.linspace(-4, 4, 64).reshape(2, 32), delimiter=",")
@@ -266,6 +324,34 @@ class TestTrainAndPlots:
             points, points, title="Efficiency frontier",
             xlabel="complexity points", ylabel="score",
         )
+        assert (out / "pareto.svg").read_text() == expected
+
+    def test_recon_plot_draws_exact_max_at_unit_scale(self, tmp_path):
+        recon = tmp_path / "recon.csv"
+        recon.write_text(
+            "format,l,scale,beta,mean_rel_err\n"
+            "E8M0,16,1.0,,0.1\nE8M0,32,1.0,,0.12\nE8M0,16,10.0,,0.2\n"
+            "E8M0,16,1.0,40.0,0.3\nE4M3,16,1.0,,0.05\n"
+        )
+        out = tmp_path / "plots"
+        assert main(["plot", "--kind", "recon", "--input", str(recon),
+                     "--out", str(out)]) == 0
+        expected = line_plot(
+            {"E8M0": ([16.0, 32.0], [0.1, 0.12]), "E4M3": ([16.0], [0.05])},
+            title="Reconstruction error vs block size", xlabel="block size",
+            ylabel="mean relative error", log_y=True,
+        )
+        assert (out / "recon.svg").read_text() == expected
+
+    def test_pareto_plot_draws_every_point(self, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_text("Complexity points,Score\n1,0.100\n3,0.250\n2,-0.5\n")
+        out = tmp_path / "plots"
+        assert main(["plot", "--kind", "pareto", "--input", str(results),
+                     "--out", str(out)]) == 0
+        expected = scatter_plot([(1.0, 0.1), (3.0, 0.25), (2.0, -0.5)],
+                                title="Score vs complexity",
+                                xlabel="complexity points", ylabel="score")
         assert (out / "pareto.svg").read_text() == expected
 
     def test_plot_determinism(self, tmp_path):
@@ -402,6 +488,30 @@ def train_calls(monkeypatch):
     return calls
 
 
+class TestTasks:
+    def test_classification_run(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("task = synthetic_classification\nn_classes = 3\ndim = 8\n"
+                       "hidden = 8\nbatch_size = 32\n" + SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = _result_rows(out / "results.csv")
+        assert row["Dataset"] == "synthetic_classification"
+        (losses,) = _result_rows(out / "losses.csv")
+        assert all(np.isfinite(float(v)) for v in losses.values())
+
+    def test_unknown_task_exits_2(self, tmp_path, capsys, train_calls):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("task = mnist\n" + SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert train_calls == [] and not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: unknown task 'mnist'; "
+            "valid: gaussian_regression, synthetic_classification\n"
+        )
+
+
 class TestHadamardSeed:
     @pytest.mark.parametrize("command, text", [
         ("train", "hadamard = all\n" + SMALL_RUN),
@@ -464,7 +574,8 @@ class TestOptionSpellings:
         assert train_calls == []
 
 
-# Fields of TaskSpec and TrainConfig that no config file sets.
+# Fields of TaskSpec and TrainConfig, and former fields now constants,
+# that no config file sets.
 UNSETTABLE = [("seed", "1"), ("noise_std", "0.5"), ("val_fraction", "0.2"),
               ("divergence_factor", "5"), ("qcfg", "none")]
 
@@ -508,7 +619,7 @@ class TestDegenerateConfigs:
         "key, value",
         [("epochs", "0"), ("batch_size", "0"), ("hidden", ""), ("lr", "nan"),
          ("n_samples", "1"), ("dim", "0"), ("n_classes", "1"), ("hidden", "64,,32"),
-         *UNSETTABLE],
+         *UNSETTABLE, ("epochs", "abc")],
     )
     def test_train_exits_2(self, tmp_path, capsys, train_calls, key, value):
         values = {"epochs": "1", "n_samples": "200", key: value}

@@ -14,6 +14,7 @@ from mxsim.formats import (
     E5M2,
     UE5M3,
     FORMATS,
+    FloatFormat,
     STOCHASTIC,
     TIES_TO_EVEN,
     TOWARD_POSITIVE,
@@ -227,6 +228,21 @@ class TestGrid:
         if not fmt.exponent_only:
             assert fmt.min_positive == 2.0 ** (1 - fmt.bias - fmt.mantissa_bits)
 
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_min_positive_subnormal(self, fmt):
+        # An exponent-only format has no subnormals: its smallest value.
+        expected = (fmt.min_positive if fmt.exponent_only
+                    else 2.0 ** (1 - fmt.bias - fmt.mantissa_bits))
+        assert fmt.min_positive_subnormal == expected
+
+    @pytest.mark.parametrize("bits, field", [
+        ((0, 1), "exponent_bits"), ((9, 1), "exponent_bits"),
+        ((2, 4), "mantissa_bits"), ((2, -1), "mantissa_bits"),
+    ])
+    def test_field_widths_checked(self, bits, field):
+        with pytest.raises(ValueError, match=f"{field} out of range"):
+            FloatFormat("X", *bits, bias=1)
+
 
 class TestCodec:
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
@@ -238,6 +254,13 @@ class TestCodec:
     def test_encode_rejects_unrepresentable(self):
         with pytest.raises(ValueError):
             encode_array(np.array([2.5]), E2M1)
+
+    @pytest.mark.parametrize("codes, fmt", [
+        ([-1], E2M1), ([16], E2M1), ([0x7F], E4M3), ([0xFF], E8M0),
+    ], ids=["negative", "past-the-table", "E4M3-NaN", "E8M0-NaN"])
+    def test_decode_rejects_invalid_codes(self, codes, fmt):
+        with pytest.raises(ValueError, match=f"invalid {fmt.name} codes"):
+            decode_array(np.array(codes), fmt)
 
     def test_known_round_trips(self):
         for v, fmt in ((1.5, E2M1), (448.0, E4M3), (2.0**-127, E8M0)):

@@ -61,6 +61,15 @@ class TestSigns:
         with pytest.raises(ValueError, match="non-negative"):
             HadamardSpec(seed=-1)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"mode": "sometimes"}, "unknown transform mode 'sometimes'"),
+        ({"block_size": 12}, "power of two"),
+        ({"block_size": 0}, "power of two"),
+    ])
+    def test_spec_rejects(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            HadamardSpec(**kw)
+
 
 class TestTransform:
     SIGNS = block_signs(3, 10, 16)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -42,6 +43,22 @@ from mxsim.mx import (
 )
 
 LSE = ZFunction(Z_LOGSUMEXP, beta=1.0)
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("beta", [None, 0.0, -1.0, math.inf, math.nan])
+    def test_logsumexp_needs_a_positive_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="positive finite beta"):
+            ZFunction(Z_LOGSUMEXP, beta=beta)
+
+    def test_unknown_z_kind(self):
+        with pytest.raises(ValueError, match="unknown Z function 'median'"):
+            ZFunction("median")
+
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_block_size_must_be_positive(self, block_size):
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            BlockSpec(block_size=block_size)
 
 
 class TestZValue:
@@ -609,6 +626,23 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             from_bytes(b"nope" + b"\x00" * 50)
+
+    @pytest.mark.parametrize("rescale", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_bad_rescale(self, rescale):
+        data = bytearray(to_bytes(quantize_tensor(np.ones(4), BlockSpec(block_size=4))))
+        # Magic, "<BHB", one dimension and the global scale precede it.
+        struct.pack_into("<d", data, 4 + 4 + 8 + 8, rescale)
+        with pytest.raises(ValueError, match="tensor factors must be positive"):
+            from_bytes(bytes(data))
+
+    def test_rejects_a_zero_scale(self):
+        spec = BlockSpec(block_size=4, scale_format=E4M3)
+        data = bytearray(to_bytes(quantize_tensor(np.ones(4), spec)))
+        # The one scale code sits before the code count and 2 packed bytes;
+        # code 0 is E4M3's zero.
+        struct.pack_into("<H", data, len(data) - 2 - 8 - 2, 0)
+        with pytest.raises(ValueError, match="block scales must be positive"):
+            from_bytes(bytes(data))
 
     def test_round_trip_keeps_whole_spec(self):
         spec = BlockSpec(block_size=8, scale_format=UE5M3, z=ZFunction(Z_LOGSUMEXP, 2.5),

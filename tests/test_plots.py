@@ -12,6 +12,7 @@ from mxsim.plots import (
     MARGIN_LEFT,
     MARGIN_RIGHT,
     WIDTH,
+    _axis_range,
     line_plot,
     quantizer_curve_plot,
     scale_deviation_plot,
@@ -91,6 +92,10 @@ class TestAxisRange:
     def test_linear_axis_unchanged(self):
         svg = line_plot({"a": ([0.0, 10.0], [1.0, 2.0])})
         assert ">-0.5<" in svg and ">10.5<" in svg
+
+    def test_nothing_drawable_gives_the_unit_range(self):
+        assert _axis_range([0.0, -1.0, math.nan], log=True) == (0.0, 1.0)
+        assert _axis_range([]) == (0.0, 1.0)
 
 
 class TestQuantizerCurve:

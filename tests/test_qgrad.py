@@ -177,6 +177,14 @@ class TestEstimatorKinds:
         with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
             GradConfig(**{field: "bogus"})
 
+    @pytest.mark.parametrize("field, message", [
+        ("scale_mode", "unknown scale gradient mode 'bogus'"),
+        ("tensor_mode", "unknown tensor gradient mode 'bogus'"),
+    ])
+    def test_config_rejects_unknown_mode(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            GradConfig(**{field: "bogus"})
+
     def test_config_fields_are_modes_and_beta(self):
         assert [f.name for f in dataclasses.fields(GradConfig)] == [
             "elem_estimator", "scale_mode", "scale_q_estimator", "beta", "tensor_mode",
@@ -184,6 +192,11 @@ class TestEstimatorKinds:
 
 
 class TestDZ:
+    @pytest.mark.parametrize("mode", [SCALE_GRAD_STE, "bogus"])
+    def test_mode_without_a_statistic_derivative_raises(self, mode):
+        with pytest.raises(ValueError, match=f"no statistic derivative for mode {mode!r}"):
+            dZ(np.ones((1, 4)), mode)
+
     def test_absmax_one_hot(self):
         out = dZ(np.array([[1.0, -3.0, 2.0]]), SCALE_GRAD_ABSMAX)
         np.testing.assert_array_equal(out, [[0.0, -1.0, 0.0]])

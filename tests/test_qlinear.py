@@ -16,6 +16,7 @@ from mxsim.qgrad import (
     GradConfig,
     SCALE_GRAD_SOFTMAX,
     TENSOR_GRAD_ABSMAX,
+    TENSOR_GRAD_STE,
     assemble_df_dX,
 )
 from mxsim.qlinear import (
@@ -26,6 +27,7 @@ from mxsim.qlinear import (
     backward,
     forward,
 )
+from test_qgrad import _full_dh_dX
 
 
 def small_cfg(**kw):
@@ -60,6 +62,10 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             forward(np.ones((2, 4)), np.ones((3, 5)), small_cfg())
+
+    def test_unknown_sr_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown SR policy 'sometimes'"):
+            small_cfg(sr_policy="sometimes")
 
     @pytest.mark.parametrize("x_shape, w_shape", [
         ((3, 0), (2, 0)), ((0, 5), (2, 5)), ((3, 5), (0, 5)),
@@ -208,6 +214,41 @@ class TestBackward:
             gX, gW = backward(rng.normal(size=(b, n)), ctx, cfg)
             assert gX.shape == X.shape
             assert gW.shape == W.shape
+
+    def test_gradient_shape_checked(self):
+        X, W = np.ones((2, 4)), np.ones((3, 4))
+        cfg = small_cfg()
+        _, ctx = forward(X, W, cfg)
+        with pytest.raises(ValueError, match=r"gradient shape \(3, 2\) != \(2, 3\)"):
+            backward(np.ones((3, 2)), ctx, cfg)
+
+    @pytest.mark.parametrize("tensor_mode", [TENSOR_GRAD_ABSMAX, TENSOR_GRAD_STE])
+    def test_tensor_factor_gradient_equals_the_full_formula(self, monkeypatch,
+                                                            tensor_mode):
+        # With tensor scaling, each operand's derivative includes the
+        # tensor-factor term; the full-array formula gives the same bytes.
+        import mxsim.qlinear as qlinear
+
+        rng = np.random.default_rng(17)
+        X, W = rng.normal(size=(5, 6)) * 3.0, rng.normal(size=(3, 6))
+        cfg = small_cfg(tensor_scaling=True, grad=GradConfig(tensor_mode=tensor_mode))
+        Y, ctx = forward(X, W, cfg, seed=1, step=2)
+        gY = rng.normal(size=Y.shape)
+        got = backward(gY, ctx, cfg)
+
+        oracle_calls = []
+
+        def oracle(res, grad):
+            oracle_calls.append(res)
+            return _full_dh_dX(res, grad)
+
+        monkeypatch.setattr(qlinear, "assemble_dh_dX", oracle)
+        expected = backward(gY, ctx, cfg)
+        assert [r is c for r, c in zip(oracle_calls, (ctx.x, ctx.w))] == [True, True]
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        plain = backward(gY, ctx, replace(cfg, grad=GradConfig()))
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(got, plain))
 
     def test_nonfinite_gradient_signalled(self):
         rng = np.random.default_rng(7)

@@ -2,25 +2,24 @@
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pytest
 
 from mxsim.mx import BlockSpec
-from mxsim.qlinear import QLinearConfig
+from mxsim.qlinear import NonFiniteGradientError, QLinearConfig
 from mxsim.trainer import (
     AdamState,
+    DIVERGENCE_PATIENCE,
     LossScaler,
     TASK_CLASSIFICATION,
     TASK_GAUSSIAN,
     TaskSpec,
     TrainConfig,
+    _loss_and_grad,
     adam_step,
     gen_gaussian_regression,
     gen_synthetic_classification,
     init_params,
-    load_mnist_idx,
     train,
 )
 
@@ -129,51 +128,31 @@ class TestClassification:
         assert acc >= 0.99
 
 
-class TestMnistIdx:
-    def _write_idx(self, tmp_path, n=4, rows=28, cols=28, magic_img=0x803, magic_lab=0x801):
-        rng = np.random.default_rng(0)
-        images = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
-        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
-        img_path = tmp_path / "images.idx"
-        lab_path = tmp_path / "labels.idx"
-        img_path.write_bytes(
-            struct.pack(">IIII", magic_img, n, rows, cols) + images.tobytes()
-        )
-        lab_path.write_bytes(struct.pack(">II", magic_lab, n) + labels.tobytes())
-        return img_path, lab_path, images, labels
-
-    def test_round_trip(self, tmp_path):
-        img, lab, images, labels = self._write_idx(tmp_path)
-        X, y = load_mnist_idx(str(img), str(lab))
-        assert X.shape == (4, 784)
-        assert X.min() >= 0.0 and X.max() <= 1.0
-        np.testing.assert_array_equal(y, labels)
-        np.testing.assert_allclose(X[0], images[0].ravel() / 255.0)
-
-    def test_bad_magic(self, tmp_path):
-        img, lab, *_ = self._write_idx(tmp_path, magic_img=0x123)
-        with pytest.raises(ValueError, match="magic"):
-            load_mnist_idx(str(img), str(lab))
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "empty.idx"
-        p.write_bytes(b"")
-        with pytest.raises(ValueError):
-            load_mnist_idx(str(p), str(p))
+class TestCrossEntropy:
+    def test_gradient_matches_finite_difference(self):
+        rng = np.random.default_rng(12)
+        out = rng.standard_normal((5, 3)) * 3.0
+        labels = np.array([0, 2, 1, 2, 0])
+        loss, grad = _loss_and_grad(out.copy(), labels, True)
+        logp = out - np.log(np.exp(out).sum(axis=1, keepdims=True))
+        assert loss == pytest.approx(-logp[np.arange(5), labels].mean(), rel=1e-12)
+        h = 1e-6
+        fd = np.empty_like(out)
+        for idx in np.ndindex(out.shape):
+            up, down = out.copy(), out.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd[idx] = (_loss_and_grad(up, labels, True)[0]
+                       - _loss_and_grad(down, labels, True)[0]) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
 
 
 def dense_reference_train(task, cfg):
     """Plain-numpy mirror of the training loop with exact dense layers."""
-    from mxsim.trainer import (
-        AdamState,
-        LossScaler,
-        _loss_and_grad,
-        adam_step,
-        load_task,
-    )
+    from mxsim.trainer import VAL_FRACTION, load_task
 
     X, y, is_cls = load_task(task)
-    n_val = max(1, int(len(X) * cfg.val_fraction))
+    n_val = max(1, int(len(X) * VAL_FRACTION))
     X_train, y_train = X[:-n_val], y[:-n_val]
     out_dim = int(y.max()) + 1 if is_cls else y.shape[1]
     dims = [X.shape[1], *cfg.hidden, out_dim]
@@ -229,10 +208,10 @@ class TestConfigValidation:
     def test_two_samples_are_enough(self):
         TaskSpec(n_samples=2)
 
-    def test_empty_training_split_rejected(self):
-        task = TaskSpec(n_samples=10, dim=4)
-        with pytest.raises(ValueError, match="no training split"):
-            train(task, TrainConfig(hidden=(4,), epochs=1, val_fraction=1.0))
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ValueError, match="unknown task 'mnist'; valid: "
+                           "gaussian_regression, synthetic_classification"):
+            TaskSpec(kind="mnist")
 
 
 class TestTraining:
@@ -318,3 +297,62 @@ class TestTraining:
         for step, (a, b) in enumerate(zip(scaled, plain), start=1):
             for ga, gb in zip(a, b):
                 np.testing.assert_array_equal(ga, gb, err_msg=f"step {step}")
+
+
+class TestSkipAndStop:
+    """Steps whose loss or gradient is not finite apply no update and halve
+    the loss scale; a run whose loss stays blown up stops early."""
+
+    small_task = TestTraining.small_task
+    small_cfg = TestTraining.small_cfg
+
+    def _run(self, monkeypatch, cfg, backward=None):
+        from mxsim import trainer
+
+        updates, scalers = [], []
+
+        def recording_adam(params, grads, state):
+            updates.append(state.t)
+            adam_step(params, grads, state)
+
+        def recording_scaler(enabled):
+            scalers.append(LossScaler(enabled=enabled))
+            return scalers[-1]
+
+        monkeypatch.setattr(trainer, "adam_step", recording_adam)
+        monkeypatch.setattr(trainer, "LossScaler", recording_scaler)
+        if backward is not None:
+            monkeypatch.setattr(trainer, "backward", backward)
+        return train(self.small_task(), cfg), len(updates), scalers[0]
+
+    def test_non_finite_loss_skips_the_step_and_diverges(self, monkeypatch):
+        # The first update moves every dense weight by about lr = 1e100, so
+        # every later batch's squared error overflows to inf.
+        cfg = self.small_cfg(
+            qcfg=QLinearConfig(spec=BlockSpec(block_size=16), quantize=False),
+            epochs=DIVERGENCE_PATIENCE + 2, lr=1e100, loss_scaling=True,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec, updates, scaler = self._run(monkeypatch, cfg)
+        assert rec.diverged
+        assert len(rec.train_losses) == DIVERGENCE_PATIENCE < cfg.epochs
+        assert rec.train_losses == [np.inf] * DIVERGENCE_PATIENCE
+        assert updates == 1
+        assert scaler.scale == 2.0**16 / 2.0 ** (rec.steps - 1)
+
+    def test_non_finite_gradient_skips_the_step(self, monkeypatch):
+        from mxsim import trainer
+
+        calls, real = [], trainer.backward
+
+        def failing_backward(g, ctx, qcfg):
+            calls.append(ctx.step)
+            if ctx.step == 2:
+                raise NonFiniteGradientError("incoming gradient is not finite")
+            return real(g, ctx, qcfg)
+
+        cfg = self.small_cfg(epochs=1, loss_scaling=True)
+        rec, updates, scaler = self._run(monkeypatch, cfg, failing_backward)
+        assert not rec.diverged and np.isfinite(rec.train_losses).all()
+        assert calls.count(2) == 1 and updates == rec.steps - 1
+        assert scaler.scale == 2.0**15
