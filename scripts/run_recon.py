@@ -5,6 +5,7 @@ sharpness values; write recon.csv and an SVG plot of error vs block size."""
 import argparse
 import collections
 
+from mxsim.cli import int_at_least
 from mxsim.plots import line_plot
 from mxsim.sweep import recon_error_experiment, write_recon_csv
 
@@ -13,7 +14,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="recon.csv")
     ap.add_argument("--plot", default="recon.svg")
-    ap.add_argument("--elements", type=int, default=1 << 16)
+    ap.add_argument("--elements", type=int_at_least(1), default=1 << 16)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -6,6 +6,7 @@ complexity/score Pareto frontier."""
 
 import argparse
 
+from mxsim.cli import int_at_least
 from mxsim.sweep import (
     SweepGrid,
     complexity_points,
@@ -20,8 +21,9 @@ from mxsim.trainer import TASK_GAUSSIAN, TaskSpec, TrainConfig, train
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--limit", type=int, default=12)
-    ap.add_argument("--jobs", type=int, default=2)
+    ap.add_argument("--limit", type=int_at_least(0), default=12,
+                    help="run at most N configs (0: all)")
+    ap.add_argument("--jobs", type=int_at_least(1), default=2)
     ap.add_argument("--epochs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args()
@@ -39,7 +41,7 @@ def main() -> None:
         srs=("None", "all"),
         hadamards=("None", "all"),
     )
-    configs = enumerate_configs(grid)[: args.limit]
+    configs = enumerate_configs(grid)[: args.limit or None]
     print(f"evaluating {len(configs)} of {grid.cardinality()} configurations")
 
     task = TaskSpec(kind=TASK_GAUSSIAN, n_samples=2000, dim=32,

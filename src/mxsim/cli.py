@@ -478,7 +478,7 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
@@ -520,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of training runs")
     p.add_argument("--config", default=None, help="key = value grid file")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="concurrent runs")
-    p.add_argument("--limit", type=_int_at_least(0), default=0,
+    p.add_argument("--jobs", type=int_at_least(1), default=1, help="concurrent runs")
+    p.add_argument("--limit", type=int_at_least(0), default=0,
                    help="run at most N configs (0: all)")
     common(p, seeded=True)
 

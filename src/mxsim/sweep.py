@@ -330,6 +330,28 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _check_recon_inputs(n_elements: int, tensor_scales: Sequence[float]) -> None:
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be at least 1, got {n_elements}")
+    if 0 in tensor_scales:
+        raise ValueError("a tensor scale of 0 draws no nonzero element")
+
+
+def _median_in_place(a: np.ndarray) -> float:
+    """``np.median`` of a non-empty array without NaN, bit for bit.
+
+    Partitions ``a`` in place at the one index ``n // 2``; ``np.median``
+    asks for two or three indices on an even length, which NumPy serves
+    by a much slower path.  Below a partition point every element is no
+    larger, so ``a[:k].max()`` is the other middle value.
+    """
+    k = a.size // 2
+    a.partition(k)
+    if a.size % 2:
+        return float(a[k])
+    return float((a[:k].max() + a[k]) / 2.0)
+
+
 def recon_error_cell(
     scale_format: str,
     block_size: int,
@@ -337,13 +359,24 @@ def recon_error_cell(
     beta: float | None,
     rng: np.random.Generator,
     n_elements: int = 1 << 16,
+    *,
+    work: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Mean and median relative error of round-tripping a Gaussian tensor.
 
     ``beta=None`` uses the exact block maximum; a finite ``beta`` uses the
-    smooth log-sum-exp maximum with that inverse temperature.
+    smooth log-sum-exp maximum with that inverse temperature.  Elements
+    drawn as exactly 0 have no relative error and are left out; a
+    ``ValueError`` is raised when no element is left.
+
+    ``work`` is an optional C-ordered ``(3, n_elements)`` float64 block the
+    draw and the error statistics are written into; ``recon_error_experiment``
+    passes one block for its whole grid.
     """
-    x = rng.standard_normal(n_elements) * tensor_scale
+    _check_recon_inputs(n_elements, (tensor_scale,))
+    x, err, mag = np.empty((3, n_elements)) if work is None else work
+    rng.standard_normal(out=x)
+    x *= tensor_scale
     z = ZFunction(Z_ABSMAX) if beta is None else ZFunction(Z_LOGSUMEXP, beta=beta)
     spec = BlockSpec(
         block_size=block_size,
@@ -351,9 +384,18 @@ def recon_error_cell(
         z=z,
     )
     deq = dequantize_tensor(quantize_tensor(x, spec))
-    nonzero = x != 0
-    rel = np.abs(x[nonzero] - deq[nonzero]) / np.abs(x[nonzero])
-    return float(rel.mean()), float(np.median(rel))
+    np.subtract(x, deq, out=err)
+    np.abs(err, out=err)
+    np.abs(x, out=mag)
+    if not mag.all():
+        nonzero = mag != 0
+        if not nonzero.any():
+            raise ValueError(f"all {n_elements} elements drawn at scale "
+                             f"{tensor_scale!r} are 0")
+        err, mag = err[nonzero], mag[nonzero]
+    err /= mag
+    # The mean first: the median reorders err.
+    return float(err.mean()), _median_in_place(err)
 
 
 def recon_error_experiment(
@@ -372,11 +414,16 @@ def recon_error_experiment(
     and vs tensor scale at the default inverse temperature 40, and
     smooth-max sensitivity to the inverse temperature.
     """
+    _check_recon_inputs(n_elements, tensor_scales)
     rng = np.random.default_rng(seed)
     rows: list[dict[str, object]] = []
+    # One block for every cell: blocks allocated and freed per cell made
+    # glibc trim and re-fault its heap top on each cell.
+    work = np.empty((3, n_elements))
 
     def add(fmt: str, l: int, scale: float, beta: float | None) -> None:
-        mean, median = recon_error_cell(fmt, l, scale, beta, rng, n_elements)
+        mean, median = recon_error_cell(fmt, l, scale, beta, rng, n_elements,
+                                        work=work)
         rows.append(
             {
                 "format": fmt,

@@ -256,7 +256,7 @@ def train(task: TaskSpec, cfg: TrainConfig) -> RunRecord:
     X_train, y_train = X[:-n_val], y[:-n_val]
     X_val, y_val = X[-n_val:], y[-n_val:]
 
-    out_dim = int(y.max()) + 1 if is_classification else y.shape[1]
+    out_dim = task.n_classes if is_classification else y.shape[1]
     dims = [X.shape[1], *cfg.hidden, out_dim]
     rng = np.random.default_rng(cfg.seed)
     ws, head_w, head_b = init_params(rng, dims)

@@ -49,3 +49,20 @@ def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, tensor_scaling, z
     mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(), tensor_scaling=tensor_scaling)
     assert calls.count("z_values") == z_calls
     assert calls.count("quantize_scales") == 1
+
+
+def test_recon_grid_calls_the_traced_cell(monkeypatch):
+    # The tracer times each grid cell at the sweep binding of
+    # recon_error_cell; a grid that bypassed it would read 0 calls.
+    sweep = importlib.import_module("mxsim.sweep")
+    calls = []
+
+    def counting(*args, _fn=sweep.recon_error_cell, **kwargs):
+        calls.append(kwargs["work"].shape)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "recon_error_cell", counting)
+    rows = sweep.recon_error_experiment(formats=("E8M0",), block_sizes=(8, 16),
+                                        tensor_scales=(1.0,), betas=(40.0,),
+                                        n_elements=64)
+    assert calls == [(3, 64)] * len(rows)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mxsim.sweep import score
 from mxsim.trainer import RunRecord
 
@@ -36,6 +38,16 @@ def test_run_recon(tmp_path):
     assert (tmp_path / "recon.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("name, args", [
+    ("run_recon.py", ["--elements", "0"]),
+    ("run_sweep_demo.py", ["--limit", "-1"]),
+    ("run_sweep_demo.py", ["--jobs", "0"]),
+], ids=["recon-elements", "demo-limit", "demo-jobs"])
+def test_out_of_range_counts_exit_2(tmp_path, name, args):
+    run_script(name, *args, cwd=tmp_path, status=2)
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_training_demo(tmp_path):
     out = run_script("run_training_demo.py", "--epochs", "2", "--samples", "300",
                      "--dim", "16", cwd=tmp_path)
@@ -51,13 +63,28 @@ def test_run_sweep_demo(tmp_path):
     assert "pareto frontier (complexity, score): (" in out
 
 
-def test_sweep_demo_scores_against_the_best_matched_reference(monkeypatch, capsys):
-    # Each configuration is scored against the best validation loss of the
-    # dense run with its block size and Hadamard transform, as in `mxsim sweep`.
+def load_sweep_demo():
     spec = importlib.util.spec_from_file_location(
         "run_sweep_demo", ROOT / "scripts" / "run_sweep_demo.py")
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
+    return demo
+
+
+def test_sweep_demo_limit_0_runs_every_config(monkeypatch, capsys):
+    # As in `mxsim sweep --limit 0`.
+    demo = load_sweep_demo()
+    monkeypatch.setattr(demo, "train", lambda task, tcfg: RunRecord(
+        task.kind, [1.0], [1.0], False, [], 1))
+    monkeypatch.setattr(sys, "argv", ["run_sweep_demo.py", "--limit", "0", "--jobs", "1"])
+    demo.main()
+    assert capsys.readouterr().out.startswith("evaluating 16 of 16 configurations")
+
+
+def test_sweep_demo_scores_against_the_best_matched_reference(monkeypatch, capsys):
+    # Each configuration is scored against the best validation loss of the
+    # dense run with its block size and Hadamard transform, as in `mxsim sweep`.
+    demo = load_sweep_demo()
     dense_losses = {"None": [0.9, 0.5, 0.7], "all": [0.8, 0.4, 0.6]}
     trained = []
 

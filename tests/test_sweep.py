@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxsim.formats import ROUNDING_MODES
+from mxsim.formats import ROUNDING_MODES, get_format
 from mxsim.hadamard import HADAMARD_MODES
+from mxsim.mx import (BlockSpec, ZFunction, Z_ABSMAX, Z_LOGSUMEXP,
+                      dequantize_tensor, quantize_tensor)
 from mxsim.qgrad import SCALE_GRAD_MODES, TENSOR_GRAD_MODES
 from mxsim.qlinear import SR_POLICIES
 from mxsim.sweep import (
     COMPLEXITY_WEIGHTS,
+    _median_in_place,
     OPTION_ALIASES,
     SweepConfig,
     SweepGrid,
@@ -398,6 +401,45 @@ class TestReconError:
         assert e8m0 < 0.5
         assert e4m3 > 3 * e8m0
 
+    def test_grid_cells_match_the_oracle_in_grid_order(self):
+        # The grid reuses one workspace; no cell may read what the last left.
+        rows = recon_error_experiment(formats=("E8M0", "E4M3"), block_sizes=(8,),
+                                      tensor_scales=(1e-320, 1.0), betas=(40.0,),
+                                      seed=4, n_elements=1 << 12)
+        rng = np.random.default_rng(4)
+        for row in rows:
+            beta = None if row["beta"] == "" else row["beta"]
+            expected = _recon_cell_oracle(row["format"], row["l"], row["scale"], beta,
+                                          rng, 1 << 12)
+            assert _bits(row["mean_rel_err"], row["median_rel_err"]) == _bits(*expected)
+
+    @pytest.mark.parametrize("n_elements", [0, -1])
+    def test_no_elements_rejected_before_any_draw(self, n_elements):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_elements must be at least 1"):
+            recon_error_cell("E8M0", 16, 1.0, None, rng, n_elements)
+        with pytest.raises(ValueError, match="n_elements must be at least 1"):
+            recon_error_experiment(n_elements=n_elements)
+        assert rng.bit_generator.state == state
+
+    def test_zero_scale_rejected_before_any_draw(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="scale of 0"):
+            recon_error_cell("E8M0", 16, 0.0, None, rng)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr("mxsim.sweep.recon_error_cell", None)  # no cell runs
+        with pytest.raises(ValueError, match="scale of 0"):
+            recon_error_experiment(tensor_scales=(1.0, 0.0))
+
+    def test_draw_without_a_nonzero_element_rejected(self):
+        # The smallest subnormal times |x| < 0.5 rounds to 0.
+        rng = np.random.default_rng(0)
+        assert abs(np.random.default_rng(0).standard_normal()) < 0.5
+        with pytest.raises(ValueError, match="all 1 elements drawn"):
+            recon_error_cell("E8M0", 8, 5e-324, None, rng, 1)
+
     def test_grid_rows_and_csv(self, tmp_path):
         rows = recon_error_experiment(
             formats=("E8M0",),
@@ -415,6 +457,49 @@ class TestReconError:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "format,l,scale,beta,mean_rel_err,median_rel_err"
         assert len(lines) == len(rows) + 1
+
+
+def _recon_cell_oracle(scale_format, block_size, tensor_scale, beta, rng, n_elements):
+    """A cell's statistics as masked copies and ``np.median`` give them."""
+    x = rng.standard_normal(n_elements) * tensor_scale
+    z = ZFunction(Z_ABSMAX) if beta is None else ZFunction(Z_LOGSUMEXP, beta=beta)
+    spec = BlockSpec(block_size=block_size, scale_format=get_format(scale_format), z=z)
+    deq = dequantize_tensor(quantize_tensor(x, spec))
+    nonzero = x != 0
+    rel = np.abs(x[nonzero] - deq[nonzero]) / np.abs(x[nonzero])
+    return float(rel.mean()), float(np.median(rel))
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestReconCellOracle:
+    @pytest.mark.parametrize("n_elements, tensor_scale", [
+        (1 << 16, 1.0), (1001, 1.0), (1 << 16, 1e-320)])
+    @pytest.mark.parametrize("beta", [None, 40.0])
+    @pytest.mark.parametrize("block_size", [8, 128])
+    @pytest.mark.parametrize("scale_format", ["E8M0", "E4M3", "UE5M3"])
+    def test_same_bits_as_masked_copies_and_np_median(
+            self, scale_format, block_size, beta, n_elements, tensor_scale):
+        got = recon_error_cell(scale_format, block_size, tensor_scale, beta,
+                               np.random.default_rng(7), n_elements)
+        expected = _recon_cell_oracle(scale_format, block_size, tensor_scale, beta,
+                                      np.random.default_rng(7), n_elements)
+        assert _bits(*got) == _bits(*expected)
+
+    def test_tiny_scale_draw_holds_exact_zeros(self):
+        # So the case above runs the branch that leaves zeros out.
+        x = np.random.default_rng(7).standard_normal(1 << 16) * 1e-320
+        assert 0 < np.count_nonzero(x == 0) < x.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.25, 0.5, 0.5, 1.0, 3.0,
+                                     np.inf]), min_size=1, max_size=40)
+           | st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))
+    def test_median_helper_equals_np_median(self, values):
+        a = np.array(values, dtype=np.float64)
+        assert _bits(_median_in_place(a.copy())) == _bits(np.median(a))
 
 
 class TestResultsCsv:

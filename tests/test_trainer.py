@@ -127,6 +127,14 @@ class TestClassification:
         acc = ((1.0 / (1.0 + np.exp(-(X @ w + b))) > 0.5) == labels).mean()
         assert acc >= 0.99
 
+    def test_head_has_one_output_per_class_the_draw_missed_or_not(self):
+        spec = TaskSpec(kind=TASK_CLASSIFICATION, n_samples=3, n_classes=6, dim=2, seed=3)
+        _, labels = gen_synthetic_classification(spec)
+        assert labels.tolist() == [2, 2, 3]
+        rec = train(spec, TrainConfig(hidden=(4,), epochs=1))
+        *_, head_w, head_b = rec.final_params
+        assert head_w.shape == (6, 4) and head_b.shape == (6,)
+
 
 class TestCrossEntropy:
     def test_gradient_matches_finite_difference(self):
@@ -154,7 +162,7 @@ def dense_reference_train(task, cfg):
     X, y, is_cls = load_task(task)
     n_val = max(1, int(len(X) * VAL_FRACTION))
     X_train, y_train = X[:-n_val], y[:-n_val]
-    out_dim = int(y.max()) + 1 if is_cls else y.shape[1]
+    out_dim = task.n_classes if is_cls else y.shape[1]
     dims = [X.shape[1], *cfg.hidden, out_dim]
     rng = np.random.default_rng(cfg.seed)
     ws, head_w, head_b = init_params(rng, dims)
