@@ -4,12 +4,12 @@ Element values (4-bit E2M1) and block scales (E8M0, E4M3, UE5M3, E8M3,
 E5M2) are all instances of one parametric minifloat description.
 
 Rounding and encoding are exponent arithmetic, as the OCP MX element
-semantics define them: ``frexp`` gives each value's binade (clamped to the
-subnormal one), which fixes the spacing ``ulp`` of the grid around it, and
-the rounding mode acts on the integer significand ``x / ulp`` in the one
-kernel ``_round``, whose callers check their inputs.  A sorted grid of every
-representable value, cached on the format, serves ``grid()``, the code table
-of ``decode_array`` and the constants.
+semantics define them: the exponent field of a float64 gives its binade
+(clamped to the format's lowest one), which fixes the spacing ``ulp`` of the
+grid around it, and the rounding mode acts on the integer significand
+``x / ulp`` in the one kernel ``_round``, whose callers check their inputs.
+A sorted grid of every representable value, cached on the format, serves
+``grid()``, the code table of ``decode_array`` and the constants.
 
 Signed zero is collapsed to +0 everywhere: the sign of zero never affects
 dequantization.
@@ -17,7 +17,6 @@ dequantization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,7 +96,6 @@ class _GridData:
         # Lowest binade: the subnormal one, or that of the smallest power
         # of two when there are no subnormals.
         self.min_binade = 2.0 ** (-fmt.bias if fmt.exponent_only else 1 - fmt.bias)
-        self.min_frexp = math.frexp(self.min_binade)[1]
         self.sign_bit = 1 << (fmt.exponent_bits + fmt.mantissa_bits)
 
 
@@ -139,6 +137,19 @@ def _enumerate(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(codes, dtype=np.uint32), np.asarray(values, dtype=np.float64)
 
 
+# Fields of a float64 seen as an int64.
+_EXPONENT = 0x7FF << 52
+_FRACTION = (1 << 52) - 1
+_FRACTION_4_3 = int(np.float64(4.0 / 3.0).view(np.int64)) & _FRACTION
+
+
+def _binade(a: np.ndarray, data: _GridData) -> np.ndarray:
+    """``2**e`` as a new array, ``e`` the binade exponent of each float64
+    ``|a|`` (its exponent field) clamped to the format's lowest binade."""
+    b = np.bitwise_and(a.view(np.int64), _EXPONENT).view(np.float64)
+    return np.maximum(b, data.min_binade, out=b)
+
+
 def grid(fmt: FloatFormat) -> np.ndarray:
     """All finite representable values, ascending, zeros collapsed to +0."""
     return fmt._grid.values.copy()
@@ -151,10 +162,9 @@ def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     mb = fmt.mantissa_bits
     v = np.asarray(values, dtype=np.float64)
     a = np.abs(v)
-    _, e = np.frexp(np.maximum(a, data.min_binade))
-    e -= 1  # binade exponent, clamped to the lowest binade
-    t = np.ldexp(a, mb - e)  # integer significand for grid values
-    with np.errstate(invalid="ignore"):
+    binade = _binade(a, data)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail `ok`
+        t = a / binade * 2**mb  # integer significand for grid values
         ok = (a <= data.max_finite) & (t == np.floor(t))
     if fmt.exponent_only:
         ok &= a > 0
@@ -164,6 +174,7 @@ def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
         raise ValueError(f"array contains values not representable in {fmt.name}")
     # Exponent field e + bias holds t - 2**mb; the subnormal binade's field
     # is 0 and its t < 2**mb, so one expression covers both.
+    e = (binade.view(np.int64) >> 52) - 1023
     codes = ((e + (fmt.bias - 1)) << mb) + t.astype(np.int64)
     if fmt.signed:
         codes += (v < 0) * data.sign_bit
@@ -214,16 +225,21 @@ def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator 
            out: np.ndarray | None = None) -> np.ndarray:
     """The rounding kernel: round float64 ``x``, finite or +inf, into ``out``
     (new when None; it may be ``x``), checking nothing and allocating one
-    float and one int array besides the draw and bool masks.
+    more array besides the draw, a floor and bool masks.
 
-    ``t = clip(x) * 2**(mb + 1 - k)``, with ``k`` the frexp exponent clamped
-    to the lowest binade's, is the integer significand: TiesToEven takes
-    ``rint(t)``, TowardPositive ``ceil(t)`` and Stochastic ``floor(t) +
-    (u < t - floor(t))``, ``u`` drawn by ``rng.random(x.shape)``.  An
-    exponent-only grid rounds ``t`` in [1, 2) up past ``fl(4/3)``, the
-    harmonic mean of 1 and 2, and a tie to an even exponent field, which is
-    ``(1 - k) + bias`` for the upper power of two.  Scaling back and adding
-    0.0 (-0.0 becomes +0.0) gives the grid value.
+    After the clip, the exponent field of each value gives its binade
+    ``2**e``, clamped to the format's lowest, and the grid spacing
+    ``ulp = 2**(e - mb)``.  TiesToEven adds and subtracts ``M = 1.5 * 2**52
+    * ulp``: ``x + M`` lies in the binade of ``M``, whose float64 spacing is
+    ``ulp``, so the float64 addition rounds ``x`` to a multiple of ``ulp``,
+    ties to even, and ``- M`` is exact (a 0 result is +0.0).  The other
+    modes act on the exact integer significand ``t = x / ulp``:
+    TowardPositive takes ``ceil(t)`` and Stochastic ``floor(t) + (u < t -
+    floor(t))``, ``u`` drawn by ``rng.random(x.shape)``; ``t * ulp + 0.0``
+    is the grid value (-0.0 becomes +0.0).  An exponent-only grid (no zero)
+    rounds to nearest on the fraction field: past that of ``fl(4/3)``, the
+    harmonic mean of 1 and 2, the value carries into the next power of two,
+    and a tie goes to the power whose scale field is even.
     """
     data = fmt._grid
     max_fin = data.max_finite
@@ -232,26 +248,35 @@ def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator 
     out = x.clip(data.min_value, max_fin, out=out)
     if neg_over is not None:
         np.copyto(out, max_fin, where=neg_over)
-    f, k = np.frexp(out)
-    np.maximum(k, data.min_frexp, out=k)  # zero scales to zero whatever k is
-    np.subtract(fmt.mantissa_bits + 1, k, out=k)
-    t = np.ldexp(out, k, out=out)
+    bits = out.view(np.int64)
+    if mode == TIES_TO_EVEN and fmt.exponent_only:
+        tie = np.bitwise_and(bits, _FRACTION) == _FRACTION_4_3
+        bits += _FRACTION - _FRACTION_4_3  # carries past fl(4/3) only
+        bits &= _EXPONENT
+        if tie.any():  # rounded down to 2**e
+            up = bits[tie]
+            # 2**(e + 1) has the field e + 1 + bias, of the parity of
+            # (e + 1023) + bias; up when that is even.
+            up += (~((up >> 52) + fmt.bias) & 1) << 52
+            bits[tie] = up
+        return out
+    if mode == TIES_TO_EVEN:
+        big = _binade(out, data)
+        big *= 1.5 * 2.0 ** (52 - fmt.mantissa_bits)
+        out += big
+        out -= big
+        return out
+    ulp = _binade(out, data)
+    ulp *= 2.0**-fmt.mantissa_bits
+    t = np.divide(out, ulp, out=out)
     if mode == TOWARD_POSITIVE:
         np.ceil(t, out=t)
-    elif mode == STOCHASTIC:
-        np.floor(t, out=f)
+    else:  # STOCHASTIC
+        f = np.floor(t)
         t -= f
         np.less(rng.random(x.shape), t, out=t)
         t += f
-    elif fmt.exponent_only:
-        tie = t == 4.0 / 3.0
-        np.greater(t, 4.0 / 3.0, out=f)
-        if np.count_nonzero(tie):
-            f[tie] = (k[tie] + (fmt.bias + 1)) % 2 == 0
-        np.add(f, 1.0, out=t)
-    else:
-        np.rint(t, out=t)
-    np.ldexp(t, np.negative(k, out=k), out=t)
+    t *= ulp
     t += 0.0
     return t
 

@@ -150,21 +150,89 @@ class BlockQuantResult:
         return self.qt.elements / self.s_eff[:, None]
 
 
+# np.exp rounds to +0.0 below log(2**-1075), about -745.13, and gives
+# subnormal results below about -708.4; NumPy leaves its vector path for both.
+_EXP_NORMAL_FROM = -708.0
+_EXP_ZERO_BELOW = -746.0
+
+
+def _block_major_abs(blocks: np.ndarray, mask: np.ndarray | None, fill: float) -> np.ndarray:
+    """``|blocks|`` of a ``(num_blocks, l)`` array written once into a new
+    C-ordered ``(l, num_blocks)`` buffer, ``fill`` where ``mask`` is False.
+
+    A reduction over the rows of the buffer runs along ``num_blocks``
+    contiguous values; one over the short rows of ``blocks`` pays NumPy's
+    inner-loop call per block.
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    a = np.abs(blocks.T, out=np.empty(blocks.shape[::-1]))
+    if mask is not None:
+        np.copyto(a, fill, where=~mask.T)
+    return a
+
+
+def _exp_in_place(a: np.ndarray) -> np.ndarray:
+    """``np.exp(a, out=a)``, bit for bit.  When the least argument is finite
+    and below -708, the arguments below -746, whose exp is +0.0, are
+    multiplied by 0 first (exp(-0.0) is 1) and their results by 0 after."""
+    if not -np.inf < a.min(initial=0.0) < _EXP_NORMAL_FROM:  # NaN too
+        return np.exp(a, out=a)
+    live = a >= _EXP_ZERO_BELOW
+    a *= live
+    np.exp(a, out=a)
+    a *= live
+    return a
+
+
+def _pairwise_sum(e: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
+    """``e[lo:lo + n].sum(axis=0)`` added in the order of NumPy's pairwise
+    sum of one contiguous row, so that it is bit for bit ``e.T.sum(axis=-1)``
+    for a C-ordered ``e``: fewer than 8 terms in a row, up to 128 in 8
+    accumulators, more split in halves at a multiple of 8."""
+    n = len(e) if n is None else n
+    if n < 8:
+        total = np.zeros(e.shape[1:])
+        for row in e[lo:lo + n]:
+            total += row
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(e, lo, half) + _pairwise_sum(e, lo + half, n - half)
+    stop = lo + n - n % 8
+    acc = e[lo:lo + 8] + e[lo + 8:lo + 16] if n >= 16 else e[lo:lo + 8].copy()
+    for i in range(lo + 16, stop, 8):
+        acc += e[i:i + 8]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    total = acc[0] + acc[4]
+    for row in e[stop:lo + n]:
+        total += row
+    return total
+
+
 def z_values(
     blocks: np.ndarray, z: ZFunction, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row-wise block statistic; ``mask`` excludes padding positions."""
-    a = np.abs(np.asarray(blocks, dtype=np.float64))
-    if mask is not None:
-        a = np.where(mask, a, 0.0)
-    m = a.max(axis=-1, initial=0.0)
+    """Statistic of each row of ``(num_blocks, l)`` blocks; ``mask``
+    excludes padding positions.
+
+    ``|blocks|`` is written once into a block-major ``(l, num_blocks)``
+    buffer (``_block_major_abs``); the maximum and the log-sum-exp work
+    along its rows, in place, and the exp terms are summed in the order the
+    row-wise sum adds them (``_pairwise_sum``).
+    """
+    a = _block_major_abs(blocks, mask, 0.0)
+    m = a.max(axis=0, initial=0.0)
     if z.kind == Z_ABSMAX or not np.isfinite(m).all():  # no shift for inf/NaN
         return m
     # Log-sum-exp with a max shift so large beta * |x| cannot overflow.
-    e = np.exp(z.beta * (a - m[..., None]))
+    a -= m
+    a *= z.beta
+    _exp_in_place(a)
     if mask is None:
-        return m + np.log(e.sum(axis=-1)) / z.beta
-    total = np.where(mask, e, 0.0).sum(axis=-1)  # 0 for an all-padding row
+        return m + np.log(_pairwise_sum(a)) / z.beta
+    a *= mask.T  # padding adds +0.0
+    total = _pairwise_sum(a)  # 0 for an all-padding row
     return m + np.log(total, out=np.zeros_like(total), where=total > 0) / z.beta
 
 
@@ -234,8 +302,9 @@ def quantize_blocks(
 
     With tensor scaling the global factor ``g`` is the maximum block
     statistic of the raw tensor (identity when the tensor is all zero);
-    blocks of ``X / g`` are then quantized, and the statistic is
-    recomputed on the normalized blocks (it is not linear in general).
+    blocks of ``X / g`` are then quantized.  The absolute maximum of the
+    normalized blocks is ``z / g``; the log-sum-exp is recomputed on them
+    (it is not linear in general).
     The fixed rescale divisor is applied for the narrow E4M3 scale format.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -252,17 +321,22 @@ def quantize_blocks(
     if tensor_scaling:
         g = float(z_max) if z_max > 0 else 1.0  # identity for a zero or empty tensor
         blocks /= g  # _partition's copy
-        z = z_values(blocks, spec.z, z_mask)
+        if spec.z.kind == Z_ABSMAX:
+            z /= g  # exact: x -> fl(x / g) is monotone, and padding stays 0
+        else:
+            z = z_values(blocks, spec.z, z_mask)
 
+    # z >= +0.0, so z = 0 and a subnormal z both give +inf.
     with np.errstate(divide="ignore", over="ignore"):
-        s_ideal = np.where(z > 0, spec.elem_format.max_finite / z, np.inf)
+        s_ideal = spec.elem_format.max_finite / z
 
-    rescale = 1.0
+    rescale, s_pre = 1.0, s_ideal
     if tensor_scaling and spec.scale_format.name == E4M3.name:
         rescale = nvfp4_rescale_constant(spec)
+        s_pre = s_ideal / rescale
 
-    stored = quantize_scales(s_ideal / rescale, spec, rng)
-    s_eff = rescale * stored
+    stored = quantize_scales(s_pre, spec, rng)
+    s_eff = stored if rescale == 1.0 else rescale * stored
 
     q = blocks * s_eff[:, None]
     _round(q, spec.elem_format, spec.elem_rounding, rng, out=q)

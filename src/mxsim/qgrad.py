@@ -20,6 +20,7 @@ import numpy as np
 
 from .formats import FloatFormat, grid, round_array
 from .mx import BlockQuantResult, Z_ABSMAX, z_values
+from .mx import _block_major_abs, _exp_in_place, _pairwise_sum
 
 # Element / scale quantizer gradient estimators.
 EST_STE = "STE"
@@ -260,13 +261,15 @@ def dZ(
     """Derivative of the block statistic with respect to each element.
 
     Hard mode: one-hot sign at the (first) absmax position.  Soft modes:
-    softmax weights of ``beta * |x|`` times element signs.
+    softmax weights of ``beta * |x|`` times element signs, formed in place
+    in the block-major buffer of ``z_values`` and transposed back once, by
+    the product with the signs.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
-    a = np.abs(blocks)
-    if mask is not None:
-        a = np.where(mask, a, -np.inf)
     if mode == SCALE_GRAD_ABSMAX:
+        a = np.abs(blocks)
+        if mask is not None:
+            a = np.where(mask, a, -np.inf)
         out = np.zeros_like(blocks)
         idx = np.argmax(a, axis=-1)
         rows = np.arange(blocks.shape[0])
@@ -275,17 +278,21 @@ def dZ(
         out[a[rows, idx] <= 0, :] = 0.0
         return out
     if mode in (SCALE_GRAD_SOFTMAX, SCALE_GRAD_HYBRID):
-        m = a.max(axis=-1, keepdims=True)
+        e = _block_major_abs(blocks, mask, -np.inf)
+        m = e.max(axis=0)
         finite = np.isfinite(m)
-        e = a - np.where(finite, m, 0.0)
-        e *= beta
-        np.exp(e, out=e)
+        all_finite = finite.all()
         # A row with a finite maximum holds only finite |x| unless masked.
-        if mask is not None or not finite.all():
-            e = np.where(np.isfinite(a), e, 0.0)
-        e /= e.sum(axis=-1, keepdims=True)
-        e *= np.sign(blocks, out=a)
-        return e
+        bad = None if mask is None and all_finite else ~np.isfinite(e)
+        e -= m if all_finite else np.where(finite, m, 0.0)
+        e *= beta
+        _exp_in_place(e)
+        if bad is not None:
+            e[bad] = 0.0
+        e /= _pairwise_sum(e)
+        out = np.sign(blocks)
+        out *= e.T
+        return out
     raise ValueError(f"no statistic derivative for mode {mode!r}")
 
 

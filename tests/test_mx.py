@@ -664,6 +664,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_bytes(data + b"\x00")
 
+    def test_corrupt_header_fields_rejected(self):
+        # A tensor-factor flag above 1 (byte 7) or a negative dimension.
+        data = to_bytes(quantize_tensor(np.ones((2, 4)), BlockSpec(block_size=4)))
+        flag = data[:7] + b"\x02" + data[8:]
+        dim = data[:8] + struct.pack("<q", -2) + data[16:]
+        for buf in (flag, dim):
+            with pytest.raises(ValueError, match="corrupt"):
+                from_bytes(buf)
+
     def test_wide_element_codes_rejected(self):
         qt = quantize_tensor(np.array([100.0, -3.0]), BlockSpec(block_size=2,
                                                                  elem_format=E4M3))

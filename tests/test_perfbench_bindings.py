@@ -34,11 +34,17 @@ def test_every_binding_is_the_defining_function(name):
         assert getattr(module, attr) is original, f"mxsim.{mod_name}.{attr}"
 
 
-@pytest.mark.parametrize("tensor_scaling, z_calls", [(False, 1), (True, 2)])
-def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, tensor_scaling, z_calls):
+@pytest.mark.parametrize("statistic, tensor_scaling, z_calls", [
+    ("Absmax", False, 1),
+    ("Absmax", True, 1),  # the normalized maximum is z / g
+    ("LogSumExp", True, 2),  # recomputed on the normalized blocks
+])
+def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, statistic, tensor_scaling,
+                                                  z_calls):
     # The tracer times z_values and quantize_scales at their mx bindings;
     # folding either into quantize_blocks would make its metrics read 0.
     mx = importlib.import_module("mxsim.mx")
+    z = mx.ZFunction(statistic, beta=None if statistic == "Absmax" else 40.0)
     calls = []
     for attr in ("z_values", "quantize_scales"):
         def counting(*args, _attr=attr, _fn=getattr(mx, attr), **kwargs):
@@ -46,7 +52,7 @@ def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, tensor_scaling, z
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mx, attr, counting)
-    mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(), tensor_scaling=tensor_scaling)
+    mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(z=z), tensor_scaling=tensor_scaling)
     assert calls.count("z_values") == z_calls
     assert calls.count("quantize_scales") == 1
 
