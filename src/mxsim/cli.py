@@ -4,8 +4,7 @@ Subcommands: ``quantize`` (round-trip a tensor file), ``recon``
 (reconstruction-error grid), ``train`` (one quantized training run),
 ``sweep`` (grid of training runs), ``pareto`` (frontier extraction), and
 ``plot`` (SVG rendering of result CSVs).  Every subcommand is deterministic
-given its inputs; ``recon``, ``train`` and ``sweep`` also read ``--seed``,
-which the ``MXSIM_SEED`` environment variable overrides.
+given its inputs; ``recon``, ``train`` and ``sweep`` also read ``--seed``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import struct
 import sys
 from dataclasses import fields
@@ -235,14 +233,9 @@ def _out_dir(args) -> Path:
 
 
 def _resolve_seed(args) -> int:
-    env = os.environ.get("MXSIM_SEED")
-    try:
-        seed = args.seed if env is None else int(env)
-    except ValueError as exc:
-        raise ConfigError(f"MXSIM_SEED must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def cmd_quantize(args) -> int:

@@ -218,7 +218,7 @@ def round_array(
     if not np.isfinite(x).all():
         raise ValueError("round_array requires finite inputs")
     _check_rounding(mode, rng)
-    return _round(x, fmt, mode, rng)
+    return _round(x.reshape(-1), fmt, mode, rng).reshape(x.shape)  # 0-d x too
 
 
 def _round(x: np.ndarray, fmt: FloatFormat, mode: str, rng: np.random.Generator | None,

@@ -28,16 +28,14 @@ HADAMARD_MODES = (HADAMARD_NONE, HADAMARD_ALL, HADAMARD_BACKWARD)
 
 @dataclass(frozen=True)
 class HadamardSpec:
-    block_size: int = 32
+    """Transform mode and sign seed; its blocks are the quantization blocks."""
+
     seed: int = 0
     mode: str = HADAMARD_NONE
 
     def __post_init__(self):
         if self.mode not in HADAMARD_MODES:
             raise ValueError(f"unknown transform mode {self.mode!r}")
-        l = self.block_size
-        if l <= 0 or (l & (l - 1)) != 0:
-            raise ValueError("block_size must be a power of two")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -67,13 +65,13 @@ def block_signs(seed: int, num_blocks: int, l: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-def step_signs(spec: HadamardSpec, step: int, num_blocks: int) -> np.ndarray:
-    """The sign rows of one layer step: a fresh diagonal every step,
-    replayable from ``(spec.seed, step)``.  Row ``i`` depends only on those
-    and ``i``, so the rows drawn for the step's longest axis serve every
-    axis."""
+def step_signs(spec: HadamardSpec, step: int, num_blocks: int, l: int) -> np.ndarray:
+    """The ``l``-wide sign rows of one layer step: a fresh diagonal every
+    step, replayable from ``(spec.seed, step)``.  Row ``i`` depends only on
+    those and ``i``, so the rows drawn for the step's longest axis serve
+    every axis."""
     mixed = int(np.random.SeedSequence([spec.seed, step]).generate_state(1)[0])
-    return block_signs(mixed, num_blocks, spec.block_size)
+    return block_signs(mixed, num_blocks, l)
 
 
 def transform_along_axis(

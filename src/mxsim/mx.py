@@ -71,10 +71,10 @@ class ZFunction:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Everything needed to quantize one tensor reproducibly."""
+    """Everything needed to quantize one tensor reproducibly; the elements are
+    E2M1, the MXFP4 element format of OCP Microscaling Formats v1.0."""
 
     block_size: int = 32
-    elem_format: FloatFormat = E2M1
     scale_format: FloatFormat = E8M0
     z: ZFunction = field(default_factory=ZFunction)
     scale_rounding: str = TIES_TO_EVEN
@@ -114,7 +114,7 @@ class QuantizedTensor:
     @property
     def codes(self) -> np.ndarray:
         """Element codes in block order, padding included."""
-        return encode_array(self.elements, self.spec.elem_format).ravel()
+        return encode_array(self.elements, E2M1).ravel()
 
     def dequantize(self) -> np.ndarray:
         return dequantize_tensor(self)
@@ -252,7 +252,7 @@ def quantize_scales(
     if not s.min(initial=np.inf) >= 0:  # NaN propagates into the minimum
         raise ValueError("scale multipliers must be >= 0 or +inf")
     if rng is None or s.max(initial=0.0) < np.inf:  # _round saturates +inf
-        out = _round(s, fmt, mode, rng)
+        out = _round(s.reshape(-1), fmt, mode, rng).reshape(s.shape)  # 0-d s too
     else:  # draw for the finite multipliers only
         finite = s < np.inf
         out = np.full(s.shape, fmt.max_finite)
@@ -266,7 +266,7 @@ def quantize_scales(
 def nvfp4_rescale_constant(spec: BlockSpec) -> float:
     """Fixed divisor that re-centers per-block multipliers in a narrow
     scale format when tensor scaling is active (half of elem_max * scale_max)."""
-    return spec.elem_format.max_finite * spec.scale_format.max_finite * 0.5
+    return E2M1.max_finite * spec.scale_format.max_finite * 0.5
 
 
 def _num_blocks(shape: tuple[int, ...], block_size: int) -> int:
@@ -328,7 +328,7 @@ def quantize_blocks(
 
     # z >= +0.0, so z = 0 and a subnormal z both give +inf.
     with np.errstate(divide="ignore", over="ignore"):
-        s_ideal = spec.elem_format.max_finite / z
+        s_ideal = E2M1.max_finite / z
 
     rescale, s_pre = 1.0, s_ideal
     if tensor_scaling and spec.scale_format.name == E4M3.name:
@@ -339,7 +339,7 @@ def quantize_blocks(
     s_eff = stored if rescale == 1.0 else rescale * stored
 
     q = blocks * s_eff[:, None]
-    _round(q, spec.elem_format, spec.elem_rounding, rng, out=q)
+    _round(q, E2M1, spec.elem_rounding, rng, out=q)
     qt = QuantizedTensor(
         shape=X.shape, scales=stored, elements=q, spec=spec, global_scale=g,
         rescale=rescale,
@@ -386,12 +386,10 @@ def _pack_text(text: str) -> bytes:
 
 
 def to_bytes(qt: QuantizedTensor) -> bytes:
-    """Binary layout: header with the whole spec, scale codes (16-bit),
-    packed 4-bit element codes."""
+    """Binary layout: header with the whole spec (the element format
+    always E2M1), scale codes (16-bit), packed 4-bit element codes."""
     spec = qt.spec
     codes = qt.codes
-    if codes.size and int(codes.max()) > 0xF:
-        raise ValueError(f"{spec.elem_format.name} codes do not fit in 4 bits")
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack(
@@ -400,7 +398,7 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
     buf.write(struct.pack(f"<{len(qt.shape)}q", *qt.shape))
     beta = math.nan if spec.z.beta is None else spec.z.beta
     buf.write(struct.pack("<ddd", qt.global_scale or 0.0, qt.rescale, beta))
-    for text in (spec.elem_format.name, spec.scale_format.name, spec.z.kind,
+    for text in (E2M1.name, spec.scale_format.name, spec.z.kind,
                  spec.scale_rounding, spec.elem_rounding, spec.zero_mode):
         buf.write(_pack_text(text))
     scale_codes = encode_array(qt.scales, spec.scale_format).astype("<u2")
@@ -417,8 +415,8 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
 def from_bytes(data: bytes) -> QuantizedTensor:
     """Inverse of :func:`to_bytes`.
 
-    Raises ``ValueError`` for a buffer that is truncated, over-long, or
-    whose fields disagree with each other or with the formats they name.
+    Raises ``ValueError`` for a buffer that is truncated, over-long, not E2M1,
+    or whose fields disagree with each other or with the formats they name.
     """
     data = bytes(data)
     pos = 0
@@ -447,7 +445,7 @@ def from_bytes(data: bytes) -> QuantizedTensor:
     ndim, block_size, has_g = unpack("<BHB")
     shape = unpack(f"<{ndim}q")
     g, rescale, beta = unpack("<ddd")
-    elem_fmt, scale_fmt = fmt(text()), fmt(text())
+    elem_name, scale_fmt = text(), fmt(text())
     z_kind, scale_rounding, elem_rounding, zero_mode = text(), text(), text(), text()
     (n_scales,) = unpack("<q")
     scale_codes = np.frombuffer(take(2 * n_scales), dtype="<u2")
@@ -456,8 +454,10 @@ def from_bytes(data: bytes) -> QuantizedTensor:
     if pos != len(data):
         raise ValueError("trailing bytes after quantized tensor")
 
+    if elem_name != E2M1.name:
+        raise ValueError(f"element format {elem_name!r}: only E2M1 is supported")
     spec = BlockSpec(
-        block_size=block_size, elem_format=elem_fmt, scale_format=scale_fmt,
+        block_size=block_size, scale_format=scale_fmt,
         z=ZFunction(z_kind, None if math.isnan(beta) else beta),
         scale_rounding=scale_rounding, elem_rounding=elem_rounding,
         zero_mode=zero_mode,
@@ -477,7 +477,7 @@ def from_bytes(data: bytes) -> QuantizedTensor:
     codes[0::2] = packed & 0x0F
     codes[1::2] = packed >> 4
     # decode_array rejects codes outside the element format.
-    elements = decode_array(codes[:n_codes], elem_fmt).reshape(-1, block_size)
+    elements = decode_array(codes[:n_codes], E2M1).reshape(-1, block_size)
     return QuantizedTensor(
         shape=tuple(shape),
         scales=scales,

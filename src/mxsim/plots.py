@@ -28,6 +28,8 @@ MARGIN_LEFT = 64
 MARGIN_RIGHT = 24
 MARGIN_TOP = 36
 MARGIN_BOTTOM = 48
+CURVE_POINTS = 801  # samples of the quantizer curves
+DEVIATION_POINTS = 2000  # and of the scale deviation
 
 PALETTE = [
     "#1f77b4",
@@ -223,10 +225,10 @@ def scatter_plot(
     return canvas.render()
 
 
-def quantizer_curve_plot(estimator_kind: str = "sigmoid", n: int = 801) -> str:
+def quantizer_curve_plot(estimator_kind: str = "sigmoid") -> str:
     """Stepped 4-bit quantizer (round to nearest, ties to even), its smooth
     surrogate, and the clipped slope."""
-    xs = [-FP4_MAX + 2 * FP4_MAX * i / (n - 1) for i in range(n)]
+    xs = [-FP4_MAX + 2 * FP4_MAX * i / (CURVE_POINTS - 1) for i in range(CURVE_POINTS)]
     arr = np.array(xs)
     hard = round_array(arr, E2M1, TIES_TO_EVEN)
     smooth = estimator_value(arr, E2M1, estimator_kind)
@@ -243,10 +245,10 @@ def quantizer_curve_plot(estimator_kind: str = "sigmoid", n: int = 801) -> str:
     )
 
 
-def scale_deviation_plot(scale_format: str = "E8M0", n: int = 2000) -> str:
+def scale_deviation_plot(scale_format: str = "E8M0") -> str:
     """Relative deviation between the ideal scale and its rounded value."""
     fmt = get_format(scale_format)
-    s = np.logspace(-9, 9, n)
+    s = np.logspace(-9, 9, DEVIATION_POINTS)
     rounded = round_array(s, fmt, TIES_TO_EVEN)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rounded > 0, s / rounded, np.nan)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import FloatFormat, grid, round_array
-from .mx import BlockQuantResult, Z_ABSMAX, z_values
+from .formats import E2M1, FloatFormat, grid, round_array
+from .mx import BlockQuantResult, Z_ABSMAX, Z_LOGSUMEXP, z_values
 from .mx import _block_major_abs, _exp_in_place, _pairwise_sum
 
 # Element / scale quantizer gradient estimators.
@@ -50,6 +50,15 @@ TENSOR_GRAD_STE = "STE"
 
 TENSOR_GRAD_MODES = (TENSOR_GRAD_IGNORE, TENSOR_GRAD_ABSMAX, TENSOR_GRAD_STE)
 
+# The softmax derivative's beta under the hard block maximum (LogSumExp takes
+# its own), and the relaxed quantizers' shapes: spline slope floor,
+# inverse-power exponent and derivative cap, sigmoid temperature.
+SMOOTH_MAX_BETA = 40.0
+SPLINE_SLOPE_FLOOR = 0.05
+BASELINE_POWER = 5
+BASELINE_GRAD_MAX = 1e3
+SIGMOID_TEMPERATURE = 1.0
+
 
 @dataclass(frozen=True)
 class GradConfig:
@@ -59,7 +68,6 @@ class GradConfig:
     elem_estimator: str = EST_STE
     scale_mode: str = SCALE_GRAD_STE
     scale_q_estimator: str = EST_STE
-    beta: float = 40.0
     tensor_mode: str = TENSOR_GRAD_IGNORE
 
     def __post_init__(self):
@@ -112,11 +120,11 @@ def q_spline(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
                     np.where(x < t[0], b[0], b[-1]))
 
 
-def _spline_slope(x: np.ndarray, fmt: FloatFormat, clip_min: float) -> np.ndarray:
-    """Spline slope floored at ``clip_min``, found by a search of the knots."""
+def _spline_slope(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """Floored spline slope, found by a search of the knots."""
     _, _, slopes, i, inside = _spline_interval(x, fmt)
     a = np.where(inside, slopes[i], 0.0)
-    return np.maximum(a, clip_min)
+    return np.maximum(a, SPLINE_SLOPE_FLOOR)
 
 
 # Cells of the largest slope table; of the FORMATS, only E2M1's knots fit.
@@ -124,7 +132,7 @@ _MAX_TABLE = 4096
 
 
 @functools.cache
-def _spline_slope_table(fmt: FloatFormat, clip_min: float):
+def _spline_slope_table(fmt: FloatFormat):
     """:func:`_spline_slope` per cell ``[k, k + 1) / 2**s``, or None unless
     every knot is a multiple of ``2**-s`` for an ``s >= 0`` at which at
     most ``_MAX_TABLE`` cells span the knots.
@@ -143,23 +151,23 @@ def _spline_slope_table(fmt: FloatFormat, clip_min: float):
             return None
         if np.array_equal(t * scale, np.floor(t * scale)):
             break
-    table = _spline_slope(np.arange(lo - 1, hi + 1) / scale, fmt, clip_min)
+    table = _spline_slope(np.arange(lo - 1, hi + 1) / scale, fmt)
     table.setflags(write=False)
     return scale, 1 - lo, table
 
 
-def q_spline_grad(x: np.ndarray, fmt: FloatFormat, clip_min: float = 0.05) -> np.ndarray:
-    """Spline slope, floored at ``clip_min`` (saturating regions report it too,
-    and so do NaN inputs).
+def q_spline_grad(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """Spline slope, floored at ``SPLINE_SLOPE_FLOOR`` (saturating regions
+    report it too, and so do NaN inputs).
 
     Read from the format's slope table where it has one: ``x * 2**s`` is
     exact, ``fmax``/``fmin`` send NaN to the cell below the knots, and the
     cell numbers are cast to integers in their own buffer.
     """
     x = np.asarray(x, dtype=np.float64)
-    lookup = _spline_slope_table(fmt, clip_min)
+    lookup = _spline_slope_table(fmt)
     if lookup is None:
-        return _spline_slope(x, fmt, clip_min)
+        return _spline_slope(x, fmt)
     scale, offset, table = lookup
     cell = np.multiply(x, scale, out=np.empty(x.shape))
     np.floor(cell, out=cell)
@@ -180,25 +188,24 @@ def _baseline_interval(x: np.ndarray, fmt: FloatFormat):
     return base, delta, u
 
 
-def q_baseline(x: np.ndarray, fmt: FloatFormat, w: int = 5) -> np.ndarray:
+def q_baseline(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Inverse-power smoothing of rounding inside each grid interval."""
     base, delta, u = _baseline_interval(x, fmt)
-    return base + 0.5 * delta * (1.0 + np.sign(u) * np.abs(u) ** (1.0 / w))
+    return base + 0.5 * delta * (1.0 + np.sign(u) * np.abs(u) ** (1.0 / BASELINE_POWER))
 
 
-def q_baseline_grad(
-    x: np.ndarray, fmt: FloatFormat, w: int = 5, clamp_max: float = 1e3
-) -> np.ndarray:
+def q_baseline_grad(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Derivative of :func:`q_baseline`; the interval midpoint is singular
-    and is clamped to ``clamp_max``."""
+    and is clamped to ``BASELINE_GRAD_MAX``."""
     _, _, u = _baseline_interval(x, fmt)
     au = np.abs(u)
+    w = BASELINE_POWER
     with np.errstate(divide="ignore"):
         d = np.where(au > 0, (1.0 / w) * au ** (1.0 / w - 1.0), np.inf)
-    return np.minimum(d, clamp_max)
+    return np.minimum(d, BASELINE_GRAD_MAX)
 
 
-def _sigmoid_interval(x: np.ndarray, fmt: FloatFormat, T: float):
+def _sigmoid_interval(x: np.ndarray, fmt: FloatFormat):
     """Lower grid value, grid spacing and sigmoid weight of each ``x``."""
     g = grid(fmt)
     x = np.asarray(x, dtype=np.float64)
@@ -206,19 +213,19 @@ def _sigmoid_interval(x: np.ndarray, fmt: FloatFormat, T: float):
     v0, v1 = g[i], g[i + 1]
     delta = v1 - v0
     c = 0.5 * (v0 + v1)
-    z = np.clip((x - c) * (12.0 / delta) / T, -700.0, 700.0)
+    z = np.clip((x - c) * (12.0 / delta) / SIGMOID_TEMPERATURE, -700.0, 700.0)
     return v0, delta, 1.0 / (1.0 + np.exp(-z))
 
 
-def q_sigmoid(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarray:
-    """Sigmoid interpolation between adjacent grid values (step as T -> 0)."""
-    v0, delta, sig = _sigmoid_interval(x, fmt, T)
+def q_sigmoid(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """Sigmoid interpolation between adjacent grid values."""
+    v0, delta, sig = _sigmoid_interval(x, fmt)
     return v0 + sig * delta
 
 
-def q_sigmoid_grad(x: np.ndarray, fmt: FloatFormat, T: float = 1.0) -> np.ndarray:
-    _, _, sig = _sigmoid_interval(x, fmt, T)
-    return (12.0 / T) * sig * (1.0 - sig)
+def q_sigmoid_grad(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    _, _, sig = _sigmoid_interval(x, fmt)
+    return (12.0 / SIGMOID_TEMPERATURE) * sig * (1.0 - sig)
 
 
 def estimator_value(x: np.ndarray, fmt: FloatFormat, kind: str) -> np.ndarray:
@@ -255,7 +262,7 @@ def estimator_grad(x: np.ndarray, fmt: FloatFormat, kind: str) -> np.ndarray:
 def dZ(
     blocks: np.ndarray,
     mode: str,
-    beta: float = 40.0,
+    beta: float = SMOOTH_MAX_BETA,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Derivative of the block statistic with respect to each element.
@@ -335,14 +342,15 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     formed in place, operation for operation.
     """
     spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
-    qg = estimator_grad(s_q[:, None] * blocks, spec.elem_format, cfg.elem_estimator)
+    qg = estimator_grad(s_q[:, None] * blocks, E2M1, cfg.elem_estimator)
 
     if cfg.scale_mode == SCALE_GRAD_STE:
         return qg
 
     mask = _padding_mask(res)
-    dz = dZ(blocks, cfg.scale_mode, cfg.beta, mask)
-    ds = ds_dX(blocks, res.z, dz, spec.elem_format.max_finite)
+    beta = spec.z.beta if spec.z.kind == Z_LOGSUMEXP else SMOOTH_MAX_BETA
+    dz = dZ(blocks, cfg.scale_mode, beta, mask)
+    ds = ds_dX(blocks, res.z, dz, E2M1.max_finite)
 
     s_pre = res.s_ideal / res.qt.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)

@@ -59,9 +59,9 @@ class QLinearConfig:
         if self.spec.elem_rounding != TIES_TO_EVEN:
             raise ValueError(f"element rounding {self.spec.elem_rounding!r}: "
                              "sr_policy sets the element rounding")
-        h, l = self.hadamard.block_size, self.spec.block_size
-        if self.hadamard.mode != HADAMARD_NONE and l % h:
-            raise ValueError(f"Hadamard block size {h} does not divide block size {l}")
+        l = self.spec.block_size
+        if self.hadamard.mode != HADAMARD_NONE and l & (l - 1):
+            raise ValueError(f"block size {l}: the Hadamard transform needs a power of two")
 
     @cached_property
     def _rounding_specs(self) -> tuple[BlockSpec, BlockSpec]:
@@ -132,7 +132,7 @@ def forward(
     if cfg.hadamard.mode != HADAMARD_NONE:
         # One draw per step, for the longest of the padded b, n and m.
         longest = -(-max(*X.shape, W.shape[0]) // l) * l
-        signs = step_signs(cfg.hadamard, step, longest // cfg.hadamard.block_size)
+        signs = step_signs(cfg.hadamard, step, longest // l, l)
     if cfg.hadamard.mode == HADAMARD_ALL:
         x_pad = transform_along_axis(x_pad, 1, signs)
         w_pad = transform_along_axis(w_pad, 1, signs)

@@ -34,6 +34,7 @@ from .mx import (
 from .qgrad import (
     GradConfig,
     SCALE_GRAD_MODES,
+    SMOOTH_MAX_BETA,
     TENSOR_GRAD_IGNORE,
     TENSOR_GRAD_MODES,
 )
@@ -330,11 +331,9 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_recon_inputs(n_elements: int, tensor_scales: Sequence[float]) -> None:
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be at least 1, got {n_elements}")
-    if 0 in tensor_scales:
-        raise ValueError("a tensor scale of 0 draws no nonzero element")
+#: The tensor scales and LogSumExp inverse temperatures the grid sweeps.
+RECON_TENSOR_SCALES = tuple(10.0**e for e in range(-4, 32, 4))
+RECON_BETAS = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
 
 
 def _median_in_place(a: np.ndarray) -> float:
@@ -373,7 +372,10 @@ def recon_error_cell(
     draw and the error statistics are written into; ``recon_error_experiment``
     passes one block for its whole grid.
     """
-    _check_recon_inputs(n_elements, (tensor_scale,))
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be at least 1, got {n_elements}")
+    if tensor_scale == 0:
+        raise ValueError("a tensor scale of 0 draws no nonzero element")
     x, err, mag = np.empty((3, n_elements)) if work is None else work
     rng.standard_normal(out=x)
     x *= tensor_scale
@@ -401,8 +403,6 @@ def recon_error_cell(
 def recon_error_experiment(
     formats: Sequence[str] = ("E8M0", "E4M3", "UE5M3"),
     block_sizes: Sequence[int] = (8, 16, 32, 64, 128),
-    tensor_scales: Sequence[float] = tuple(10.0**e for e in range(-4, 32, 4)),
-    betas: Sequence[float] = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0),
     seed: int = 0,
     n_elements: int = 1 << 16,
 ) -> list[dict[str, object]]:
@@ -414,7 +414,8 @@ def recon_error_experiment(
     and vs tensor scale at the default inverse temperature 40, and
     smooth-max sensitivity to the inverse temperature.
     """
-    _check_recon_inputs(n_elements, tensor_scales)
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be at least 1, got {n_elements}")
     rng = np.random.default_rng(seed)
     rows: list[dict[str, object]] = []
     # One block for every cell: blocks allocated and freed per cell made
@@ -440,16 +441,16 @@ def recon_error_experiment(
         for l in block_sizes:
             add(fmt, l, 1.0, None)
         # Exact max vs tensor scale at l=16.
-        for scale in tensor_scales:
+        for scale in RECON_TENSOR_SCALES:
             add(fmt, 16, scale, None)
         # Smooth max vs block size at the default inverse temperature.
         for l in block_sizes:
             add(fmt, l, 1.0, 40.0)
         # Smooth max vs tensor scale at l=16.
-        for scale in tensor_scales:
+        for scale in RECON_TENSOR_SCALES:
             add(fmt, 16, scale, 40.0)
         # Smooth-max sensitivity to the inverse temperature.
-        for beta in betas:
+        for beta in RECON_BETAS:
             add(fmt, 16, 1.0, beta)
     return rows
 
@@ -511,10 +512,6 @@ def write_results_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
         writer.writerows(rows)
 
 
-#: Inverse temperature of the smooth block maximum and its gradient.
-SMOOTH_MAX_BETA = 40.0
-
-
 def build_qlinear_config(cfg: SweepConfig, seed: int = 0) -> QLinearConfig:
     """Translate a sweep record into an executable layer configuration whose
     Hadamard signs follow the run ``seed``."""
@@ -533,13 +530,12 @@ def build_qlinear_config(cfg: SweepConfig, seed: int = 0) -> QLinearConfig:
         elem_estimator=cfg.quant_grad,
         scale_mode=cfg.max_grad,
         scale_q_estimator=cfg.scale_grad,
-        beta=SMOOTH_MAX_BETA,
         tensor_mode=tensor_mode,
     )
     return QLinearConfig(
         spec=spec,
         grad=grad,
-        hadamard=HadamardSpec(cfg.block_size, mode=cfg.hadamard, seed=seed),
+        hadamard=HadamardSpec(mode=cfg.hadamard, seed=seed),
         tensor_scaling=cfg.tensor_scaling,
         sr_policy=cfg.sr,
     )

@@ -33,20 +33,23 @@ class AdamState:
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place; each parameter's
+    temporaries go into two scratch arrays, in the order of the plain formulas."""
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = np.empty_like(p), np.empty_like(p)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=a)  # m = b1 m + (1 - b1) g
         v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**state.t)
-        vhat = v / (1 - b2**state.t)
-        p -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)  # ((1 - b2) g) g
+        np.sqrt(np.divide(v, 1 - b2**state.t, out=a), out=a)
+        a += ADAM_EPS  # sqrt(v_hat) + eps
+        np.multiply(np.divide(m, 1 - b1**state.t, out=b), state.lr, out=b)  # lr m_hat
+        p -= np.divide(b, a, out=b)
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +58,17 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 MIN_LOSS_SCALE = 1.0
 MAX_LOSS_SCALE = 2.0**24
+INITIAL_LOSS_SCALE = 2.0**16
+LOSS_SCALE_GROWTH_INTERVAL = 2000  # finite steps in a row before the scale doubles
 
 
 @dataclass
 class LossScaler:
     """Power-of-two multiplier on the loss; halves on overflow, grows back."""
 
-    scale: float = 2.0**16
-    growth_interval: int = 2000
-    good_steps: int = 0
     enabled: bool = True
+    scale: float = field(default=INITIAL_LOSS_SCALE, init=False)
+    good_steps: int = field(default=0, init=False)
 
     def update(self, grads_finite: bool) -> bool:
         """Adjust the scale; returns whether the step should be applied."""
@@ -72,7 +76,7 @@ class LossScaler:
             return grads_finite
         if grads_finite:
             self.good_steps += 1
-            if self.good_steps >= self.growth_interval:
+            if self.good_steps >= LOSS_SCALE_GROWTH_INTERVAL:
                 self.scale = min(self.scale * 2.0, MAX_LOSS_SCALE)
                 self.good_steps = 0
             return True
@@ -92,6 +96,7 @@ class LossScaler:
 TASK_GAUSSIAN = "gaussian_regression"
 TASK_CLASSIFICATION = "synthetic_classification"
 TASKS = (TASK_GAUSSIAN, TASK_CLASSIFICATION)
+CLASS_MARGIN = 5.0  # spacing of the classification blob centers, in sigmas
 
 
 @dataclass(frozen=True)
@@ -126,14 +131,12 @@ def gen_gaussian_regression(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.
     return X, y[:, None], w_true
 
 
-def gen_synthetic_classification(
-    spec: TaskSpec, margin: float = 5.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian blobs, one unit-variance cluster per class, separable when
-    ``margin`` (center spacing in sigmas) is large."""
+def gen_synthetic_classification(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian blobs, one unit-variance cluster per class, separable at
+    the ``CLASS_MARGIN`` between centers."""
     rng = np.random.default_rng(spec.seed)
     centers = rng.standard_normal((spec.n_classes, spec.dim))
-    centers *= margin / np.linalg.norm(centers, axis=1, keepdims=True) * np.sqrt(spec.dim)
+    centers *= CLASS_MARGIN / np.linalg.norm(centers, axis=1, keepdims=True) * np.sqrt(spec.dim)
     labels = rng.integers(0, spec.n_classes, size=spec.n_samples)
     X = centers[labels] + rng.standard_normal((spec.n_samples, spec.dim))
     return X, labels

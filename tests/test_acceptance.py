@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mxsim.formats import (
+    E2M1,
     FORMATS,
     STOCHASTIC,
     TIES_TO_EVEN,
@@ -177,9 +178,9 @@ def test_criterion_02_sr_unbiasedness():
 
 def _smooth_block_forward(blocks, spec, elem_est, scale_est):
     z = z_values(blocks, spec.z)
-    s = spec.elem_format.max_finite / z
+    s = E2M1.max_finite / z
     s_q = estimator_value(s, spec.scale_format, scale_est)
-    q_vals = estimator_value(s_q[:, None] * blocks, spec.elem_format, elem_est)
+    q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
     return q_vals / s_q[:, None], z, s, s_q, q_vals
 
 
@@ -203,7 +204,6 @@ def test_criterion_03_gradient_fidelity():
         elem_estimator=elem_est,
         scale_mode=SCALE_GRAD_SOFTMAX,
         scale_q_estimator=scale_est,
-        beta=beta,
     )
     step = 1e-5
 
@@ -241,7 +241,6 @@ def test_criterion_03_gradient_fidelity():
         elem_estimator=elem_est,
         scale_mode=SCALE_GRAD_SOFTMAX,
         scale_q_estimator=scale_est,
-        beta=beta,
         tensor_mode=TENSOR_GRAD_ABSMAX,
     )
     got_h = assemble_dh_dX(_smooth_record(spec, U, z, s, s_q, q_vals, g), cfg_t)

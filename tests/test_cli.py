@@ -368,35 +368,12 @@ class TestTrainAndPlots:
 
 
 class TestSeedOverride:
-    def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 1\nn_samples = 200\n")
-        out1, out2, out3 = (tmp_path / n for n in ("o1", "o2", "o3"))
-        monkeypatch.setenv("MXSIM_SEED", "7")
-        assert main(["train", "--config", str(cfg), "--seed", "1",
-                     "--out", str(out1)]) == 0
-        assert main(["train", "--config", str(cfg), "--seed", "2",
-                     "--out", str(out2)]) == 0
-        monkeypatch.delenv("MXSIM_SEED")
-        assert main(["train", "--config", str(cfg), "--seed", "7",
-                     "--out", str(out3)]) == 0
-        r1 = (out1 / "losses.csv").read_text()
-        assert r1 == (out2 / "losses.csv").read_text()
-        assert r1 == (out3 / "losses.csv").read_text()
-
-    def test_invalid_env_seed_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MXSIM_SEED", "pi")
-        rc = main(["recon", "--format", "E8M0", "--out", str(tmp_path)])
-        assert rc == 2
-
     @pytest.mark.parametrize("command", ["train", "recon", "sweep"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("source", ["flag", "flag="])
     def test_negative_seed_exits_2_before_any_run(
-        self, tmp_path, monkeypatch, capsys, train_calls, command, source
+        self, tmp_path, capsys, train_calls, command, source
     ):
-        seed = ["--seed", "-1"] if source == "flag" else []
-        if source == "env":
-            monkeypatch.setenv("MXSIM_SEED", "-3")
+        seed = ["--seed", "-1"] if source == "flag" else ["--seed=-3"]
         extra = ["--format", "E8M0"] if command == "recon" else []
         out = tmp_path / "out"
         assert main([command, *extra, *seed, "--out", str(out)]) == 2

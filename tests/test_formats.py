@@ -15,6 +15,7 @@ from mxsim.formats import (
     UE5M3,
     FORMATS,
     FloatFormat,
+    ROUNDING_MODES,
     STOCHASTIC,
     TIES_TO_EVEN,
     TOWARD_POSITIVE,
@@ -380,3 +381,14 @@ class TestRoundStochastic:
 def test_rtn_result_is_on_grid(x):
     (r,) = round_array(np.array([x]), E2M1, TIES_TO_EVEN)
     assert r in grid(E2M1)
+
+
+@pytest.mark.parametrize("mode", ROUNDING_MODES)
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+def test_zero_dimensional_input_rounds_as_one_element(fmt, mode):
+    for x in (1.3, -2.7, 0.0, 0.3, 1e300):
+        rng = [np.random.default_rng(5) if mode == STOCHASTIC else None for _ in range(3)]
+        one = round_array(np.array([x]), fmt, mode, rng[0])
+        for scalar, r in zip((x, np.float64(x)), rng[1:]):
+            got = round_array(scalar, fmt, mode, r)
+            assert got.shape == () and got.tobytes() == one.tobytes()

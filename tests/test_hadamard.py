@@ -64,11 +64,17 @@ class TestSigns:
     @pytest.mark.parametrize("kw, message", [
         ({"mode": "sometimes"}, "unknown transform mode 'sometimes'"),
         ({"block_size": 12}, "power of two"),
-        ({"block_size": 0}, "power of two"),
+        ({"block_size": 24}, "power of two"),
     ])
     def test_spec_rejects(self, kw, message):
+        # The transform acts on the layer's quantization blocks, so the
+        # layer configuration checks their size.
+        from mxsim.mx import BlockSpec
+        from mxsim.qlinear import QLinearConfig
+
         with pytest.raises(ValueError, match=message):
-            HadamardSpec(**kw)
+            QLinearConfig(spec=BlockSpec(block_size=kw.get("block_size", 32)),
+                          hadamard=HadamardSpec(mode=kw.get("mode", HADAMARD_ALL)))
 
 
 class TestTransform:
@@ -177,7 +183,7 @@ class TestSignDraws:
         from mxsim.qlinear import QLinearConfig, backward, forward
 
         cfg = QLinearConfig(spec=BlockSpec(block_size=16),
-                            hadamard=HadamardSpec(block_size=16, mode=HADAMARD_ALL))
+                            hadamard=HadamardSpec(mode=HADAMARD_ALL))
         rng = np.random.default_rng(12)
         X, W = rng.normal(size=(20, 40)), rng.normal(size=(3, 40))
         Y, ctx = forward(X, W, cfg, step=5)

@@ -19,6 +19,8 @@ from mxsim.formats import (
     E5M2,
     E8M0,
     E8M3,
+    FORMATS,
+    ROUNDING_MODES,
     STOCHASTIC,
     TIES_TO_EVEN,
     TOWARD_POSITIVE,
@@ -526,6 +528,16 @@ class TestEntryPointChecks:
         with pytest.raises(ValueError, match="finite"):
             quantize_blocks(np.array([[1.0, bad]]), BlockSpec(block_size=2))
 
+    @pytest.mark.parametrize("mode", ROUNDING_MODES)
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_zero_dimensional_multiplier_rounds_as_one_element(self, name, mode):
+        spec = BlockSpec(scale_format=FORMATS[name], scale_rounding=mode)
+        for s in (1.3, 0.0, 1e-300, 3e9, np.inf):
+            rng = [np.random.default_rng(5) if mode == STOCHASTIC else None for _ in range(2)]
+            one = quantize_scales(np.array([s]), spec, rng[0])
+            got = quantize_scales(np.float64(s), spec, rng[1])
+            assert got.shape == () and got.tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("z", [ZFunction(), LSE], ids=["absmax", "lse"])
     @pytest.mark.parametrize("cols", [2, 3], ids=["whole", "padded"])
@@ -674,10 +686,12 @@ class TestSerialization:
                 from_bytes(buf)
 
     def test_wide_element_codes_rejected(self):
-        qt = quantize_tensor(np.array([100.0, -3.0]), BlockSpec(block_size=2,
-                                                                 elem_format=E4M3))
-        with pytest.raises(ValueError):
-            to_bytes(qt)
+        # Elements are E2M1; a buffer naming a wider element format is refused.
+        data = to_bytes(quantize_tensor(np.array([100.0, -3.0]), BlockSpec(block_size=2)))
+        assert from_bytes(data).spec == BlockSpec(block_size=2)
+        for name in (b"E4M3", b"E5M2", b"E9M9"):
+            with pytest.raises(ValueError, match="only E2M1"):
+                from_bytes(data.replace(b"\x04E2M1", b"\x04" + name))
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -68,7 +68,5 @@ def test_recon_grid_calls_the_traced_cell(monkeypatch):
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "recon_error_cell", counting)
-    rows = sweep.recon_error_experiment(formats=("E8M0",), block_sizes=(8, 16),
-                                        tensor_scales=(1.0,), betas=(40.0,),
-                                        n_elements=64)
-    assert calls == [(3, 64)] * len(rows)
+    rows = sweep.recon_error_experiment(n_elements=64)
+    assert calls == [(3, 64)] * len(rows) and len(rows) == 102

@@ -116,4 +116,4 @@ class TestQuantizerCurve:
             xlabel="input",
             ylabel="output",
         )
-        assert quantizer_curve_plot("sigmoid", n) == expected
+        assert quantizer_curve_plot("sigmoid") == expected

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from mxsim.mx import (
     quantize_blocks,
     z_values,
 )
+from mxsim import qgrad
 from mxsim.qgrad import (
     EST_BASELINE,
     EST_SIGMOID,
@@ -30,6 +30,7 @@ from mxsim.qgrad import (
     SCALE_GRAD_HYBRID,
     SCALE_GRAD_SOFTMAX,
     SCALE_GRAD_STE,
+    SMOOTH_MAX_BETA,
     TENSOR_GRAD_ABSMAX,
     TENSOR_GRAD_IGNORE,
     TENSOR_GRAD_STE,
@@ -52,6 +53,20 @@ from mxsim.qgrad import (
 GRID = grid(E2M1)
 
 
+@pytest.fixture
+def set_constant(monkeypatch):
+    """Sets a module constant of ``qgrad`` for one test; the cached spline
+    slope tables are dropped on the way in and out, since they hold the
+    slope floor."""
+
+    def set_(name, value):
+        monkeypatch.setattr(qgrad, name, value)
+        qgrad._spline_slope_table.cache_clear()
+
+    yield set_
+    qgrad._spline_slope_table.cache_clear()
+
+
 class TestSpline:
     def test_continuous_at_knots(self):
         from mxsim.qgrad import _spline_data
@@ -71,15 +86,17 @@ class TestSpline:
         fd = (q_spline(mids + h, E2M1) - q_spline(mids - h, E2M1)) / (2 * h)
         np.testing.assert_allclose(fd, slopes, rtol=1e-5)
 
-    def test_clip_rule(self):
+    def test_clip_rule(self, set_constant):
         x = np.linspace(-8, 8, 1001)
-        g = q_spline_grad(x, E2M1, clip_min=0.1)
-        assert g.min() >= 0.1
+        set_constant("SPLINE_SLOPE_FLOOR", 0.1)
+        g = q_spline_grad(x, E2M1)
+        assert g.min() == 0.1
 
     def test_clip_floor_over_many_points(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-10, 10, 10**6)
-        assert q_spline_grad(x, E2M1, clip_min=0.05).min() >= 0.05
+        assert qgrad.SPLINE_SLOPE_FLOOR == 0.05
+        assert q_spline_grad(x, E2M1).min() == 0.05
 
     def test_saturates_outside(self):
         assert q_spline(np.array([100.0]), E2M1)[0] == q_spline(np.array([7.0]), E2M1)[0]
@@ -97,21 +114,22 @@ class TestSpline:
 class TestBaseline:
     def test_interval_start(self):
         # Start of the [1, 1.5] interval: u = -1, value = base, slope = 1/w.
-        v = q_baseline(np.array([1.0]), E2M1, w=5)[0]
+        assert qgrad.BASELINE_POWER == 5
+        v = q_baseline(np.array([1.0]), E2M1)[0]
         assert v == pytest.approx(1.0, abs=1e-12)
-        assert q_baseline_grad(np.array([1.0]), E2M1, w=5)[0] == pytest.approx(0.2)
+        assert q_baseline_grad(np.array([1.0]), E2M1)[0] == pytest.approx(0.2)
 
     def test_interval_end(self):
-        v = q_baseline(np.array([1.5 - 1e-15]), E2M1, w=5)[0]
+        v = q_baseline(np.array([1.5 - 1e-15]), E2M1)[0]
         assert v == pytest.approx(1.5, abs=1e-9)
-        assert q_baseline_grad(np.array([1.4999999]), E2M1, w=5)[0] == pytest.approx(
+        assert q_baseline_grad(np.array([1.4999999]), E2M1)[0] == pytest.approx(
             0.2, rel=1e-3
         )
 
     def test_midpoint_value_and_clamp(self):
-        v = q_baseline(np.array([1.25]), E2M1, w=5)[0]
+        v = q_baseline(np.array([1.25]), E2M1)[0]
         assert v == pytest.approx(1.25, abs=1e-12)
-        assert q_baseline_grad(np.array([1.25]), E2M1, w=5)[0] == 1e3
+        assert q_baseline_grad(np.array([1.25]), E2M1)[0] == qgrad.BASELINE_GRAD_MAX == 1e3
 
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(1)
@@ -122,25 +140,28 @@ class TestBaseline:
 
 
 class TestSigmoid:
-    def test_midpoint(self):
+    def test_midpoint(self, set_constant):
         # Between 1 and 1.5: c = 1.25, value = 1.25, slope = 3/T.
-        assert q_sigmoid(np.array([1.25]), E2M1, T=1.0)[0] == pytest.approx(1.25)
-        assert q_sigmoid_grad(np.array([1.25]), E2M1, T=1.0)[0] == pytest.approx(3.0)
-        assert q_sigmoid_grad(np.array([1.25]), E2M1, T=0.5)[0] == pytest.approx(6.0)
+        assert qgrad.SIGMOID_TEMPERATURE == 1.0
+        assert q_sigmoid(np.array([1.25]), E2M1)[0] == pytest.approx(1.25)
+        assert q_sigmoid_grad(np.array([1.25]), E2M1)[0] == pytest.approx(3.0)
+        set_constant("SIGMOID_TEMPERATURE", 0.5)
+        assert q_sigmoid_grad(np.array([1.25]), E2M1)[0] == pytest.approx(6.0)
 
-    def test_small_temperature_is_a_step(self):
+    def test_small_temperature_is_a_step(self, set_constant):
         # Just past the midpoint the tiny-T sigmoid lands on the upper value.
         x = np.array([1.25 + 0.5 / 4.0])
-        assert q_sigmoid(x, E2M1, T=1e-6)[0] == pytest.approx(1.5, abs=1e-9)
+        set_constant("SIGMOID_TEMPERATURE", 1e-6)
+        assert q_sigmoid(x, E2M1)[0] == pytest.approx(1.5, abs=1e-9)
 
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(1.05, 1.45, 500)
         h = 1e-6
-        fd = (q_sigmoid(x + h, E2M1, T=1.0) - q_sigmoid(x - h, E2M1, T=1.0)) / (2 * h)
-        np.testing.assert_allclose(q_sigmoid_grad(x, E2M1, T=1.0), fd, rtol=1e-4)
+        fd = (q_sigmoid(x + h, E2M1) - q_sigmoid(x - h, E2M1)) / (2 * h)
+        np.testing.assert_allclose(q_sigmoid_grad(x, E2M1), fd, rtol=1e-4)
 
-    def test_limit_matches_nearest_rounding(self):
+    def test_limit_matches_nearest_rounding(self, set_constant):
         # Dense points away from decision boundaries: the tiny-T sigmoid
         # agrees with ties-to-even rounding within 1e-6 of the largest gap.
         x = np.linspace(-5.9, 5.9, 4001)
@@ -148,7 +169,8 @@ class TestSigmoid:
 
         t, _ = _decision_knots(E2M1)
         x = x[np.min(np.abs(x[:, None] - t[None, :]), axis=1) > 1e-3]
-        approx = q_sigmoid(x, E2M1, T=1e-6)
+        set_constant("SIGMOID_TEMPERATURE", 1e-6)
+        approx = q_sigmoid(x, E2M1)
         exact = round_array(x, E2M1)
         assert np.abs(approx - exact).max() <= 1e-6 * 2.0
 
@@ -157,10 +179,9 @@ class TestEstimatorKinds:
     def test_kinds_use_the_surrogate_defaults(self):
         x = np.linspace(-7.0, 7.0, 1001)
         cases = {
-            EST_SPLINE: (q_spline(x, E2M1), q_spline_grad(x, E2M1, clip_min=0.05)),
-            EST_BASELINE: (q_baseline(x, E2M1, w=5),
-                           q_baseline_grad(x, E2M1, w=5, clamp_max=1e3)),
-            EST_SIGMOID: (q_sigmoid(x, E2M1, T=1.0), q_sigmoid_grad(x, E2M1, T=1.0)),
+            EST_SPLINE: (q_spline(x, E2M1), q_spline_grad(x, E2M1)),
+            EST_BASELINE: (q_baseline(x, E2M1), q_baseline_grad(x, E2M1)),
+            EST_SIGMOID: (q_sigmoid(x, E2M1), q_sigmoid_grad(x, E2M1)),
             EST_STE: (x, np.ones_like(x)),
         }
         for kind, (value, grad) in cases.items():
@@ -184,11 +205,6 @@ class TestEstimatorKinds:
     def test_config_rejects_unknown_mode(self, field, message):
         with pytest.raises(ValueError, match=message):
             GradConfig(**{field: "bogus"})
-
-    def test_config_fields_are_modes_and_beta(self):
-        assert [f.name for f in dataclasses.fields(GradConfig)] == [
-            "elem_estimator", "scale_mode", "scale_q_estimator", "beta", "tensor_mode",
-        ]
 
 
 class TestDZ:
@@ -280,9 +296,9 @@ class TestDsDX:
 def _smooth_forward(blocks, spec, elem_est, scale_est, beta):
     """Fully differentiable surrogate of the per-block quantizer."""
     z = z_values(blocks, ZFunction(Z_LOGSUMEXP, beta=beta))
-    s = spec.elem_format.max_finite / z
+    s = E2M1.max_finite / z
     s_q = estimator_value(s, spec.scale_format, scale_est)
-    q_vals = estimator_value(s_q[:, None] * blocks, spec.elem_format, elem_est)
+    q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
     return q_vals / s_q[:, None], z, s, s_q, q_vals
 
 
@@ -325,7 +341,6 @@ class TestAssembleDf:
             elem_estimator=elem_est,
             scale_mode=SCALE_GRAD_SOFTMAX,
             scale_q_estimator=scale_est,
-            beta=beta,
         )
         n_blocks = 1250  # 10^4 elements total
         blocks = rng.uniform(-3.0, 3.0, size=(n_blocks, l))
@@ -413,7 +428,6 @@ class TestAssembleDh:
             elem_estimator=elem_est,
             scale_mode=SCALE_GRAD_SOFTMAX,
             scale_q_estimator=scale_est,
-            beta=beta,
             tensor_mode=TENSOR_GRAD_ABSMAX,
         )
         # Enough points that the global-argmax element (where the
@@ -454,7 +468,7 @@ class TestAssembleDh:
 # ---------------------------------------------------------------------------
 
 
-def _searched_spline_slope(x, fmt, clip_min):
+def _searched_spline_slope(x, fmt, clip_min=0.05):
     t, _, slopes = _spline_data(fmt)
     i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
     inside = (x >= t[0]) & (x < t[-1])
@@ -473,30 +487,32 @@ def _spline_inputs(fmt):
 
 class TestSplineSlopeTable:
     @pytest.mark.parametrize("name", sorted(FORMATS))
-    def test_equals_the_knot_search(self, name):
+    def test_equals_the_knot_search(self, set_constant, name):
         fmt = FORMATS[name]
         x = _spline_inputs(fmt)
         for clip_min in (0.05, 0.0, 0.3):
-            got = q_spline_grad(x, fmt, clip_min=clip_min)
+            set_constant("SPLINE_SLOPE_FLOOR", clip_min)
+            got = q_spline_grad(x, fmt)
             assert got.tobytes() == _searched_spline_slope(x, fmt, clip_min).tobytes()
 
     def test_e2m1_has_a_42_cell_table_and_wide_formats_none(self):
         from mxsim.qgrad import _spline_slope_table
 
-        assert len(_spline_slope_table(E2M1, 0.05)[2]) == 42
-        assert _spline_slope_table(E8M0, 0.05) is None
-        assert _spline_slope_table(E4M3, 0.05) is None
+        assert len(_spline_slope_table(E2M1)[2]) == 42
+        assert _spline_slope_table(E8M0) is None
+        assert _spline_slope_table(E4M3) is None
 
-    def test_nan_and_infinities_read_the_floor(self):
+    def test_nan_and_infinities_read_the_floor(self, set_constant):
         x = np.array([np.nan, np.inf, -np.inf])
-        np.testing.assert_array_equal(q_spline_grad(x, E2M1, clip_min=0.07), 0.07)
+        set_constant("SPLINE_SLOPE_FLOOR", 0.07)
+        np.testing.assert_array_equal(q_spline_grad(x, E2M1), 0.07)
 
     def test_shapes_and_strides(self):
         x = np.random.default_rng(1).uniform(-7.0, 7.0, size=(64, 32))
         for a in (x, x.T, x[::3, 1::2], np.asarray(1.3)):
             got = q_spline_grad(a, E2M1)
             assert got.shape == a.shape
-            assert got.tobytes() == _searched_spline_slope(a, E2M1, 0.05).tobytes()
+            assert got.tobytes() == _searched_spline_slope(a, E2M1).tobytes()
 
 
 def _full_dZ(blocks, mode, beta, mask):
@@ -519,11 +535,13 @@ def _full_dZ(blocks, mode, beta, mask):
 
 def _full_df_dX(res, cfg):
     spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
-    qg = estimator_grad(s_q[:, None] * blocks, spec.elem_format, cfg.elem_estimator)
+    qg = estimator_grad(s_q[:, None] * blocks, E2M1, cfg.elem_estimator)
     if cfg.scale_mode == SCALE_GRAD_STE:
         return qg
-    dz = _full_dZ(blocks, cfg.scale_mode, cfg.beta, res.mask)
-    ds = ds_dX(blocks, res.z, dz, spec.elem_format.max_finite)
+    # The softmax derivative takes the statistic's beta, or the hard max's.
+    beta = spec.z.beta if spec.z.kind == Z_LOGSUMEXP else SMOOTH_MAX_BETA
+    dz = _full_dZ(blocks, cfg.scale_mode, beta, res.mask)
+    ds = ds_dX(blocks, res.z, dz, E2M1.max_finite)
     s_pre = res.s_ideal / res.qt.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
     qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
@@ -558,8 +576,7 @@ def _grad_configs(tensor_modes):
             for scale_q in (EST_STE, EST_SPLINE):
                 for tensor_mode in tensor_modes:
                     yield GradConfig(elem_estimator=elem, scale_mode=scale_mode,
-                                     scale_q_estimator=scale_q, beta=7.0,
-                                     tensor_mode=tensor_mode)
+                                     scale_q_estimator=scale_q, tensor_mode=tensor_mode)
 
 
 _TENSOR_MODES = (TENSOR_GRAD_ABSMAX, TENSOR_GRAD_STE, TENSOR_GRAD_IGNORE)

@@ -101,26 +101,25 @@ class TestForward:
         plain = small_cfg(quantize=False)
         mixed = small_cfg(
             quantize=False,
-            hadamard=HadamardSpec(block_size=4, seed=9, mode=HADAMARD_ALL),
+            hadamard=HadamardSpec(seed=9, mode=HADAMARD_ALL),
         )
         Y0, _ = forward(X, W, plain)
         Y1, _ = forward(X, W, mixed)
         np.testing.assert_allclose(Y1, Y0, atol=1e-8)
 
     @pytest.mark.parametrize("mode", [HADAMARD_ALL, HADAMARD_BACKWARD])
-    def test_hadamard_block_must_divide_block_size(self, mode):
-        # m = 48 pads to a multiple of 16, which 32-blocks would not divide.
-        with pytest.raises(ValueError, match="does not divide"):
-            QLinearConfig(spec=BlockSpec(block_size=16),
-                          hadamard=HadamardSpec(block_size=32, mode=mode))
-        QLinearConfig(spec=BlockSpec(block_size=16),  # no transform: not checked
-                      hadamard=HadamardSpec(block_size=32))
-        cfg = QLinearConfig(spec=BlockSpec(block_size=32),
-                            hadamard=HadamardSpec(block_size=16, mode=mode))
+    def test_hadamard_transforms_the_quantization_blocks(self, mode):
+        # Its sign rows are as wide as the blocks, and a block size that is
+        # not a power of two is checked only when a transform is on.
+        with pytest.raises(ValueError, match="power of two"):
+            QLinearConfig(spec=BlockSpec(block_size=24), hadamard=HadamardSpec(mode=mode))
+        QLinearConfig(spec=BlockSpec(block_size=24))  # no transform: not checked
+        cfg = QLinearConfig(spec=BlockSpec(block_size=16), hadamard=HadamardSpec(mode=mode))
         rng = np.random.default_rng(5)
-        X, W = rng.normal(size=(4, 48)), rng.normal(size=(3, 48))
+        X, W = rng.normal(size=(4, 40)), rng.normal(size=(3, 40))
         Y, ctx = forward(X, W, cfg)
         gx, gw = backward(np.ones_like(Y), ctx, cfg)
+        assert ctx.signs.shape == (3, 16)
         assert Y.shape == (4, 3) and gx.shape == X.shape and gw.shape == W.shape
 
     def test_padding_of_contraction_dim(self):
@@ -170,7 +169,7 @@ class TestForward:
     @pytest.mark.parametrize("kw", [
         {},
         {"sr_policy": SR_ALL, "tensor_scaling": True,
-         "hadamard": HadamardSpec(block_size=4, mode=HADAMARD_ALL)},
+         "hadamard": HadamardSpec(mode=HADAMARD_ALL)},
     ], ids=["rtn", "sr-tensor-hadamard"])
     def test_every_quantization_passes_the_meter(self, monkeypatch, kw):
         # The benchmark meters quantization through the quantize_blocks
@@ -282,7 +281,7 @@ class TestBackward:
         cfg = small_cfg(
             spec=BlockSpec(block_size=4, scale_rounding=STOCHASTIC),
             sr_policy=SR_ALL,
-            hadamard=HadamardSpec(block_size=4, seed=1, mode=HADAMARD_ALL),
+            hadamard=HadamardSpec(seed=1, mode=HADAMARD_ALL),
         )
         outs = []
         for _ in range(2):
@@ -310,7 +309,7 @@ class TestUnitOperandGradient:
 
     @pytest.mark.parametrize("m, kw", [
         (8, {}),
-        (8, {"hadamard": HadamardSpec(block_size=4, seed=5, mode=HADAMARD_ALL)}),
+        (8, {"hadamard": HadamardSpec(seed=5, mode=HADAMARD_ALL)}),
         (6, {}),
     ], ids=["plain", "hadamard-all", "m-not-whole-blocks"])
     def test_skip_equals_explicit_multiply(self, monkeypatch, m, kw):
@@ -386,9 +385,9 @@ class TestLayerContext:
         # batch axis once, and backward transforms with those rows.
         import mxsim.hadamard as hadamard
 
-        hspec = HadamardSpec(block_size=4, seed=7, mode=mode)
+        hspec = HadamardSpec(seed=7, mode=mode)
         cfg = small_cfg(hadamard=hspec)
-        expected = step_signs(hspec, 3, 3)
+        expected = step_signs(hspec, 3, 3, 4)
         draws, real = [], hadamard.block_signs
 
         def counting(seed, num_blocks, l):
@@ -409,7 +408,7 @@ class TestHadamardPlacement:
         rng = np.random.default_rng(11)
         X, W = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
         plain = small_cfg()
-        bwd = small_cfg(hadamard=HadamardSpec(block_size=4, seed=2, mode=HADAMARD_BACKWARD))
+        bwd = small_cfg(hadamard=HadamardSpec(seed=2, mode=HADAMARD_BACKWARD))
         Y0, _ = forward(X, W, plain)
         Y1, _ = forward(X, W, bwd)
         np.testing.assert_array_equal(Y0, Y1)
@@ -421,7 +420,7 @@ class TestHadamardPlacement:
         plain = small_cfg(quantize=False)
         bwd = small_cfg(
             quantize=False,
-            hadamard=HadamardSpec(block_size=4, seed=2, mode=HADAMARD_BACKWARD),
+            hadamard=HadamardSpec(seed=2, mode=HADAMARD_BACKWARD),
         )
         _, c0 = forward(X, W, plain)
         _, c1 = forward(X, W, bwd)
@@ -437,7 +436,7 @@ class TestHadamardPlacement:
         plain = small_cfg(quantize=False)
         allm = small_cfg(
             quantize=False,
-            hadamard=HadamardSpec(block_size=4, seed=3, mode=HADAMARD_ALL),
+            hadamard=HadamardSpec(seed=3, mode=HADAMARD_ALL),
         )
         _, c0 = forward(X, W, plain)
         _, c1 = forward(X, W, allm)
@@ -473,7 +472,6 @@ class TestLayerFiniteDifference:
                 elem_estimator=elem_est,
                 scale_mode=SCALE_GRAD_SOFTMAX,
                 scale_q_estimator=scale_est,
-                beta=beta,
             ),
         )
 

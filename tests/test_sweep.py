@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mxsim import sweep
 from mxsim.formats import ROUNDING_MODES, get_format
 from mxsim.hadamard import HADAMARD_MODES
 from mxsim.mx import (BlockSpec, ZFunction, Z_ABSMAX, Z_LOGSUMEXP,
@@ -401,10 +402,11 @@ class TestReconError:
         assert e8m0 < 0.5
         assert e4m3 > 3 * e8m0
 
-    def test_grid_cells_match_the_oracle_in_grid_order(self):
+    def test_grid_cells_match_the_oracle_in_grid_order(self, monkeypatch):
         # The grid reuses one workspace; no cell may read what the last left.
+        monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (1e-320, 1.0))
+        monkeypatch.setattr(sweep, "RECON_BETAS", (40.0,))
         rows = recon_error_experiment(formats=("E8M0", "E4M3"), block_sizes=(8,),
-                                      tensor_scales=(1e-320, 1.0), betas=(40.0,),
                                       seed=4, n_elements=1 << 12)
         rng = np.random.default_rng(4)
         for row in rows:
@@ -423,15 +425,12 @@ class TestReconError:
             recon_error_experiment(n_elements=n_elements)
         assert rng.bit_generator.state == state
 
-    def test_zero_scale_rejected_before_any_draw(self, monkeypatch):
+    def test_zero_scale_rejected_before_any_draw(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="scale of 0"):
             recon_error_cell("E8M0", 16, 0.0, None, rng)
         assert rng.bit_generator.state == state
-        monkeypatch.setattr("mxsim.sweep.recon_error_cell", None)  # no cell runs
-        with pytest.raises(ValueError, match="scale of 0"):
-            recon_error_experiment(tensor_scales=(1.0, 0.0))
 
     def test_draw_without_a_nonzero_element_rejected(self):
         # The smallest subnormal times |x| < 0.5 rounds to 0.
@@ -440,14 +439,11 @@ class TestReconError:
         with pytest.raises(ValueError, match="all 1 elements drawn"):
             recon_error_cell("E8M0", 8, 5e-324, None, rng, 1)
 
-    def test_grid_rows_and_csv(self, tmp_path):
-        rows = recon_error_experiment(
-            formats=("E8M0",),
-            block_sizes=(16, 32),
-            tensor_scales=(1.0, 1e8),
-            betas=(40.0,),
-            n_elements=1 << 10,
-        )
+    def test_grid_rows_and_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (1.0, 1e8))
+        monkeypatch.setattr(sweep, "RECON_BETAS", (40.0,))
+        rows = recon_error_experiment(formats=("E8M0",), block_sizes=(16, 32),
+                                      n_elements=1 << 10)
         assert all(
             set(r) == {"format", "l", "scale", "beta", "mean_rel_err", "median_rel_err"}
             for r in rows

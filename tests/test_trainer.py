@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mxsim import trainer
 from mxsim.mx import BlockSpec
 from mxsim.qlinear import NonFiniteGradientError, QLinearConfig
 from mxsim.trainer import (
@@ -24,7 +25,40 @@ from mxsim.trainer import (
 )
 
 
+def _reference_adam_step(params, grads, state):
+    """Adam as a fresh temporary per operation: the order ``adam_step``
+    keeps in place."""
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
+    state.t += 1
+    b1, b2 = trainer.ADAM_BETA1, trainer.ADAM_BETA2
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1**state.t)
+        vhat = v / (1 - b2**state.t)
+        p -= state.lr * mhat / (np.sqrt(vhat) + trainer.ADAM_EPS)
+
+
 class TestAdam:
+    def test_in_place_update_equals_the_reference_bytes(self):
+        rng = np.random.default_rng(8)
+        shapes = [(16, 8), (3, 16), (3,), (1,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        ref = [p.copy() for p in params]
+        state, ref_state = AdamState(lr=3e-3), AdamState(lr=3e-3)
+        for _ in range(50):
+            # Magnitudes from 1e-8 to 1e2, a sign each, and some zeros.
+            grads = [rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(-8, 2, size=s)
+                     * (rng.random(s) > 0.1) for s in shapes]
+            adam_step(params, grads, state)
+            _reference_adam_step(ref, grads, ref_state)
+        for a, b in zip(params + state.m + state.v, ref + ref_state.m + ref_state.v):
+            assert a.tobytes() == b.tobytes()
+
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0])
         state = AdamState(lr=0.1)
@@ -47,21 +81,33 @@ class TestAdam:
         assert abs(w[0]) < 1e-3
 
 
+def _scaler(scale, enabled=True):
+    """A loss scaler that starts from ``scale``."""
+    s = LossScaler(enabled=enabled)
+    s.scale = scale
+    return s
+
+
 class TestLossScaler:
     def test_halves_on_nonfinite(self):
-        s = LossScaler(scale=2.0**16)
+        s = LossScaler()
+        assert s.scale == 2.0**16 and s.good_steps == 0
         apply = s.update(False)
         assert not apply
         assert s.scale == 2.0**15
 
     def test_doubles_after_growth_interval(self):
-        s = LossScaler(scale=2.0**15, growth_interval=2000)
-        for _ in range(2000):
+        s = _scaler(2.0**15)
+        assert trainer.LOSS_SCALE_GROWTH_INTERVAL == 2000
+        for _ in range(1999):
             assert s.update(True)
+        assert s.scale == 2.0**15
+        assert s.update(True)
         assert s.scale == 2.0**16
 
-    def test_counter_resets_on_bad_step(self):
-        s = LossScaler(scale=2.0**10, growth_interval=3)
+    def test_counter_resets_on_bad_step(self, monkeypatch):
+        monkeypatch.setattr(trainer, "LOSS_SCALE_GROWTH_INTERVAL", 3)
+        s = _scaler(2.0**10)
         s.update(True)
         s.update(True)
         s.update(False)
@@ -70,7 +116,7 @@ class TestLossScaler:
         assert s.scale == 2.0**9  # halved once, never doubled
 
     def test_decays_to_minimum(self):
-        s = LossScaler(scale=4.0, growth_interval=10)
+        s = _scaler(4.0)
         for _ in range(10):
             s.update(False)
         assert s.scale == 1.0
@@ -114,7 +160,8 @@ class TestClassification:
         spec = TaskSpec(
             kind=TASK_CLASSIFICATION, n_samples=500, dim=8, n_classes=2, seed=3
         )
-        X, labels = gen_synthetic_classification(spec, margin=5.0)
+        assert trainer.CLASS_MARGIN == 5.0
+        X, labels = gen_synthetic_classification(spec)
         # Logistic regression via a few hundred full-batch gradient steps.
         w = np.zeros(8)
         b = 0.0
@@ -274,11 +321,11 @@ class TestTraining:
         assert all(np.isfinite(rec.train_losses))
 
     def test_growth_step_unscales_at_the_scale_it_was_computed_at(self, monkeypatch):
-        # LossScaler(scale=4, growth_interval=2): step 2 is computed at scale
+        # A scaler at 4 that grows every 2 steps: step 2 is computed at scale
         # 4 and grows the scale to 8, yet must still be unscaled by 4.  Dense
         # layers scale exactly by powers of two, so the applied gradients
         # must equal those of the unscaled run bit for bit.
-        from mxsim import trainer
+        monkeypatch.setattr(trainer, "LOSS_SCALE_GROWTH_INTERVAL", 2)
 
         def applied_grads(loss_scaling):
             seen = []
@@ -290,8 +337,7 @@ class TestTraining:
             monkeypatch.setattr(trainer, "adam_step", recording_adam)
             monkeypatch.setattr(
                 trainer, "LossScaler",
-                lambda enabled: LossScaler(scale=4.0, growth_interval=2,
-                                           enabled=enabled),
+                lambda enabled: _scaler(4.0, enabled),
             )
             cfg = self.small_cfg(
                 qcfg=QLinearConfig(spec=BlockSpec(block_size=16), quantize=False),
@@ -315,8 +361,6 @@ class TestSkipAndStop:
     small_cfg = TestTraining.small_cfg
 
     def _run(self, monkeypatch, cfg, backward=None):
-        from mxsim import trainer
-
         updates, scalers = [], []
 
         def recording_adam(params, grads, state):
@@ -349,8 +393,6 @@ class TestSkipAndStop:
         assert scaler.scale == 2.0**16 / 2.0 ** (rec.steps - 1)
 
     def test_non_finite_gradient_skips_the_step(self, monkeypatch):
-        from mxsim import trainer
-
         calls, real = [], trainer.backward
 
         def failing_backward(g, ctx, qcfg):
