@@ -163,11 +163,16 @@ def ledger() -> dict[str, dict[str, str]]:
     }
 
 
+def render(digests: dict[str, dict[str, str]]) -> str:
+    """The ledger file's text."""
+    return json.dumps(digests, indent=1, sort_keys=True) + "\n"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", type=Path, default=OUT)
     args = p.parse_args(argv)
-    args.out.write_text(json.dumps(ledger(), indent=1, sort_keys=True) + "\n")
+    args.out.write_text(render(ledger()))
     print(f"wrote {args.out}")
     return 0
 

@@ -41,7 +41,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        a, b = np.empty_like(p), np.empty_like(p)
+        a, b = np.empty((2, *p.shape))  # one block, reused with no page faults
         m *= b1
         m += np.multiply(g, 1 - b1, out=a)  # m = b1 m + (1 - b1) g
         v *= b2

@@ -20,10 +20,12 @@ def _load_recorder():
     return module
 
 
+GOLDEN = ROOT / "tests" / "golden_bits.json"
+
+
 @pytest.fixture(scope="module")
 def ledgers():
-    recorded = json.loads((ROOT / "tests" / "golden_bits.json").read_text())
-    return recorded, _load_recorder().ledger()
+    return json.loads(GOLDEN.read_text()), _load_recorder().ledger()
 
 
 @pytest.mark.parametrize("section", ["records", "gradients", "layer"])
@@ -34,8 +36,12 @@ def test_ledger_section_keeps_its_digests(ledgers, section):
     assert not moved, f"{len(moved)} of {len(recorded[section])} digests moved: {moved[:5]}"
 
 
-def test_ledger_sizes():
-    recorded = json.loads((ROOT / "tests" / "golden_bits.json").read_text())
+def test_recorder_writes_the_committed_file(ledgers):
+    assert _load_recorder().render(ledgers[1]) == GOLDEN.read_text()
+
+
+def test_ledger_sizes(ledgers):
+    recorded = ledgers[0]
     # 2 inputs x 3 formats x 3 block sizes x 2 statistics x 9 rounding pairs
     # x 2 tensor-scaling states; 2 inputs x 12 cover rows; 2 cases x 3 SR.
     assert [len(recorded[s]) for s in ("records", "gradients", "layer")] == [648, 24, 6]
