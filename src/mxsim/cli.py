@@ -232,12 +232,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _resolve_seed(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
-    return args.seed
-
-
 def cmd_quantize(args) -> int:
     fmt = get_format(_check_format(args.format))
     x = read_tensor_file(args.input)
@@ -268,7 +262,7 @@ def cmd_recon(args) -> int:
         _check_format(name)
     block_sizes = (args.block_size,) if args.block_size else (8, 16, 32, 64, 128)
     rows = recon_error_experiment(
-        formats=formats, block_sizes=block_sizes, seed=_resolve_seed(args)
+        formats=formats, block_sizes=block_sizes, seed=args.seed
     )
     out = _out_dir(args)
     path = out / "recon.csv"
@@ -280,7 +274,7 @@ def cmd_recon(args) -> int:
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     cfg = sweep_config_from_dict(values)
-    task, tcfg = _run_settings(values, _resolve_seed(args))
+    task, tcfg = _run_settings(values, args.seed)
     run, reference = run_configs(tcfg, cfg)
     record, dense = train(task, run), train(task, reference)
     out = _out_dir(args)
@@ -330,7 +324,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
     for cfg in valid:
         _validate_sweep_config(cfg)
-    task, tcfg = _run_settings(values, _resolve_seed(args))
+    task, tcfg = _run_settings(values, args.seed)
     configs = valid[: args.limit or None]
     print(
         f"grid: {grid.cardinality()} raw combinations, "
@@ -477,7 +471,8 @@ def int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            bound = "non-negative" if low == 0 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type when int() fails
@@ -494,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=False):
         p.add_argument("--out", default="out", help="output directory")
         if seeded:
-            p.add_argument("--seed", type=int, default=0, help="random seed")
+            p.add_argument("--seed", type=int_at_least(0), default=0, help="random seed")
 
     p = sub.add_parser("quantize", help="round-trip a tensor file")
     p.add_argument("input", help="tensor file (.csv or binary with dims header)")

@@ -72,12 +72,6 @@ class FloatFormat:
         """Smallest positive representable value (subnormal if present)."""
         return self._grid.min_positive
 
-    @property
-    def min_positive_subnormal(self) -> float:
-        if self.exponent_only:
-            return self.min_positive
-        return 2.0 ** (1 - self.bias - self.mantissa_bits)
-
 
 class _GridData:
     """Cached enumeration of one format: sorted values, their canonical codes,

@@ -259,7 +259,7 @@ def quantize_scales(
         out[finite] = _round(s[finite], fmt, mode, rng)
     if not fmt.exponent_only:  # an exponent-only grid has no zero
         nearest = spec.zero_mode == ZERO_NEAREST_SUBNORMAL
-        np.copyto(out, fmt.min_positive_subnormal if nearest else 1.0, where=out <= 0)
+        np.copyto(out, fmt.min_positive if nearest else 1.0, where=out <= 0)
     return out
 
 

@@ -303,11 +303,12 @@ def dZ(
     raise ValueError(f"no statistic derivative for mode {mode!r}")
 
 
-def ds_dX(blocks: np.ndarray, z: np.ndarray, dz: np.ndarray, elem_max: float) -> np.ndarray:
-    """Derivative of the ideal multiplier elem_max / Z, zero on dead blocks."""
+def ds_dX(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Derivative of the ideal multiplier E2M1.max_finite / Z, zero on dead
+    blocks."""
     z = np.asarray(z, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(z > 0, -elem_max / (z * z), 0.0)
+        coef = np.where(z > 0, -E2M1.max_finite / (z * z), 0.0)
     return coef[:, None] * dz
 
 
@@ -350,7 +351,7 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     mask = _padding_mask(res)
     beta = spec.z.beta if spec.z.kind == Z_LOGSUMEXP else SMOOTH_MAX_BETA
     dz = dZ(blocks, cfg.scale_mode, beta, mask)
-    ds = ds_dX(blocks, res.z, dz, E2M1.max_finite)
+    ds = ds_dX(res.z, dz)
 
     s_pre = res.s_ideal / res.qt.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)

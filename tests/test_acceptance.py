@@ -491,11 +491,11 @@ def test_criterion_09_zero_nan_handling():
     # fallback scales and therefore dequantize differently.
     scale_ns = outputs[ZERO_NEAREST_SUBNORMAL][0][0]
     scale_to = outputs[ZERO_TO_ONE][0][0]
-    assert scale_ns == e4m3.min_positive_subnormal
+    assert scale_ns == e4m3.min_positive
     assert scale_to == 1.0
     deq_ns = outputs[ZERO_NEAREST_SUBNORMAL][1]
     deq_to = outputs[ZERO_TO_ONE][1]
-    np.testing.assert_array_equal(deq_ns, 6.0 / e4m3.min_positive_subnormal)
+    np.testing.assert_array_equal(deq_ns, 6.0 / e4m3.min_positive)
     np.testing.assert_array_equal(deq_to, 6.0)
     return "degenerate blocks safe in both modes; fallback scales as defined"
 

@@ -4,6 +4,7 @@ import csv
 import struct
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from mxsim.cli import (
 from mxsim.hadamard import HADAMARD_MODES
 from mxsim.mx import from_bytes
 from mxsim.plots import line_plot, scatter_plot
-from mxsim.trainer import TaskSpec, TrainConfig
+from mxsim.sweep import score
+from mxsim.trainer import RunRecord, TaskSpec, TrainConfig
+
+SWEEP_DEMO = Path(__file__).resolve().parent.parent / "examples" / "sweep_demo.cfg"
 
 
 class TestConfigParsing:
@@ -267,6 +271,15 @@ class TestRecon:
             "median_rel_err",
         }
         assert all(r["format"] == "E8M0" for r in rows)
+
+    def test_full_grid_and_its_plot(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["recon", "--out", str(out)]) == 0
+        assert main(["plot", "--kind", "recon", "--input", str(out / "recon.csv"),
+                     "--out", str(out)]) == 0
+        assert len(_result_rows(out / "recon.csv")) == 102
+        assert capsys.readouterr().out.startswith("wrote 102 cells to ")
+        assert (out / "recon.svg").read_text().startswith("<svg")
 
 
 @pytest.fixture(scope="module")
@@ -626,7 +639,8 @@ class TestDegenerateConfigs:
 
 
 class TestSweepLimits:
-    """A negative --limit or a --jobs below 1 is a usage error."""
+    """--limit 0 runs every configuration; a negative --limit or a --jobs
+    below 1 is a usage error."""
 
     @pytest.mark.parametrize(
         "flag", [("--limit", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
@@ -640,6 +654,16 @@ class TestSweepLimits:
         assert train_calls == []
         assert flag[0] in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+    def test_limit_0_runs_every_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "train", lambda task, tcfg: RunRecord(
+            task.kind, [1.0], [1.0], False, [], 1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(SWEEP_DEMO), "--limit", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "grid: 16 raw combinations, 16 valid, running 16\n")
+        assert len(_result_rows(out / "results.csv")) == 16
 
 
 def _same_record(a, b):
@@ -709,3 +733,29 @@ class TestDenseReference:
                      "--out", str(out)]) == 0
         assert len(_result_rows(out / "results.csv")) == 2
         assert calls == [False, True, True]
+
+    def test_scores_against_the_best_matched_reference(self, tmp_path, monkeypatch):
+        # Each configuration is scored against the best validation loss of
+        # the dense run with its block size and Hadamard transform.
+        dense_losses = {"None": [0.9, 0.5, 0.7], "all": [0.8, 0.4, 0.6]}
+        trained = []
+
+        def fake_train(task, tcfg):
+            qcfg = tcfg.qcfg
+            trained.append((qcfg.quantize, qcfg.spec.block_size, qcfg.hadamard))
+            val = [1.5] if qcfg.quantize else dense_losses[qcfg.hadamard.mode]
+            return RunRecord(task.kind, val, val, False, [], 1)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(SWEEP_DEMO), "--seed", "3",
+                     "--limit", "4", "--out", str(out)]) == 0
+        rows = _result_rows(out / "results.csv")
+        assert sorted(row["Hadamard"] for row in rows) == ["None", "None", "all", "all"]
+        for row in rows:
+            m_ref = min(dense_losses[row["Hadamard"]])
+            omega = float(row["Complexity points"])
+            assert row["Score"] == f"{score(m_ref, 1.5, omega):.3f}"
+        references = [t for t in trained if not t[0]]
+        assert sorted(h.mode for _, _, h in references) == ["None", "all"]
+        assert {(l, h.seed) for _, l, h in references} == {(32, 3)}

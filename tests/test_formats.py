@@ -201,7 +201,7 @@ class TestGrid:
 
     def test_e4m3_max_and_min_subnormal(self):
         assert E4M3.max_finite == 448
-        assert E4M3.min_positive_subnormal == 2.0**-9
+        assert E4M3.min_positive == 2.0**-9
 
     def test_e5m2_max(self):
         assert E5M2.max_finite == 57344
@@ -231,10 +231,11 @@ class TestGrid:
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_min_positive_subnormal(self, fmt):
-        # An exponent-only format has no subnormals: its smallest value.
-        expected = (fmt.min_positive if fmt.exponent_only
-                    else 2.0 ** (1 - fmt.bias - fmt.mantissa_bits))
-        assert fmt.min_positive_subnormal == expected
+        # Subnormal code 1, or the lowest power of two of an exponent-only
+        # format, which has no subnormals.
+        expected = 2.0 ** (-fmt.bias if fmt.exponent_only
+                           else 1 - fmt.bias - fmt.mantissa_bits)
+        assert fmt.min_positive == expected
 
     @pytest.mark.parametrize("bits, field", [
         ((0, 1), "exponent_bits"), ((9, 1), "exponent_bits"),

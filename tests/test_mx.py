@@ -685,6 +685,17 @@ class TestSerialization:
             with pytest.raises(ValueError, match="corrupt"):
                 from_bytes(buf)
 
+    def test_element_code_count_must_fit_the_blocks(self):
+        # A code count (8 bytes before the 2 packed bytes) of 3 for one
+        # 4-element block, and a set high nibble after an odd count.
+        short = bytearray(to_bytes(quantize_tensor(np.ones(4), BlockSpec(block_size=4))))
+        struct.pack_into("<q", short, len(short) - 2 - 8, 3)
+        odd = bytearray(to_bytes(quantize_tensor(np.ones(3), BlockSpec(block_size=3))))
+        odd[-1] |= 0x10
+        for buf in (short, odd):
+            with pytest.raises(ValueError, match="element codes do not fit"):
+                from_bytes(bytes(buf))
+
     def test_wide_element_codes_rejected(self):
         # Elements are E2M1; a buffer naming a wider element format is refused.
         data = to_bytes(quantize_tensor(np.array([100.0, -3.0]), BlockSpec(block_size=2)))
