@@ -38,6 +38,7 @@ from .qgrad import ESTIMATORS
 from .sweep import (
     SweepConfig,
     SweepGrid,
+    best_val_loss,
     build_qlinear_config,
     canonical_option,
     enumerate_configs,
@@ -85,25 +86,25 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 # The fields a config file may set, each under its file key.
 _SWEEP_KEYS = {f.name: f.name for f in fields(SweepConfig)}
-_GRID_KEYS = {f.name for f in fields(SweepGrid)}
+_GRID_KEYS = {f.name: f.name for f in fields(SweepGrid)}
 _TASK_KEYS = {"task": "kind", **{k: k for k in ("n_samples", "dim", "n_classes")}}
 _TRAIN_KEYS = {k: k for k in ("hidden", "epochs", "batch_size", "lr")}
 _RUN_KEYS = _TASK_KEYS.keys() | _TRAIN_KEYS.keys()
 
 
-def _convert(key: str, text: str, default, field: str | None = None) -> object:
+def _convert(key: str, text: str, default) -> object:
     """``text`` read for ``key`` as a value of the type of ``default``.
 
     A tuple default makes ``text`` a comma-separated list, each item
     converted by the type of ``default[0]``; an empty item is an error.
-    Strings take the option spellings of the SweepConfig ``field``
-    (default: ``key``).
+    Strings take the option spellings of the SweepConfig field or grid
+    axis ``key``.
     """
     if isinstance(default, tuple):
         items = [item.strip() for item in text.split(",")] if text else []
         if "" in items:
             raise ConfigError(f"key {key!r}: empty item in list {text!r}")
-        return tuple(_convert(key, item, default[0], field) for item in items)
+        return tuple(_convert(key, item, default[0]) for item in items)
     if isinstance(default, bool):
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):
@@ -112,7 +113,7 @@ def _convert(key: str, text: str, default, field: str | None = None) -> object:
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {text!r}")
     if isinstance(default, str):
-        return canonical_option(field or key, text)
+        return canonical_option(key, text)
     try:
         return type(default)(text)
     except ValueError as exc:
@@ -132,8 +133,8 @@ def _build(cls, values: dict[str, str], keys: dict[str, str], **fixed):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_keys(values: dict[str, str], known) -> None:
-    valid = sorted(known | _RUN_KEYS)
+def _check_keys(values: dict[str, str], keys: dict[str, str]) -> None:
+    valid = sorted(keys.keys() | _RUN_KEYS)
     for key in values:
         if key not in valid:
             raise ConfigError(f"unknown key {key!r}; valid keys: {', '.join(valid)}")
@@ -142,7 +143,7 @@ def _check_keys(values: dict[str, str], known) -> None:
 def sweep_config_from_dict(values: dict[str, str]) -> SweepConfig:
     """The run a `train` config file describes; option aliases are
     translated to their result-table spelling here."""
-    _check_keys(values, _SWEEP_KEYS.keys())
+    _check_keys(values, _SWEEP_KEYS)
     cfg = _build(SweepConfig, values, _SWEEP_KEYS)
     _validate_sweep_config(cfg)
     return cfg
@@ -285,15 +286,8 @@ def cmd_train(args) -> int:
             zip(record.train_losses, record.val_losses, dense.val_losses), start=1
         ):
             writer.writerow([i, tr, va, dv])
-    m_ref = min(dense.val_losses)
-    row = result_row(
-        record.dataset,
-        cfg,
-        val_loss=record.val_losses[-1],
-        train_loss=record.train_losses[-1],
-        m_ref=m_ref,
-    )
-    write_results_csv(str(out / "results.csv"), [row])
+    m_ref = best_val_loss(dense)
+    write_results_csv(str(out / "results.csv"), [result_row(record, cfg, m_ref)])
     print(
         f"final train loss {record.train_losses[-1]:.6g}, "
         f"val loss {record.val_losses[-1]:.6g}, "
@@ -302,23 +296,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _grid_from_dict(values: dict[str, str]) -> SweepGrid:
-    """The grid a `sweep` config file describes: each key present replaces
-    that axis with its comma-separated values, aliases translated.  Only
-    Adam ships with this package, so it is the default optimiser axis."""
-    axes = {
-        f.name: _convert(f.name, values[f.name], f.default, f.name[:-1])
-        for f in fields(SweepGrid)
-        if f.name in values
-    }
-    return SweepGrid(**{"optimisers": ("Adam",), **axes})
-
-
 def cmd_sweep(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     _check_keys(values, _GRID_KEYS)
+    # Only Adam ships with this package, so it is the default optimiser axis.
+    grid = _build(SweepGrid, {"optimisers": "Adam", **values}, _GRID_KEYS)
     try:
-        grid = _grid_from_dict(values)
         valid = enumerate_configs(grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -336,19 +319,12 @@ def cmd_sweep(args) -> int:
     runs = {cfg: run_configs(tcfg, cfg) for cfg in configs}
     references = {ref.qcfg: ref for _, ref in runs.values()}
     losses = run_many(list(references.values()),
-                      lambda ref: min(train(task, ref).val_losses), jobs=args.jobs)
+                      lambda ref: best_val_loss(train(task, ref)), jobs=args.jobs)
     m_refs = dict(zip(references, losses))
 
     def runner(cfg: SweepConfig) -> dict[str, object]:
         run, reference = runs[cfg]
-        record = train(task, run)
-        return result_row(
-            record.dataset,
-            cfg,
-            val_loss=record.val_losses[-1],
-            train_loss=record.train_losses[-1],
-            m_ref=m_refs[reference.qcfg],
-        )
+        return result_row(train(task, run), cfg, m_refs[reference.qcfg])
 
     rows = run_many(configs, runner, jobs=args.jobs)
     out = _out_dir(args)
@@ -358,13 +334,20 @@ def cmd_sweep(args) -> int:
 
 
 def _read_csv(path: str | None, columns: tuple[str, ...], what: str) -> list[dict]:
-    """Rows of a CSV file that must exist, have rows and have ``columns``."""
+    """Rows of a CSV file that must exist, have rows and have ``columns``,
+    and whose rows hold no more cells than its header."""
     if not path:
         raise ConfigError(f"this command needs a {what} (--input)")
     if not Path(path).exists():
         raise ConfigError(f"{what} not found: {path}")
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = []
+        for row in reader:
+            if None in row:  # DictReader's key for the cells past the header
+                raise ConfigError(f"{path}:{reader.line_num}: row has more cells "
+                                  "than the header")
+            rows.append(row)
     if not rows:
         raise ConfigError(f"{what} {path} is empty")
     for col in columns:
@@ -381,16 +364,10 @@ def _numbers(rows: list[dict], column: str, path: str) -> list[float]:
         raise ConfigError(f"{path}: column {column!r}: {exc}") from exc
 
 
-def _score_points(path: str | None) -> tuple[list[dict], list]:
-    """Rows of a results file and their (complexity, score) points."""
-    columns = ("Complexity points", "Score")
-    rows = _read_csv(path, columns, "results file")
-    xs, ys = (_numbers(rows, c, path) for c in columns)
-    return rows, list(zip(xs, ys))
-
-
 def cmd_pareto(args) -> int:
-    rows, points = _score_points(args.results)
+    columns = ("Complexity points", "Score")
+    rows = _read_csv(args.results, columns, "results file")
+    points = list(zip(*(_numbers(rows, c, args.results) for c in columns)))
     front = pareto_front(points)
     out = _out_dir(args)
     with open(out / "frontier.csv", "w", newline="") as fh:
@@ -445,12 +422,6 @@ def cmd_plot(args) -> int:
             xlabel="block size",
             ylabel="mean relative error",
             log_y=True,
-        )
-    elif kind == "pareto":
-        _, points = _score_points(args.input)
-        svg = scatter_plot(
-            points, title="Score vs complexity", xlabel="complexity points",
-            ylabel="score",
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown plot kind {kind!r}")
@@ -521,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=("loss", "pareto", "recon", "quantizer", "scale-deviation"),
+        choices=("loss", "recon", "quantizer", "scale-deviation"),
     )
     p.add_argument("--input", default=None, help="input CSV where applicable")
     p.add_argument("--format", default=None, help="scale format for curves")

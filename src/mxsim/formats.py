@@ -3,13 +3,13 @@
 Element values (4-bit E2M1) and block scales (E8M0, E4M3, UE5M3, E8M3,
 E5M2) are all instances of one parametric minifloat description.
 
-Rounding and encoding are exponent arithmetic, as the OCP MX element
-semantics define them: the exponent field of a float64 gives its binade
-(clamped to the format's lowest one), which fixes the spacing ``ulp`` of the
-grid around it, and the rounding mode acts on the integer significand
-``x / ulp`` in the one kernel ``_round``, whose callers check their inputs.
-A sorted grid of every representable value, cached on the format, serves
-``grid()``, the code table of ``decode_array`` and the constants.
+Rounding is exponent arithmetic, as the OCP MX element semantics define
+it: the exponent field of a float64 gives its binade (clamped to the
+format's lowest one), which fixes the spacing ``ulp`` of the grid around it,
+and the rounding mode acts on the integer significand ``x / ulp`` in the one
+kernel ``_round``, whose callers check their inputs.  A sorted grid of every
+representable value and its code, cached on the format, serves ``grid()``,
+the lookups of ``encode_array`` and ``decode_array`` and the constants.
 
 Signed zero is collapsed to +0 everywhere: the sign of zero never affects
 dequantization.
@@ -90,7 +90,6 @@ class _GridData:
         # Lowest binade: the subnormal one, or that of the smallest power
         # of two when there are no subnormals.
         self.min_binade = 2.0 ** (-fmt.bias if fmt.exponent_only else 1 - fmt.bias)
-        self.sign_bit = 1 << (fmt.exponent_bits + fmt.mantissa_bits)
 
 
 def _enumerate(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
@@ -153,26 +152,13 @@ def encode_array(values: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """Canonical codes of exactly representable values (``-0`` encodes as
     ``+0``); raises ``ValueError`` if any value is off the grid."""
     data = fmt._grid
-    mb = fmt.mantissa_bits
     v = np.asarray(values, dtype=np.float64)
-    a = np.abs(v)
-    binade = _binade(a, data)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail `ok`
-        t = a / binade * 2**mb  # integer significand for grid values
-        ok = (a <= data.max_finite) & (t == np.floor(t))
-    if fmt.exponent_only:
-        ok &= a > 0
-    if not fmt.signed:
-        ok &= v >= 0
-    if not ok.all():
+    # The first grid value not below each value; NaN and values past the
+    # top sort after the grid and fail against its last value.
+    i = np.searchsorted(data.values, v).clip(max=len(data.values) - 1)
+    if not (data.values[i] == v).all():
         raise ValueError(f"array contains values not representable in {fmt.name}")
-    # Exponent field e + bias holds t - 2**mb; the subnormal binade's field
-    # is 0 and its t < 2**mb, so one expression covers both.
-    e = (binade.view(np.int64) >> 52) - 1023
-    codes = ((e + (fmt.bias - 1)) << mb) + t.astype(np.int64)
-    if fmt.signed:
-        codes += (v < 0) * data.sign_bit
-    return codes.astype(np.uint32)
+    return data.codes[i]
 
 
 def decode_array(codes: np.ndarray, fmt: FloatFormat) -> np.ndarray:
@@ -294,8 +280,6 @@ E5M2 = FloatFormat(
 FORMATS: dict[str, FloatFormat] = {
     f.name: f for f in (E2M1, E8M0, E4M3, UE5M3, E8M3, E5M2)
 }
-
-FP4_MAX = E2M1.max_finite  # 6.0
 
 
 def get_format(name: str) -> FloatFormat:

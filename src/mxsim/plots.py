@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .formats import E2M1, FP4_MAX, TIES_TO_EVEN, get_format, round_array
+from .formats import E2M1, TIES_TO_EVEN, get_format, round_array
 from .qgrad import estimator_grad, estimator_value
 
 __all__ = [
@@ -228,7 +228,8 @@ def scatter_plot(
 def quantizer_curve_plot(estimator_kind: str = "sigmoid") -> str:
     """Stepped 4-bit quantizer (round to nearest, ties to even), its smooth
     surrogate, and the clipped slope."""
-    xs = [-FP4_MAX + 2 * FP4_MAX * i / (CURVE_POINTS - 1) for i in range(CURVE_POINTS)]
+    top = E2M1.max_finite
+    xs = [-top + 2 * top * i / (CURVE_POINTS - 1) for i in range(CURVE_POINTS)]
     arr = np.array(xs)
     hard = round_array(arr, E2M1, TIES_TO_EVEN)
     smooth = estimator_value(arr, E2M1, estimator_kind)

@@ -39,7 +39,7 @@ from .qgrad import (
     TENSOR_GRAD_MODES,
 )
 from .qlinear import QLinearConfig, SR_NONE, SR_POLICIES
-from .trainer import TrainConfig
+from .trainer import RunRecord, TrainConfig
 
 __all__ = [
     "COMPLEXITY_WEIGHTS",
@@ -141,11 +141,13 @@ _VALID_OPTIONS = {f.name: f.metadata["valid"] for f in fields(SweepConfig) if f.
 
 
 def canonical_option(key: str, text: str) -> str:
-    """Result-table spelling of the value ``text`` read for field ``key``.
+    """Result-table spelling of the value ``text`` read for field ``key``,
+    or for the :class:`SweepGrid` axis ``key`` of a field.
 
     A valid value or an alias, in any letter case, becomes that value;
     other text is returned unchanged, for :class:`SweepConfig` to reject.
     """
+    key = _AXIS_FIELDS.get(key, key)
     spellings = {v.lower(): v for v in _VALID_OPTIONS.get(key, ())}
     spellings.update(OPTION_ALIASES.get(key, {}))
     return spellings.get(text.lower(), text)
@@ -262,8 +264,8 @@ class SweepGrid:
         return math.prod(len(axis) for axis in self.axes())
 
 
-#: The SweepConfig field each grid axis sets, in axis order.
-_AXIS_FIELDS = tuple(f.name[:-1] for f in fields(SweepGrid))
+#: The SweepConfig field each grid axis sets, by axis name in axis order.
+_AXIS_FIELDS = {f.name: f.name[:-1] for f in fields(SweepGrid)}
 
 
 def _valid(cfg: SweepConfig) -> bool:
@@ -284,7 +286,7 @@ def enumerate_configs(grid: SweepGrid | None = None) -> tuple[SweepConfig, ...]:
     # one is built and checked once, in first-seen order (None: invalid).
     seen: dict[tuple, SweepConfig | None] = {}
     for values in product(*grid.axes()):
-        kw = dict(zip(_AXIS_FIELDS, values))
+        kw = dict(zip(_AXIS_FIELDS.values(), values))
         if kw["scale_format"] == "E4M3":
             kw["block_size"] = 16
         if not kw["tensor_scaling"]:
@@ -492,16 +494,21 @@ _RESULT_FIELDS = {
 RESULT_COLUMNS = list(_RESULT_FIELDS)
 
 
-def result_row(
-    dataset: str,
-    cfg: SweepConfig,
-    val_loss: float,
-    train_loss: float,
-    m_ref: float,
-) -> dict[str, object]:
+def best_val_loss(record: RunRecord) -> float:
+    """The least finite validation loss of a dense reference run, the
+    ``m_ref`` its configurations are scored against; NaN if it has none."""
+    return min((v for v in record.val_losses if math.isfinite(v)), default=math.nan)
+
+
+def result_row(record: RunRecord, cfg: SweepConfig, m_ref: float) -> dict[str, object]:
+    """The result-table row of ``cfg``'s run, scored by its final losses
+    against ``m_ref``; the score is NaN when ``m_ref`` is not positive."""
     omega = complexity_points(cfg)
-    values = dict(vars(cfg), dataset=dataset, val_loss=val_loss, train_loss=train_loss,
-                  omega=f"{omega:.3f}", score=f"{score(m_ref, val_loss, omega):.3f}")
+    val_loss = record.val_losses[-1]
+    s = score(m_ref, val_loss, omega) if m_ref > 0 else math.nan
+    values = dict(vars(cfg), dataset=record.dataset, val_loss=val_loss,
+                  train_loss=record.train_losses[-1], omega=f"{omega:.3f}",
+                  score=f"{s:.3f}")
     return {column: values[name] for column, name in _RESULT_FIELDS.items()}
 
 

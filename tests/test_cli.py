@@ -201,10 +201,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, column", [
         (["pareto", "{}"], "Score"),
-        (["plot", "--kind", "pareto", "--input", "{}"], "Score"),
         (["plot", "--kind", "loss", "--input", "{}"], "val_loss"),
         (["plot", "--kind", "recon", "--input", "{}"], "mean_rel_err"),
-    ], ids=["pareto", "plot-pareto", "plot-loss", "plot-recon"])
+    ], ids=["pareto", "plot-loss", "plot-recon"])
     def test_non_numeric_cell_exits_2_writing_nothing(self, tmp_path, capsys, argv,
                                                      column):
         bad = {
@@ -220,11 +219,17 @@ class TestExitCodes:
         assert "config error" in err and str(path) in err and repr(column) in err
         assert not out.exists()
 
+    # DictReader keeps the cells past the header under the key None.
+    LONG_ROW = "Complexity points,Score\n1,0.1\n2,0.3,extra\n"
+
     @pytest.mark.parametrize("argv, text, message", [
         (["plot", "--kind", "recon"], None, "needs a reconstruction-error CSV (--input)"),
         (["plot", "--kind", "loss", "--input", "{}"], "epoch,train_loss\n", "is empty"),
         (["pareto", "{}"], "Complexity points\n1\n", "lacks column 'Score'"),
-    ], ids=["no-input", "header-only", "no-column"])
+        (["pareto", "{}"], LONG_ROW, "in.csv:3: row has more cells than the header"),
+        (["plot", "--kind", "loss", "--input", "{}"], LONG_ROW,
+         "in.csv:3: row has more cells than the header"),
+    ], ids=["no-input", "header-only", "no-column", "long-row-pareto", "long-row-loss"])
     def test_unusable_csv_exits_2_writing_nothing(self, tmp_path, capsys, argv, text,
                                                   message):
         path = tmp_path / "in.csv"
@@ -357,13 +362,13 @@ class TestTrainAndPlots:
         assert (out / "recon.svg").read_text() == expected
 
     def test_pareto_plot_draws_every_point(self, tmp_path):
+        # The dominated run is drawn too; only the frontier is highlighted.
         results = tmp_path / "results.csv"
         results.write_text("Complexity points,Score\n1,0.100\n3,0.250\n2,-0.5\n")
         out = tmp_path / "plots"
-        assert main(["plot", "--kind", "pareto", "--input", str(results),
-                     "--out", str(out)]) == 0
+        assert main(["pareto", str(results), "--out", str(out)]) == 0
         expected = scatter_plot([(1.0, 0.1), (3.0, 0.25), (2.0, -0.5)],
-                                title="Score vs complexity",
+                                [(1.0, 0.1), (3.0, 0.25)], title="Efficiency frontier",
                                 xlabel="complexity points", ylabel="score")
         assert (out / "pareto.svg").read_text() == expected
 
@@ -759,3 +764,25 @@ class TestDenseReference:
         references = [t for t in trained if not t[0]]
         assert sorted(h.mode for _, _, h in references) == ["None", "all"]
         assert {(l, h.seed) for _, l, h in references} == {(32, 3)}
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("dense, m_ref", [
+        ([np.nan, 0.5, 0.7], 0.5),
+        ([np.nan, np.inf], np.nan),
+    ], ids=["nan-first", "none-finite"])
+    def test_reference_scores_by_its_least_finite_loss(self, tmp_path, monkeypatch,
+                                                       command, dense, m_ref):
+        # A NaN or inf validation loss is no reference; a reference with no
+        # finite loss scores its configurations NaN, after every run.
+        def fake_train(task, tcfg):
+            val = [1.5] if tcfg.qcfg.quantize else dense
+            return RunRecord(task.kind, val, val, False, [], 1)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        config = tmp_path / "run.cfg"
+        config.write_text(ALIAS_TRAIN if command == "train" else ALIAS_GRID)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        (row,) = _result_rows(out / "results.csv")
+        omega = float(row["Complexity points"])
+        assert row["Score"] == (f"{score(m_ref, 1.5, omega):.3f}" if m_ref > 0 else "nan")

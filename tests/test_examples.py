@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"
 
 
-def test_sweep_demo_enumerates_its_16_configs_in_order():
+def test_sweep_demo_enumerates_its_16_configs_in_order(tmp_path, monkeypatch):
     grid = SweepGrid(
         scale_formats=("E8M0",),
         max_grads=("STE",),
@@ -29,8 +29,20 @@ def test_sweep_demo_enumerates_its_16_configs_in_order():
         srs=("None", "all"),
         hadamards=("None", "all"),
     )
-    values = parse_config_file(str(EXAMPLES / "sweep_demo.cfg"))
-    configs = enumerate_configs(cli._grid_from_dict(values))
+    # The grid `mxsim sweep` builds from the file, taken at its enumeration.
+    built = []
+
+    def recording(g):
+        built.append(g)
+        return enumerate_configs(g)
+
+    monkeypatch.setattr(cli, "enumerate_configs", recording)
+    monkeypatch.setattr(cli, "train", lambda task, tcfg: RunRecord(
+        task.kind, [1.0], [1.0], False, [], 1))
+    assert main(["sweep", "--config", str(EXAMPLES / "sweep_demo.cfg"), "--limit", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert built == [grid]
+    configs = enumerate_configs(built[0])
     assert len(configs) == 16 and configs == enumerate_configs(grid)
 
 

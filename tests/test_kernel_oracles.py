@@ -5,12 +5,16 @@ exponent field, in a block-major buffer and with an exp that skips
 arguments whose result is +0.0.  The reference copies below are the
 straightforward row-wise versions (``frexp``/``ldexp`` rounding, row
 reductions, a plain ``np.exp``); each kernel must give the same bytes.
+``formats.encode_array`` looks codes up in the format's grid; its
+reference derives them from the exponent and mantissa fields.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mxsim import formats, mx
 from mxsim.formats import (
@@ -19,6 +23,7 @@ from mxsim.formats import (
     STOCHASTIC,
     TIES_TO_EVEN,
     TOWARD_POSITIVE,
+    encode_array,
     grid,
 )
 from mxsim.mx import (
@@ -209,3 +214,68 @@ def test_pairwise_sum_is_numpys_row_sum():
     for n in range(1, 301):
         e = rng.random((n, 7)) * 10.0 ** rng.integers(-8, 8, size=(n, 7))
         assert _pairwise_sum(e).tobytes() == np.ascontiguousarray(e.T).sum(axis=-1).tobytes()
+
+
+def _ref_encode(values, fmt):
+    """Codes from the exponent and mantissa fields of each value."""
+    data = fmt._grid
+    mb = fmt.mantissa_bits
+    v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    binade = formats._binade(a, data)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail `ok`
+        t = a / binade * 2**mb  # integer significand for grid values
+        ok = (a <= data.max_finite) & (t == np.floor(t))
+    if fmt.exponent_only:
+        ok &= a > 0
+    if not fmt.signed:
+        ok &= v >= 0
+    if not ok.all():
+        raise ValueError(f"array contains values not representable in {fmt.name}")
+    # Exponent field e + bias holds t - 2**mb; the subnormal binade's field
+    # is 0 and its t < 2**mb, so one expression covers both.
+    e = (binade.view(np.int64) >> 52) - 1023
+    codes = ((e + (fmt.bias - 1)) << mb) + t.astype(np.int64)
+    if fmt.signed:
+        codes += (v < 0) * (1 << (fmt.exponent_bits + mb))
+    return codes.astype(np.uint32)
+
+
+def _encoded(encode, values, fmt):
+    """dtype, shape and bytes of the codes, or None where ``encode`` rejects."""
+    try:
+        codes = encode(values, fmt)
+    except ValueError:
+        return None
+    return codes.dtype, codes.shape, codes.tobytes()
+
+
+def _same_encoding(values, fmt):
+    want = _encoded(_ref_encode, values, fmt)
+    assert _encoded(encode_array, values, fmt) == want
+    return want is not None
+
+
+@pytest.mark.parametrize("fmt", FORMATS.values(), ids=FORMATS.keys())
+def test_encode_matches_field_arithmetic(fmt):
+    g = grid(fmt)
+    assert _same_encoding(g, fmt) and _same_encoding(g.reshape(-1, 1), fmt)
+    assert _same_encoding(np.empty((0, 3)), fmt)
+    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                1e-310, -1e-310, 2.0**-1022 - 5e-324, 1e308, -1e308]
+    near = np.concatenate([g, -g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf),
+                           specials])
+    accepted = sum(_same_encoding(near[i : i + 1], fmt) for i in range(near.size))
+    assert accepted >= g.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FORMATS)), st.lists(st.floats(), min_size=1, max_size=6),
+       st.integers(0, 1 << 16))
+def test_encode_matches_field_arithmetic_on_any_floats(name, values, k):
+    fmt = FORMATS[name]
+    g = grid(fmt)
+    for v in values:
+        _same_encoding(np.array([v]), fmt)
+        _same_encoding(np.array([v, g[k % g.size]]), fmt)
+    _same_encoding(np.array(values), fmt)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 
 from mxsim.cli import main
-from mxsim.formats import E2M1, FP4_MAX, TIES_TO_EVEN
+from mxsim.formats import E2M1, TIES_TO_EVEN
 from mxsim.plots import (
     MARGIN_LEFT,
     MARGIN_RIGHT,
@@ -101,7 +101,8 @@ class TestAxisRange:
 class TestQuantizerCurve:
     def test_rounded_curve_is_round_to_nearest_even(self):
         n = 801
-        xs = [-FP4_MAX + 2 * FP4_MAX * i / (n - 1) for i in range(n)]
+        top = E2M1.max_finite
+        xs = [-top + 2 * top * i / (n - 1) for i in range(n)]
         arr = np.array(xs)
         est = EST_SIGMOID
         rounded = _grid_round(arr, E2M1, TIES_TO_EVEN)

@@ -2,6 +2,7 @@
 parameters of the functions that read fixed settings.  A new setting has to
 change a list here, so that it is added on purpose."""
 
+import argparse
 import ast
 import inspect
 from dataclasses import fields
@@ -60,6 +61,18 @@ PARAMETERS = {
 }
 
 
+#: The arguments of each CLI subcommand, in parser order, and the plot kinds.
+CLI_OPTIONS = {
+    "quantize": "input, --format, --block-size, --out",
+    "recon": "--format, --block-size, --out, --seed",
+    "train": "--config, --out, --seed",
+    "sweep": "--config, --jobs, --limit, --out, --seed",
+    "pareto": "results, --out",
+    "plot": "--kind, --input, --format, --estimator, --out",
+}
+PLOT_KINDS = ("loss", "recon", "quantizer", "scale-deviation")
+
+
 def _render(fn) -> str:
     out, star = [], False
     for p in inspect.signature(fn).parameters.values():
@@ -92,3 +105,16 @@ def test_cli_reads_no_environment_variable():
     names |= {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
               for a in n.names}
     assert not names & {"os", "environ", "getenv", "environb", "getenvb"}
+
+
+def test_cli_options_and_plot_kinds():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: ", ".join("/".join(a.option_strings) or a.dest
+                        for a in parser._actions if a.dest != "help")
+        for name, parser in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS
+    (kind,) = [a for a in sub.choices["plot"]._actions if a.dest == "kind"]
+    assert kind.choices == PLOT_KINDS

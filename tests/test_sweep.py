@@ -23,6 +23,7 @@ from mxsim.sweep import (
     OPTION_ALIASES,
     SweepConfig,
     SweepGrid,
+    best_val_loss,
     build_qlinear_config,
     canonical_option,
     complexity_points,
@@ -35,6 +36,7 @@ from mxsim.sweep import (
     write_results_csv,
     result_row,
 )
+from mxsim.trainer import RunRecord
 
 from reference_rows import (
     ALL_ROWS,
@@ -501,11 +503,23 @@ class TestReconCellOracle:
 class TestResultsCsv:
     def test_row_and_csv_columns(self, tmp_path):
         cfg = SweepConfig(loss_scaling=True)
-        row = result_row("demo", cfg, val_loss=0.5, train_loss=0.4, m_ref=1.0)
+        record = RunRecord("demo", [0.9, 0.4], [0.8, 0.5], False, [], 2)
+        row = result_row(record, cfg, m_ref=1.0)
+        assert (row["Dataset"], row["Val loss"], row["Train loss"]) == ("demo", 0.5, 0.4)
         assert row["Complexity points"] == "0.500"
         assert row["Score"] == "0.500"
+        # A reference that is not positive scores NaN; score() itself rejects it.
+        assert [result_row(record, cfg, m)["Score"] for m in (0.0, math.nan)] == ["nan"] * 2
         path = tmp_path / "results.csv"
         write_results_csv(str(path), [row])
         header = path.read_text().splitlines()[0]
         assert header.startswith("Dataset,Val loss,Train loss,Scale")
         assert header.endswith("Complexity points,Score,NaN mode")
+
+    @pytest.mark.parametrize("val_losses, best", [
+        ([0.9, 0.5, 0.7], 0.5), ([math.nan, 0.5, 0.7], 0.5),
+        ([0.7, math.inf, 0.6, math.nan], 0.6), ([math.nan, math.inf], math.nan),
+    ])
+    def test_best_val_loss_is_the_least_finite(self, val_losses, best):
+        record = RunRecord("demo", val_losses, val_losses, False, [], 1)
+        np.testing.assert_equal(best_val_loss(record), best)  # NaN equals NaN
