@@ -2,9 +2,10 @@
 
 Subcommands: ``quantize`` (round-trip a tensor file), ``recon``
 (reconstruction-error grid), ``train`` (one quantized training run),
-``sweep`` (grid of training runs), ``pareto`` (frontier extraction), and
-``plot`` (SVG rendering of result CSVs).  Every subcommand is deterministic
-given its inputs; ``recon``, ``train`` and ``sweep`` also read ``--seed``.
+``sweep`` (grid of training runs) and ``pareto`` (frontier extraction, with
+its scatter as SVG).  Every number is written as CSV.  Every subcommand is
+deterministic given its inputs; ``recon``, ``train`` and ``sweep`` also
+read ``--seed``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -28,13 +29,7 @@ from .mx import (
     quantize_tensor,
     to_bytes,
 )
-from .plots import (
-    line_plot,
-    quantizer_curve_plot,
-    scale_deviation_plot,
-    scatter_plot,
-)
-from .qgrad import ESTIMATORS
+from .plots import scatter_plot
 from .sweep import (
     SweepConfig,
     SweepGrid,
@@ -333,13 +328,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_csv(path: str | None, columns: tuple[str, ...], what: str) -> list[dict]:
-    """Rows of a CSV file that must exist, have rows and have ``columns``,
-    and whose rows hold no more cells than its header."""
-    if not path:
-        raise ConfigError(f"this command needs a {what} (--input)")
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path}")
+def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
+    """Rows of a results file that must exist, have rows and have
+    ``columns``, and whose rows hold no more cells than its header."""
+    if not Path(path).is_file():
+        raise ConfigError(f"results file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = []
@@ -349,10 +342,10 @@ def _read_csv(path: str | None, columns: tuple[str, ...], what: str) -> list[dic
                                   "than the header")
             rows.append(row)
     if not rows:
-        raise ConfigError(f"{what} {path} is empty")
+        raise ConfigError(f"results file {path} is empty")
     for col in columns:
         if col not in rows[0]:
-            raise ConfigError(f"{what} {path} lacks column {col!r}")
+            raise ConfigError(f"results file {path} lacks column {col!r}")
     return rows
 
 
@@ -366,7 +359,7 @@ def _numbers(rows: list[dict], column: str, path: str) -> list[float]:
 
 def cmd_pareto(args) -> int:
     columns = ("Complexity points", "Score")
-    rows = _read_csv(args.results, columns, "results file")
+    rows = _read_csv(args.results, columns)
     points = list(zip(*(_numbers(rows, c, args.results) for c in columns)))
     front = pareto_front(points)
     out = _out_dir(args)
@@ -384,50 +377,6 @@ def cmd_pareto(args) -> int:
     )
     (out / "pareto.svg").write_text(svg)
     print(f"frontier: {len(front)} of {len(rows)} runs")
-    return 0
-
-
-def cmd_plot(args) -> int:
-    kind = args.kind
-    if kind == "quantizer":
-        svg = quantizer_curve_plot(args.estimator)
-    elif kind == "scale-deviation":
-        svg = scale_deviation_plot(_check_format(args.format or "E8M0"))
-    elif kind == "loss":
-        rows = _read_csv(args.input, ("epoch",), "loss-curve CSV")
-        epochs = _numbers(rows, "epoch", args.input)
-        series = {
-            col: (epochs, _numbers(rows, col, args.input))
-            for col in rows[0]
-            if col != "epoch"
-        }
-        svg = line_plot(series, title="Training curves", xlabel="epoch", ylabel="loss")
-    elif kind == "recon":
-        rows = _read_csv(
-            args.input, ("format", "l", "scale", "beta", "mean_rel_err"),
-            "reconstruction-error CSV",
-        )
-        columns = (_numbers(rows, c, args.input)
-                   for c in ("l", "scale", "mean_rel_err"))
-        series: dict[str, tuple[list[float], list[float]]] = {}
-        for r, l, scale, err in zip(rows, *columns):
-            if r["beta"] or scale != 1.0:
-                continue
-            xs, ys = series.setdefault(r["format"], ([], []))
-            xs.append(l)
-            ys.append(err)
-        svg = line_plot(
-            series,
-            title="Reconstruction error vs block size",
-            xlabel="block size",
-            ylabel="mean relative error",
-            log_y=True,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown plot kind {kind!r}")
-    path = _out_dir(args) / f"{kind}.svg"
-    path.write_text(svg)
-    print(f"wrote {path}")
     return 0
 
 
@@ -488,18 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results", help="results CSV")
     common(p)
 
-    p = sub.add_parser("plot", help="render an SVG from result CSVs")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("loss", "recon", "quantizer", "scale-deviation"),
-    )
-    p.add_argument("--input", default=None, help="input CSV where applicable")
-    p.add_argument("--format", default=None, help="scale format for curves")
-    p.add_argument("--estimator", default="sigmoid", choices=ESTIMATORS,
-                   help="surrogate kind for quantizer plots")
-    common(p)
-
     return parser
 
 
@@ -509,7 +446,6 @@ _COMMANDS = {
     "train": cmd_train,
     "sweep": cmd_sweep,
     "pareto": cmd_pareto,
-    "plot": cmd_plot,
 }
 
 

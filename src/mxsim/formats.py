@@ -188,7 +188,9 @@ def round_array(
     """Round every element of ``x`` onto the format grid with ``_round``
     and return the rounded array.
 
-    Overflows saturate to ``sign(x) * max_finite``; inputs below the
+    On a signed format overflows saturate to ``sign(x) * max_finite``.  On
+    an unsigned format a value below ``-max_finite`` goes to ``+max_finite``
+    and any other negative to the lowest grid value; inputs below the
     smallest positive grid value of a zero-free format clamp to that value.
     NaN or infinite inputs (the training loop screens them through its loss
     scaler), an unknown mode and Stochastic rounding without an rng are

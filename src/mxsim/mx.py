@@ -387,8 +387,15 @@ def _pack_text(text: str) -> bytes:
 
 def to_bytes(qt: QuantizedTensor) -> bytes:
     """Binary layout: header with the whole spec (the element format
-    always E2M1), scale codes (16-bit), packed 4-bit element codes."""
+    always E2M1), scale codes (16-bit), packed 4-bit element codes.
+
+    Raises ``ValueError`` for a block size above 65,535, which the 16-bit
+    header field cannot hold.
+    """
     spec = qt.spec
+    if spec.block_size > 0xFFFF:
+        raise ValueError(f"block_size {spec.block_size} does not fit the 16-bit "
+                         "header field of the serialized layout")
     codes = qt.codes
     buf = io.BytesIO()
     buf.write(_MAGIC)

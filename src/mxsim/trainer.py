@@ -117,6 +117,9 @@ class TaskSpec:
             )
         if self.dim < 1 or self.n_classes < 2:
             raise ValueError("dim must be positive and n_classes at least 2")
+        if not 0.0 <= self.noise_std < math.inf:  # NaN fails too
+            raise ValueError(f"noise_std must be finite and non-negative, got "
+                             f"{self.noise_std}")
 
 
 def gen_gaussian_regression(spec: TaskSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

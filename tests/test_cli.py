@@ -20,7 +20,7 @@ from mxsim.cli import (
 )
 from mxsim.hadamard import HADAMARD_MODES
 from mxsim.mx import from_bytes
-from mxsim.plots import line_plot, scatter_plot
+from mxsim.plots import scatter_plot
 from mxsim.sweep import score
 from mxsim.trainer import RunRecord, TaskSpec, TrainConfig
 
@@ -201,18 +201,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, column", [
         (["pareto", "{}"], "Score"),
-        (["plot", "--kind", "loss", "--input", "{}"], "val_loss"),
-        (["plot", "--kind", "recon", "--input", "{}"], "mean_rel_err"),
-    ], ids=["pareto", "plot-loss", "plot-recon"])
+    ], ids=["pareto"])
     def test_non_numeric_cell_exits_2_writing_nothing(self, tmp_path, capsys, argv,
                                                      column):
-        bad = {
-            "Score": "Complexity points,Score\n1,0.5\n2,abc\n",
-            "val_loss": "epoch,train_loss,val_loss\n1,0.5,0.6\n2,0.4,x\n",
-            "mean_rel_err": "format,l,scale,beta,mean_rel_err\nE8M0,16,1.0,,x\n",
-        }
         path = tmp_path / "bad.csv"
-        path.write_text(bad[column])
+        path.write_text("Complexity points,Score\n1,0.5\n2,abc\n")
         out = tmp_path / "out"
         assert main([a.format(path) for a in argv] + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -223,13 +216,11 @@ class TestExitCodes:
     LONG_ROW = "Complexity points,Score\n1,0.1\n2,0.3,extra\n"
 
     @pytest.mark.parametrize("argv, text, message", [
-        (["plot", "--kind", "recon"], None, "needs a reconstruction-error CSV (--input)"),
-        (["plot", "--kind", "loss", "--input", "{}"], "epoch,train_loss\n", "is empty"),
+        (["pareto", ""], None, "results file not found"),
+        (["pareto", "{}"], "Complexity points,Score\n", "is empty"),
         (["pareto", "{}"], "Complexity points\n1\n", "lacks column 'Score'"),
         (["pareto", "{}"], LONG_ROW, "in.csv:3: row has more cells than the header"),
-        (["plot", "--kind", "loss", "--input", "{}"], LONG_ROW,
-         "in.csv:3: row has more cells than the header"),
-    ], ids=["no-input", "header-only", "no-column", "long-row-pareto", "long-row-loss"])
+    ], ids=["no-input", "header-only", "no-column", "long-row-pareto"])
     def test_unusable_csv_exits_2_writing_nothing(self, tmp_path, capsys, argv, text,
                                                   message):
         path = tmp_path / "in.csv"
@@ -241,9 +232,11 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("Complexity points,Score\n1,0.5\n")
         taken = tmp_path / "out"
         taken.write_text("a file, not a directory\n")
-        assert main(["plot", "--kind", "quantizer", "--out", str(taken)]) == 1
+        assert main(["pareto", str(results), "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_quantize_exits_0(self, tmp_path):
@@ -277,14 +270,12 @@ class TestRecon:
         }
         assert all(r["format"] == "E8M0" for r in rows)
 
-    def test_full_grid_and_its_plot(self, tmp_path, capsys):
+    def test_full_grid(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["recon", "--out", str(out)]) == 0
-        assert main(["plot", "--kind", "recon", "--input", str(out / "recon.csv"),
-                     "--out", str(out)]) == 0
         assert len(_result_rows(out / "recon.csv")) == 102
         assert capsys.readouterr().out.startswith("wrote 102 cells to ")
-        assert (out / "recon.svg").read_text().startswith("<svg")
+        assert sorted(path.name for path in out.iterdir()) == ["recon.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -310,16 +301,6 @@ class TestTrainAndPlots:
         assert rows[0]["Scale"] == "E8M0"
         assert rows[0]["Complexity points"] == "0.000"
 
-    def test_loss_plot_renders(self, trained, tmp_path):
-        out = tmp_path / "plots"
-        rc = main(
-            ["plot", "--kind", "loss", "--input", str(trained / "losses.csv"),
-             "--out", str(out)]
-        )
-        assert rc == 0
-        svg = (out / "loss.svg").read_text()
-        assert svg.startswith("<svg")
-
     def test_pareto_from_results(self, trained, tmp_path):
         out = tmp_path / "front"
         rc = main(["pareto", str(trained / "results.csv"), "--out", str(out)])
@@ -344,23 +325,6 @@ class TestTrainAndPlots:
         )
         assert (out / "pareto.svg").read_text() == expected
 
-    def test_recon_plot_draws_exact_max_at_unit_scale(self, tmp_path):
-        recon = tmp_path / "recon.csv"
-        recon.write_text(
-            "format,l,scale,beta,mean_rel_err\n"
-            "E8M0,16,1.0,,0.1\nE8M0,32,1.0,,0.12\nE8M0,16,10.0,,0.2\n"
-            "E8M0,16,1.0,40.0,0.3\nE4M3,16,1.0,,0.05\n"
-        )
-        out = tmp_path / "plots"
-        assert main(["plot", "--kind", "recon", "--input", str(recon),
-                     "--out", str(out)]) == 0
-        expected = line_plot(
-            {"E8M0": ([16.0, 32.0], [0.1, 0.12]), "E4M3": ([16.0], [0.05])},
-            title="Reconstruction error vs block size", xlabel="block size",
-            ylabel="mean relative error", log_y=True,
-        )
-        assert (out / "recon.svg").read_text() == expected
-
     def test_pareto_plot_draws_every_point(self, tmp_path):
         # The dominated run is drawn too; only the frontier is highlighted.
         results = tmp_path / "results.csv"
@@ -373,16 +337,13 @@ class TestTrainAndPlots:
         assert (out / "pareto.svg").read_text() == expected
 
     def test_plot_determinism(self, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_text("Complexity points,Score\n1,0.100\n3,0.250\n2,-0.5\n")
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["plot", "--kind", "quantizer", "--out", str(a)]) == 0
-        assert main(["plot", "--kind", "quantizer", "--out", str(b)]) == 0
-        assert (a / "quantizer.svg").read_bytes() == (b / "quantizer.svg").read_bytes()
-
-    def test_scale_deviation_plot(self, tmp_path):
-        rc = main(["plot", "--kind", "scale-deviation", "--format", "E4M3",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "scale-deviation.svg").exists()
+        assert main(["pareto", str(results), "--out", str(a)]) == 0
+        assert main(["pareto", str(results), "--out", str(b)]) == 0
+        for name in ("frontier.csv", "pareto.svg"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestSeedOverride:
@@ -409,8 +370,7 @@ class TestSeedFlag:
         (["train"], True),
         (["sweep"], True),
         (["pareto", "results.csv"], False),
-        (["plot", "--kind", "quantizer"], False),
-    ], ids=["quantize", "recon", "train", "sweep", "pareto", "plot"])
+    ], ids=["quantize", "recon", "train", "sweep", "pareto"])
     def test_seed_only_where_a_run_reads_it(self, tmp_path, capsys, argv, seeded):
         out = tmp_path / "out"
         args = [*argv, "--seed", "5", "--out", str(out)]
@@ -420,22 +380,6 @@ class TestSeedFlag:
             assert main(args) == 2
             assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
             assert not out.exists()
-
-
-class TestEstimatorFlag:
-    def test_unknown_estimator_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main(["plot", "--kind", "quantizer", "--estimator", "bogus",
-                   "--out", str(out)])
-        assert rc == 2
-        assert "--estimator" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_ste_estimator_writes_its_svg(self, tmp_path):
-        rc = main(["plot", "--kind", "quantizer", "--estimator", "STE",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert "STE surrogate" in (tmp_path / "quantizer.svg").read_text()
 
 
 class TestSweepCommand:

@@ -47,9 +47,7 @@ def test_sweep_demo_enumerates_its_16_configs_in_order(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name, run, then, files", [
-    ("train_demo.cfg", ["train", "--seed", "7"],
-     ["plot", "--kind", "loss", "--input", "losses.csv"],
-     ["loss.svg", "losses.csv", "results.csv"]),
+    ("train_demo.cfg", ["train", "--seed", "7"], None, ["losses.csv", "results.csv"]),
     ("sweep_demo.cfg", ["sweep", "--seed", "3", "--jobs", "2", "--limit", "2"],
      ["pareto", "results.csv"],
      ["frontier.csv", "pareto.svg", "results.csv"]),
@@ -61,8 +59,9 @@ def test_example_runs_at_a_tiny_size(tmp_path, name, run, then, files):
     config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
     out = tmp_path / "out"
     assert main([*run, "--config", str(config), "--out", str(out)]) == 0
-    then = [str(out / arg) if arg.endswith(".csv") else arg for arg in then]
-    assert main([*then, "--out", str(out)]) == 0
+    if then:
+        then = [str(out / arg) if arg.endswith(".csv") else arg for arg in then]
+        assert main([*then, "--out", str(out)]) == 0
     assert sorted(path.name for path in out.iterdir()) == files
 
 
@@ -76,7 +75,7 @@ def _readme_commands() -> list[list[str]]:
 
 def test_readme_commands_parse_and_their_configs_pass_the_checks(tmp_path, monkeypatch):
     commands = _readme_commands()
-    assert len(commands) >= 12
+    assert len(commands) >= 9
     parsed = [(argv, cli.build_parser().parse_args(argv)) for argv in commands]
     configs = [(argv, args.config) for argv, args in parsed
                if getattr(args, "config", None)]

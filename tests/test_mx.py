@@ -635,6 +635,14 @@ class TestSerialization:
         digest = hashlib.sha256(b"".join(to_bytes(qt) for qt in tensors)).hexdigest()
         assert digest == "caea65929109ba9a36ad05999ab43b4bea3e30aa9606bed7b83dc3bb0b7834b1"
 
+    def test_block_size_beyond_the_header_field_rejected(self):
+        # The header holds the block size in 16 bits.
+        widest = quantize_tensor(np.ones(4), BlockSpec(block_size=0xFFFF))
+        assert from_bytes(to_bytes(widest)).spec == widest.spec
+        qt = quantize_tensor(np.ones(4), BlockSpec(block_size=0x10000))
+        with pytest.raises(ValueError, match="block_size 65536 does not fit"):
+            to_bytes(qt)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             from_bytes(b"nope" + b"\x00" * 50)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mxsim import cli, formats, hadamard, mx, plots, qgrad, qlinear, sweep, trainer
+from mxsim import cli, formats, hadamard, mx, qgrad, qlinear, sweep, trainer
 
 FIELDS = {
     mx.BlockSpec: "block_size, scale_format, z, scale_rounding, elem_rounding, zero_mode",
@@ -56,21 +56,17 @@ PARAMETERS = {
                                    "block_sizes=(8, 16, 32, 64, 128), seed=0, "
                                    "n_elements=65536"),
     sweep.build_qlinear_config: "cfg, seed=0",
-    plots.quantizer_curve_plot: "estimator_kind='sigmoid'",
-    plots.scale_deviation_plot: "scale_format='E8M0'",
 }
 
 
-#: The arguments of each CLI subcommand, in parser order, and the plot kinds.
+#: The arguments of each CLI subcommand, in parser order.
 CLI_OPTIONS = {
     "quantize": "input, --format, --block-size, --out",
     "recon": "--format, --block-size, --out, --seed",
     "train": "--config, --out, --seed",
     "sweep": "--config, --jobs, --limit, --out, --seed",
     "pareto": "results, --out",
-    "plot": "--kind, --input, --format, --estimator, --out",
 }
-PLOT_KINDS = ("loss", "recon", "quantizer", "scale-deviation")
 
 
 def _render(fn) -> str:
@@ -107,7 +103,7 @@ def test_cli_reads_no_environment_variable():
     assert not names & {"os", "environ", "getenv", "environb", "getenvb"}
 
 
-def test_cli_options_and_plot_kinds():
+def test_cli_options():
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
     options = {
@@ -116,5 +112,3 @@ def test_cli_options_and_plot_kinds():
         for name, parser in sub.choices.items()
     }
     assert options == CLI_OPTIONS
-    (kind,) = [a for a in sub.choices["plot"]._actions if a.dest == "kind"]
-    assert kind.choices == PLOT_KINDS

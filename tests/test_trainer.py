@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -253,9 +255,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize(
-        "field, value", [("n_samples", 1), ("dim", 0), ("n_classes", 1)]
-    )
+    @pytest.mark.parametrize("field, value", [
+        ("n_samples", 1), ("dim", 0), ("n_classes", 1), ("noise_std", math.nan),
+        ("noise_std", math.inf), ("noise_std", -math.inf), ("noise_std", -0.5),
+    ])
     def test_task_spec_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
             TaskSpec(**{field: value})
