@@ -8,6 +8,7 @@ yield byte-identical SVG.  Every number it draws is also in a CSV file.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 __all__ = ["scatter_plot"]
@@ -27,7 +28,8 @@ def _fmt(v: float) -> str:
 
 
 def _axis_range(values: Sequence[float]) -> tuple[float, float]:
-    """Axis extent padded by 5% of its span; only finite values count."""
+    """Axis extent padded by 5% of its span; only finite values count.
+    Spans past the largest float are halved; the ends stay finite."""
     shown = [v for v in values if math.isfinite(v)]
     if not shown:
         return 0.0, 1.0
@@ -35,7 +37,24 @@ def _axis_range(values: Sequence[float]) -> tuple[float, float]:
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    if math.isinf(pad):
+        pad = 0.1 * (hi / 2 - lo / 2)
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+
+
+def _frac(v: float, lo: float, hi: float) -> float:
+    """Where ``v`` lies from ``lo`` to ``hi``, halved where spans overflow."""
+    h = 2.0 if math.isinf(hi - lo) else 1.0
+    span = hi / h - lo / h
+    return (v / h - lo / h) / span if span else 0.5
+
+
+def _corner(lo: float, hi: float, frac: float) -> float:
+    """The axis value at a corner tick, ``frac`` 0 or 1."""
+    span = hi - lo
+    if math.isinf(span):
+        return hi if frac else lo
+    return lo + frac * span
 
 
 class _Canvas:
@@ -49,13 +68,11 @@ class _Canvas:
         self._frame(title, xlabel, ylabel)
 
     def px(self, x: float) -> float:
-        span = self.x1 - self.x0
-        frac = (x - self.x0) / span if span else 0.5
+        frac = _frac(x, self.x0, self.x1)
         return MARGIN_LEFT + frac * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
 
     def py(self, y: float) -> float:
-        span = self.y1 - self.y0
-        frac = (y - self.y0) / span if span else 0.5
+        frac = _frac(y, self.y0, self.y1)
         return HEIGHT - MARGIN_BOTTOM - frac * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
     def _frame(self, title: str, xlabel: str, ylabel: str) -> None:
@@ -81,8 +98,8 @@ class _Canvas:
         )
         # Corner tick labels are enough for static artifact plots.
         for frac, anchor in ((0.0, "start"), (1.0, "end")):
-            xv = self.x0 + frac * (self.x1 - self.x0)
-            yv = self.y0 + frac * (self.y1 - self.y0)
+            xv = _corner(self.x0, self.x1, frac)
+            yv = _corner(self.y0, self.y1, frac)
             xpix = MARGIN_LEFT + frac * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
             ypix = HEIGHT - MARGIN_BOTTOM - frac * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
             p.append(

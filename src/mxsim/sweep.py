@@ -358,7 +358,7 @@ def recon_error_cell(
     block_size: int,
     tensor_scale: float,
     beta: float | None,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     n_elements: int = 1 << 16,
     *,
     work: np.ndarray | None = None,
@@ -370,27 +370,32 @@ def recon_error_cell(
     drawn as exactly 0 have no relative error and are left out; a
     ``ValueError`` is raised when no element is left.
 
-    ``work`` is an optional C-ordered ``(3, n_elements)`` float64 block the
-    draw and the error statistics are written into; ``recon_error_experiment``
-    passes one block for its whole grid.
+    ``work`` is an optional float64 ``(3, n_elements)`` block with contiguous
+    rows: the scaled draw from ``rng`` goes into row 0, the error statistics
+    into rows 1 and 2.  With ``rng=None`` row 0 must already hold the scaled
+    draw, as ``recon_error_experiment``'s worker thread leaves it.
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be at least 1, got {n_elements}")
     if tensor_scale == 0:
         raise ValueError("a tensor scale of 0 draws no nonzero element")
+    if rng is None and (work is None or work.shape != (3, n_elements)):
+        raise ValueError(f"rng=None needs a pre-drawn (3, {n_elements}) work "
+                         f"block, got {None if work is None else work.shape}")
     x, err, mag = np.empty((3, n_elements)) if work is None else work
-    rng.standard_normal(out=x)
-    x *= tensor_scale
+    if rng is not None:
+        _draw(x, rng, tensor_scale)
     z = ZFunction(Z_ABSMAX) if beta is None else ZFunction(Z_LOGSUMEXP, beta=beta)
     spec = BlockSpec(
         block_size=block_size,
         scale_format=get_format(scale_format),
         z=z,
     )
+    # |x| first: it pulls a draw made on another core into this one's cache.
+    np.abs(x, out=mag)
     deq = dequantize_tensor(quantize_tensor(x, spec))
     np.subtract(x, deq, out=err)
     np.abs(err, out=err)
-    np.abs(x, out=mag)
     if not mag.all():
         nonzero = mag != 0
         if not nonzero.any():
@@ -400,6 +405,11 @@ def recon_error_cell(
     err /= mag
     # The mean first: the median reorders err.
     return float(err.mean()), _median_in_place(err)
+
+
+def _draw(x: np.ndarray, rng: np.random.Generator, tensor_scale: float) -> None:
+    rng.standard_normal(out=x)
+    x *= tensor_scale
 
 
 def recon_error_experiment(
@@ -415,45 +425,47 @@ def recon_error_experiment(
     exact-max error vs tensor scale (l=16), smooth-max error vs block size
     and vs tensor scale at the default inverse temperature 40, and
     smooth-max sensitivity to the inverse temperature.
+
+    Formats and block sizes are checked before the first draw.  A worker
+    thread draws each cell, in grid order, into row 0 of one of two work
+    blocks while the calling thread scores the cell before in the other;
+    the rows are those of a serial run.
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be at least 1, got {n_elements}")
-    rng = np.random.default_rng(seed)
-    rows: list[dict[str, object]] = []
-    # One block for every cell: blocks allocated and freed per cell made
-    # glibc trim and re-fault its heap top on each cell.
-    work = np.empty((3, n_elements))
-
-    def add(fmt: str, l: int, scale: float, beta: float | None) -> None:
-        mean, median = recon_error_cell(fmt, l, scale, beta, rng, n_elements,
-                                        work=work)
-        rows.append(
-            {
-                "format": fmt,
-                "l": l,
-                "scale": scale,
-                "beta": "" if beta is None else beta,
-                "mean_rel_err": mean,
-                "median_rel_err": median,
-            }
-        )
-
+    cells: list[tuple[str, int, float, float | None]] = []
     for fmt in formats:
         # Exact max vs block size, unit scale.
-        for l in block_sizes:
-            add(fmt, l, 1.0, None)
+        cells += [(fmt, l, 1.0, None) for l in block_sizes]
         # Exact max vs tensor scale at l=16.
-        for scale in RECON_TENSOR_SCALES:
-            add(fmt, 16, scale, None)
+        cells += [(fmt, 16, scale, None) for scale in RECON_TENSOR_SCALES]
         # Smooth max vs block size at the default inverse temperature.
-        for l in block_sizes:
-            add(fmt, l, 1.0, 40.0)
+        cells += [(fmt, l, 1.0, 40.0) for l in block_sizes]
         # Smooth max vs tensor scale at l=16.
-        for scale in RECON_TENSOR_SCALES:
-            add(fmt, 16, scale, 40.0)
+        cells += [(fmt, 16, scale, 40.0) for scale in RECON_TENSOR_SCALES]
         # Smooth-max sensitivity to the inverse temperature.
-        for beta in RECON_BETAS:
-            add(fmt, 16, 1.0, beta)
+        cells += [(fmt, 16, 1.0, beta) for beta in RECON_BETAS]
+    # Every cell's format and block size, checked before the first draw.
+    for fmt, l, _, _ in cells:
+        BlockSpec(block_size=l, scale_format=get_format(fmt))
+    rng = np.random.default_rng(seed)
+    rows: list[dict[str, object]] = []
+    # Two work blocks for the whole grid (per-cell blocks made glibc trim and
+    # re-fault its heap top): rows 0 and 3 hold alternate cells' draws.
+    block = np.empty((4, n_elements))
+    works = (block[:3], block[:0:-1])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        drawn = pool.submit(_draw, works[0][0], rng, cells[0][2]) if cells else None
+        for k, (fmt, l, scale, beta) in enumerate(cells):
+            drawn.result()
+            if k + 1 < len(cells):  # into cell k - 1's finished block
+                drawn = pool.submit(_draw, works[(k + 1) % 2][0], rng,
+                                    cells[k + 1][2])
+            mean, median = recon_error_cell(fmt, l, scale, beta, None, n_elements,
+                                            work=works[k % 2])
+            rows.append(dict(format=fmt, l=l, scale=scale,
+                             beta="" if beta is None else beta,
+                             mean_rel_err=mean, median_rel_err=median))
     return rows
 
 

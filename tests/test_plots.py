@@ -46,6 +46,19 @@ class TestAxisRange:
         assert ">-0.5<" in svg and ">10.5<" in svg
         assert ">0.95<" in svg and ">2.05<" in svg
 
+    def test_span_past_the_largest_float(self):
+        # hi - lo overflows; the pad and the pixel fraction come from
+        # halved operands, and the padded ends stay finite.
+        svg = scatter_plot([(1.0, 1e308), (2.0, -1e308)])
+        assert "nan" not in svg and "inf" not in svg
+        assert re.findall(r'cy="([^"]*)"', svg) == ["51.27", "356.73"]
+        assert _axis_range([1e308, -1e308]) == (-1e308 - 1e307, 1e308 + 1e307)
+        top = 1.7976931348623157e308
+        assert _axis_range([-top, top]) == (-top, top)
+        svg = scatter_plot([(-top, top), (top, 0.0)], [(0.0, -top)])
+        assert "nan" not in svg and "inf" not in svg
+        assert _all_finite(svg)
+
     def test_nothing_drawable_gives_the_unit_range(self):
         assert _axis_range([math.nan, math.inf, -math.inf]) == (0.0, 1.0)
         assert _axis_range([]) == (0.0, 1.0)

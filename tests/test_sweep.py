@@ -3,6 +3,8 @@ frontiers, and the reconstruction-error experiment."""
 
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -405,17 +407,28 @@ class TestReconError:
         assert e4m3 > 3 * e8m0
 
     def test_grid_cells_match_the_oracle_in_grid_order(self, monkeypatch):
-        # The grid reuses one workspace; no cell may read what the last left.
+        # The grid alternates two pre-drawn work blocks; no cell may read
+        # what an earlier one left, and the 7- and 14-cell grids end on
+        # different blocks.  A short switch interval interleaves the worker
+        # thread's draws with the cells as finely as the interpreter allows.
         monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (1e-320, 1.0))
         monkeypatch.setattr(sweep, "RECON_BETAS", (40.0,))
-        rows = recon_error_experiment(formats=("E8M0", "E4M3"), block_sizes=(8,),
-                                      seed=4, n_elements=1 << 12)
-        rng = np.random.default_rng(4)
-        for row in rows:
-            beta = None if row["beta"] == "" else row["beta"]
-            expected = _recon_cell_oracle(row["format"], row["l"], row["scale"], beta,
-                                          rng, 1 << 12)
-            assert _bits(row["mean_rel_err"], row["median_rel_err"]) == _bits(*expected)
+        for formats in (("E8M0",), ("E8M0", "E4M3")):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                rows = recon_error_experiment(formats=formats, block_sizes=(8,),
+                                              seed=4, n_elements=1 << 12)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(rows) == 7 * len(formats)
+            rng = np.random.default_rng(4)
+            for row in rows:
+                beta = None if row["beta"] == "" else row["beta"]
+                expected = _recon_cell_oracle(row["format"], row["l"], row["scale"],
+                                              beta, rng, 1 << 12)
+                assert (_bits(row["mean_rel_err"], row["median_rel_err"])
+                        == _bits(*expected))
 
     @pytest.mark.parametrize("n_elements", [0, -1])
     def test_no_elements_rejected_before_any_draw(self, n_elements):
@@ -440,6 +453,38 @@ class TestReconError:
         assert abs(np.random.default_rng(0).standard_normal()) < 0.5
         with pytest.raises(ValueError, match="all 1 elements drawn"):
             recon_error_cell("E8M0", 8, 5e-324, None, rng, 1)
+
+    def test_late_cell_error_propagates_and_stops_the_worker(self, monkeypatch):
+        # The second of 10 cells draws its one element at the smallest
+        # subnormal scale, which rounds it to 0, while the worker draws the
+        # third.
+        monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (5e-324,))
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="all 1 elements drawn"):
+            recon_error_experiment(formats=("E8M0",), block_sizes=(8,), seed=0,
+                                   n_elements=1)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("grid, error", [
+        ({"formats": ("E8M0", "bogus")}, KeyError),
+        ({"block_sizes": (8, 0)}, ValueError),
+    ])
+    def test_bad_grid_rejected_before_any_cell(self, monkeypatch, grid, error):
+        calls = []
+
+        def counting(*args, _fn=sweep.recon_error_cell, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "recon_error_cell", counting)
+        with pytest.raises(error):
+            recon_error_experiment(n_elements=64, **grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("work", [None, np.empty((3, 64)), np.empty((2, 65))])
+    def test_pre_drawn_cell_needs_a_matching_work_block(self, work):
+        with pytest.raises(ValueError, match="rng=None needs a pre-drawn"):
+            recon_error_cell("E8M0", 16, 1.0, None, None, 65, work=work)
 
     def test_grid_rows_and_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (1.0, 1e8))
