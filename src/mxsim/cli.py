@@ -1,11 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``quantize`` (round-trip a tensor file), ``recon``
-(reconstruction-error grid), ``train`` (one quantized training run),
-``sweep`` (grid of training runs) and ``pareto`` (frontier extraction, with
-its scatter as SVG).  Every number is written as CSV.  Every subcommand is
-deterministic given its inputs; ``recon``, ``train`` and ``sweep`` also
-read ``--seed``.
+Subcommands: ``recon`` (reconstruction-error grid), ``train`` (one
+quantized training run), ``sweep`` (grid of training runs) and ``pareto``
+(frontier extraction, with its scatter as SVG).  Every number is written as
+CSV.  Every subcommand is deterministic given its inputs; ``recon``,
+``train`` and ``sweep`` also read ``--seed``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -14,23 +13,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
-import struct
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .formats import FORMATS, get_format
-from .mx import (
-    BlockSpec,
-    dequantize_tensor,
-    quantize_tensor,
-    to_bytes,
-)
+from .formats import FORMATS
+from .mx import dequantize_tensor  # noqa: F401 - the benchmark's tracer patches this binding
 from .plots import scatter_plot
 from .sweep import (
+    RECON_BLOCK_SIZES,
+    RECON_FORMATS,
     SweepConfig,
     SweepGrid,
     best_val_loss,
@@ -174,50 +166,6 @@ def _run_settings(values: dict[str, str], seed: int) -> tuple[TaskSpec, TrainCon
 
 
 # ---------------------------------------------------------------------------
-# Tensor file IO for `quantize`
-# ---------------------------------------------------------------------------
-
-
-def read_tensor_file(path: str) -> np.ndarray:
-    """Load a tensor from CSV or a little-endian f32 binary with dims header.
-
-    The binary layout is ``uint32 ndim``, ``ndim * uint32`` dims, then the
-    row-major f32 payload, all little-endian.
-    """
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"tensor file not found: {path}")
-    if p.suffix.lower() == ".csv":
-        try:
-            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse CSV tensor {path}: {exc}") from exc
-    raw = p.read_bytes()
-    if len(raw) < 4:
-        raise ConfigError(f"binary tensor {path} is truncated")
-    (ndim,) = struct.unpack_from("<I", raw, 0)
-    header = 4 + 4 * ndim
-    if ndim == 0 or ndim > 8 or len(raw) < header:
-        raise ConfigError(f"binary tensor {path} has an invalid dims header")
-    dims = struct.unpack_from(f"<{ndim}I", raw, 4)
-    count = math.prod(dims)  # np.prod would wrap around
-    if len(raw) != header + 4 * count:
-        raise ConfigError(
-            f"binary tensor {path}: payload size does not match dims {dims}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=header).astype(np.float64)
-    return data.reshape(dims)
-
-
-def write_tensor_file(path: str, x: np.ndarray) -> None:
-    dims = x.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -228,35 +176,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_quantize(args) -> int:
-    fmt = get_format(_check_format(args.format))
-    x = read_tensor_file(args.input)
-    if x.size == 0:
-        raise ConfigError(f"tensor file {args.input} has no elements")
-    if not np.isfinite(x).all():
-        raise ConfigError(f"tensor file {args.input} holds NaN or inf")
-    spec = BlockSpec(block_size=args.block_size, scale_format=fmt)
-    qt = quantize_tensor(x, spec)
-    deq = dequantize_tensor(qt)
-    out = _out_dir(args)
-    (out / "quantized.mxq").write_bytes(to_bytes(qt))
-    np.savetxt(out / "dequantized.csv", deq.reshape(-1, x.shape[-1]), delimiter=",")
-    err = np.abs(x - deq)
-    summary = (
-        f"elements: {x.size}\n"
-        f"max_abs_error: {err.max():.9g}\n"
-        f"mean_abs_error: {err.mean():.9g}\n"
-    )
-    (out / "summary.txt").write_text(summary)
-    print(summary, end="")
-    return 0
-
-
 def cmd_recon(args) -> int:
-    formats = [args.format] if args.format else ["E8M0", "E4M3", "UE5M3"]
-    for name in formats:
-        _check_format(name)
-    block_sizes = (args.block_size,) if args.block_size else (8, 16, 32, 64, 128)
+    formats = [_check_format(args.format)] if args.format else RECON_FORMATS
+    block_sizes = (args.block_size,) if args.block_size else RECON_BLOCK_SIZES
     rows = recon_error_experiment(
         formats=formats, block_sizes=block_sizes, seed=args.seed
     )
@@ -411,15 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int_at_least(0), default=0, help="random seed")
 
-    p = sub.add_parser("quantize", help="round-trip a tensor file")
-    p.add_argument("input", help="tensor file (.csv or binary with dims header)")
-    p.add_argument("--format", default="E8M0", help="scale format name")
-    p.add_argument("--block-size", type=int, default=32, choices=(16, 32))
-    common(p)
-
     p = sub.add_parser("recon", help="reconstruction-error grid")
     p.add_argument("--format", default=None, help="restrict to one scale format")
-    p.add_argument("--block-size", type=int, default=None, choices=(16, 32))
+    p.add_argument("--block-size", type=int, default=None, choices=RECON_BLOCK_SIZES)
     common(p, seeded=True)
 
     p = sub.add_parser("train", help="one quantized training run")
@@ -441,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "quantize": cmd_quantize,
     "recon": cmd_recon,
     "train": cmd_train,
     "sweep": cmd_sweep,

@@ -37,9 +37,8 @@ from .formats import (
     FloatFormat,
     _check_rounding,
     _round,
-    decode_array,
+    decode_array,  # noqa: F401 - the benchmark's tracer patches this binding
     encode_array,
-    get_format,
     round_array,  # noqa: F401 - the benchmark's tracer patches this binding
 )
 
@@ -269,13 +268,6 @@ def nvfp4_rescale_constant(spec: BlockSpec) -> float:
     return E2M1.max_finite * spec.scale_format.max_finite * 0.5
 
 
-def _num_blocks(shape: tuple[int, ...], block_size: int) -> int:
-    """Blocks of a tensor blocked along its last axis, each row padded to
-    whole blocks; an empty tensor still gets one."""
-    n = shape[-1] if shape else 1
-    return max(1, math.prod(shape[:-1]) * -(-n // block_size))
-
-
 def _partition(X: np.ndarray, block_size: int) -> np.ndarray:
     """Copy a tensor into blocks along its last axis, each row zero-padded
     to whole blocks."""
@@ -386,8 +378,8 @@ def _pack_text(text: str) -> bytes:
 
 
 def to_bytes(qt: QuantizedTensor) -> bytes:
-    """Binary layout: header with the whole spec (the element format
-    always E2M1), scale codes (16-bit), packed 4-bit element codes.
+    """The package's one export of codes, hashed by the bit ledger: a header
+    with the whole spec (E2M1 elements), 16-bit scale codes, 4-bit codes.
 
     Raises ``ValueError`` for a block size above 65,535, which the 16-bit
     header field cannot hold.
@@ -417,80 +409,3 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
     packed = (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8)
     buf.write(packed.tobytes())
     return buf.getvalue()
-
-
-def from_bytes(data: bytes) -> QuantizedTensor:
-    """Inverse of :func:`to_bytes`.
-
-    Raises ``ValueError`` for a buffer that is truncated, over-long, not E2M1,
-    or whose fields disagree with each other or with the formats they name.
-    """
-    data = bytes(data)
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if n < 0 or pos + n > len(data):
-            raise ValueError("truncated quantized-tensor buffer")
-        pos += n
-        return data[pos - n : pos]
-
-    def unpack(layout: str) -> tuple:
-        return struct.unpack(layout, take(struct.calcsize(layout)))
-
-    def text() -> str:
-        return take(unpack("<B")[0]).decode("ascii")
-
-    def fmt(name: str) -> FloatFormat:
-        try:
-            return get_format(name)
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-
-    if take(4) != _MAGIC:
-        raise ValueError("not a serialized quantized tensor")
-    ndim, block_size, has_g = unpack("<BHB")
-    shape = unpack(f"<{ndim}q")
-    g, rescale, beta = unpack("<ddd")
-    elem_name, scale_fmt = text(), fmt(text())
-    z_kind, scale_rounding, elem_rounding, zero_mode = text(), text(), text(), text()
-    (n_scales,) = unpack("<q")
-    scale_codes = np.frombuffer(take(2 * n_scales), dtype="<u2")
-    (n_codes,) = unpack("<q")
-    packed = np.frombuffer(take(-(-n_codes // 2)), dtype=np.uint8)
-    if pos != len(data):
-        raise ValueError("trailing bytes after quantized tensor")
-
-    if elem_name != E2M1.name:
-        raise ValueError(f"element format {elem_name!r}: only E2M1 is supported")
-    spec = BlockSpec(
-        block_size=block_size, scale_format=scale_fmt,
-        z=ZFunction(z_kind, None if math.isnan(beta) else beta),
-        scale_rounding=scale_rounding, elem_rounding=elem_rounding,
-        zero_mode=zero_mode,
-    )
-    if any(d < 0 for d in shape) or has_g > 1:
-        raise ValueError("corrupt quantized-tensor header")
-    if n_scales != _num_blocks(shape, block_size):
-        raise ValueError(f"{n_scales} scales do not fit shape {shape}")
-    if n_codes != n_scales * block_size or (n_codes % 2 and packed[-1] >> 4):
-        raise ValueError(f"{n_codes} element codes do not fit {n_scales} blocks")
-    if not 0 < rescale < math.inf or (has_g and not 0 < g < math.inf):
-        raise ValueError("tensor factors must be positive and finite")
-    scales = decode_array(scale_codes, scale_fmt)
-    if not (scales > 0).all():
-        raise ValueError("block scales must be positive")
-    codes = np.empty(packed.size * 2, dtype=np.int64)
-    codes[0::2] = packed & 0x0F
-    codes[1::2] = packed >> 4
-    # decode_array rejects codes outside the element format.
-    elements = decode_array(codes[:n_codes], E2M1).reshape(-1, block_size)
-    return QuantizedTensor(
-        shape=tuple(shape),
-        scales=scales,
-        elements=elements,
-        spec=spec,
-        global_scale=g if has_g else None,
-        rescale=rescale,
-    )
-

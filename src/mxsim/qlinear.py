@@ -111,7 +111,7 @@ def _quantize(
     spec = cfg._rounding_specs[stochastic]
     rng = None
     if STOCHASTIC in (spec.scale_rounding, spec.elem_rounding):
-        rng = np.random.default_rng([np.uint64(seed), np.uint64(step), np.uint64(site)])
+        rng = np.random.default_rng([seed, step, site])
     return quantize_blocks(a, spec, tensor_scaling=cfg.tensor_scaling, rng=rng)
 
 

@@ -333,7 +333,9 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-#: The tensor scales and LogSumExp inverse temperatures the grid sweeps.
+#: The grid's scale formats, block sizes, tensor scales and LogSumExp betas.
+RECON_FORMATS = ("E8M0", "E4M3", "UE5M3")
+RECON_BLOCK_SIZES = (8, 16, 32, 64, 128)
 RECON_TENSOR_SCALES = tuple(10.0**e for e in range(-4, 32, 4))
 RECON_BETAS = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
 
@@ -413,8 +415,8 @@ def _draw(x: np.ndarray, rng: np.random.Generator, tensor_scale: float) -> None:
 
 
 def recon_error_experiment(
-    formats: Sequence[str] = ("E8M0", "E4M3", "UE5M3"),
-    block_sizes: Sequence[int] = (8, 16, 32, 64, 128),
+    formats: Sequence[str] = RECON_FORMATS,
+    block_sizes: Sequence[int] = RECON_BLOCK_SIZES,
     seed: int = 0,
     n_elements: int = 1 << 16,
 ) -> list[dict[str, object]]:

@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
-import struct
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -10,16 +9,8 @@ import numpy as np
 import pytest
 
 from mxsim import cli, trainer
-from mxsim.cli import (
-    ConfigError,
-    main,
-    parse_config_file,
-    read_tensor_file,
-    sweep_config_from_dict,
-    write_tensor_file,
-)
+from mxsim.cli import ConfigError, main, parse_config_file, sweep_config_from_dict
 from mxsim.hadamard import HADAMARD_MODES
-from mxsim.mx import from_bytes
 from mxsim.plots import scatter_plot
 from mxsim.sweep import score
 from mxsim.trainer import RunRecord, TaskSpec, TrainConfig
@@ -86,61 +77,17 @@ class TestConfigParsing:
             sweep_config_from_dict({"block_size": "24", "hadamard": "all"})
 
 
-class TestTensorFiles:
-    def test_binary_round_trip(self, tmp_path):
-        x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        path = tmp_path / "t.bin"
-        write_tensor_file(str(path), x)
-        back = read_tensor_file(str(path))
-        assert back.shape == x.shape
-        np.testing.assert_array_equal(back, x)
-
-    def test_csv_load(self, tmp_path):
-        path = tmp_path / "t.csv"
-        np.savetxt(path, np.ones((3, 5)), delimiter=",")
-        assert read_tensor_file(str(path)).shape == (3, 5)
-
-    def test_truncated_binary_rejected(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"\x02\x00\x00\x00\x03\x00\x00\x00")
-        with pytest.raises(ConfigError):
-            read_tensor_file(str(path))
-
-    def test_missing_file_rejected(self):
-        with pytest.raises(ConfigError):
-            read_tensor_file("/nonexistent/tensor.bin")
-
-    def test_binary_shorter_than_its_ndim_rejected(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"\x02\x00")
-        with pytest.raises(ConfigError, match="truncated"):
-            read_tensor_file(str(path))
-
-    def test_unparsable_csv_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1,2\n3,abc\n")
-        with pytest.raises(ConfigError, match="cannot parse CSV tensor"):
-            read_tensor_file(str(path))
-
-    def test_overflowing_dims_rejected(self, tmp_path):
-        # 2**95 elements with an empty payload: a 64-bit product of the dims
-        # wraps around to 0, which would match the payload.
-        path = tmp_path / "t.bin"
-        path.write_bytes(struct.pack("<5I", 4, 2**31, 2**31, 2**31, 4))
-        with pytest.raises(ConfigError, match="payload size"):
-            read_tensor_file(str(path))
-        out = tmp_path / "out"
-        assert main(["quantize", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
-
-
 class TestExitCodes:
     def test_unknown_format_exits_2(self, tmp_path, capsys):
-        t = tmp_path / "t.csv"
-        np.savetxt(t, np.ones((2, 32)), delimiter=",")
-        rc = main(["quantize", str(t), "--format", "E9M9", "--out", str(tmp_path)])
+        rc = main(["recon", "--format", "E9M9", "--out", str(tmp_path)])
         assert rc == 2
         assert "E8M0" in capsys.readouterr().err
+
+    def test_quantize_is_not_a_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["quantize", "t.csv", "--out", str(out)]) == 2
+        assert "invalid choice: 'quantize'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -151,53 +98,6 @@ class TestExitCodes:
     def test_missing_results_file_exits_2(self, tmp_path):
         rc = main(["pareto", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 2
-
-    def test_quantize_blocks_csv_rows(self, tmp_path):
-        # A 2 x 20 matrix at l=16 is 2 blocks per row, none spanning rows.
-        t = tmp_path / "t.csv"
-        x = np.linspace(-4, 4, 40).reshape(2, 20)
-        np.savetxt(t, x, delimiter=",")
-        out = tmp_path / "out"
-        assert main(["quantize", str(t), "--block-size", "16", "--out", str(out)]) == 0
-        qt = from_bytes((out / "quantized.mxq").read_bytes())
-        assert qt.shape == (2, 20) and qt.num_blocks == 4
-        deq = np.loadtxt(out / "dequantized.csv", delimiter=",")
-        np.testing.assert_array_equal(deq, qt.dequantize())
-
-    def test_quantize_three_dimensional_binary(self, tmp_path):
-        t = tmp_path / "t.bin"
-        write_tensor_file(str(t), np.arange(24, dtype=np.float64).reshape(2, 3, 4))
-        out = tmp_path / "out"
-        assert main(["quantize", str(t), "--block-size", "16", "--out", str(out)]) == 0
-        assert from_bytes((out / "quantized.mxq").read_bytes()).num_blocks == 6
-        assert np.loadtxt(out / "dequantized.csv", delimiter=",").shape == (6, 4)
-
-    @pytest.mark.filterwarnings("ignore:loadtxt")  # NumPy warns on the empty CSV
-    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
-    def test_quantize_empty_tensor_exits_2_writing_nothing(self, tmp_path, capsys,
-                                                           suffix):
-        t = tmp_path / f"t{suffix}"
-        if suffix == ".csv":
-            t.write_text("")
-        else:
-            write_tensor_file(str(t), np.zeros((0, 32)))
-        out = tmp_path / "out"
-        assert main(["quantize", str(t), "--out", str(out)]) == 2
-        assert "no elements" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
-
-    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
-    def test_quantize_non_finite_tensor_exits_2_writing_nothing(self, tmp_path,
-                                                                capsys, suffix):
-        t = tmp_path / f"t{suffix}"
-        if suffix == ".csv":
-            t.write_text("1,2,nan\n")
-        else:
-            write_tensor_file(str(t), np.array([[1.0, np.inf, 3.0]]))
-        out = tmp_path / "out"
-        assert main(["quantize", str(t), "--out", str(out)]) == 2
-        assert "NaN or inf" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("argv, column", [
         (["pareto", "{}"], "Score"),
@@ -239,16 +139,6 @@ class TestExitCodes:
         assert main(["pareto", str(results), "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_quantize_exits_0(self, tmp_path):
-        t = tmp_path / "t.csv"
-        np.savetxt(t, np.linspace(-4, 4, 64).reshape(2, 32), delimiter=",")
-        out = tmp_path / "out"
-        rc = main(["quantize", str(t), "--out", str(out)])
-        assert rc == 0
-        assert (out / "quantized.mxq").exists()
-        assert (out / "dequantized.csv").exists()
-        assert "max_abs_error" in (out / "summary.txt").read_text()
-
 
 class TestRecon:
     def test_recon_csv_columns(self, tmp_path):
@@ -269,6 +159,15 @@ class TestRecon:
             "median_rel_err",
         }
         assert all(r["format"] == "E8M0" for r in rows)
+
+    @pytest.mark.parametrize("block_size", [8, 64, 128])
+    def test_every_grid_block_size_accepted(self, tmp_path, block_size):
+        out = tmp_path / "out"
+        assert main(["recon", "--format", "E8M0", "--block-size", str(block_size),
+                     "--out", str(out)]) == 0
+        sizes = [int(r["l"]) for r in _result_rows(out / "recon.csv")]
+        # The block-size cells of both statistics; the others run at l=16.
+        assert sizes.count(block_size) == 2 and set(sizes) == {block_size, 16}
 
     def test_full_grid(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -360,17 +259,23 @@ class TestSeedOverride:
         assert "non-negative" in captured.err and captured.out == ""
         assert train_calls == [] and not out.exists()
 
+    def test_seed_past_64_bits_runs_stochastic_rounding_on_every_layer(self, tmp_path):
+        # Layer 1 draws from seed + 7919, which does not fit 64 bits.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("hidden = 32,16\nsr = all\n" + SMALL_RUN)
+        assert main(["train", "--config", str(cfg), "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path / "out")]) == 0
+
 
 class TestSeedFlag:
     """Only the subcommands whose runs draw random numbers take --seed."""
 
     @pytest.mark.parametrize("argv, seeded", [
-        (["quantize", "t.csv"], False),
         (["recon"], True),
         (["train"], True),
         (["sweep"], True),
         (["pareto", "results.csv"], False),
-    ], ids=["quantize", "recon", "train", "sweep", "pareto"])
+    ], ids=["recon", "train", "sweep", "pareto"])
     def test_seed_only_where_a_run_reads_it(self, tmp_path, capsys, argv, seeded):
         out = tmp_path / "out"
         args = [*argv, "--seed", "5", "--out", str(out)]

@@ -35,7 +35,6 @@ from mxsim.mx import (
     ZERO_NEAREST_SUBNORMAL,
     ZERO_TO_ONE,
     dequantize_tensor,
-    from_bytes,
     nvfp4_rescale_constant,
     quantize_blocks,
     quantize_scales,
@@ -61,6 +60,10 @@ class TestSpecChecks:
     def test_block_size_must_be_positive(self, block_size):
         with pytest.raises(ValueError, match="block_size must be positive"):
             BlockSpec(block_size=block_size)
+
+    def test_unknown_zero_mode(self):
+        with pytest.raises(ValueError, match="unknown zero mode 'to_zero'"):
+            BlockSpec(zero_mode="to_zero")
 
 
 class TestZValue:
@@ -320,7 +323,6 @@ class TestRowBlocking:
         spec = BlockSpec(block_size=16, scale_format=scale_format)
         res = quantize_blocks(X, spec, tensor_scaling=tensor_scaling)
         deq = dequantize_tensor(res.qt)
-        np.testing.assert_array_equal(from_bytes(to_bytes(res.qt)).dequantize(), deq)
         g = res.qt.global_scale or 1.0
         for i in range(3):
             # A row divided by the tensor's global factor g quantizes, on
@@ -353,29 +355,19 @@ class TestRowBlocking:
         X = np.full(shape, 0.75)
         qt = quantize_tensor(X, BlockSpec(block_size=16))
         assert qt.num_blocks == 1
-        back = from_bytes(to_bytes(qt))
-        np.testing.assert_array_equal(dequantize_tensor(back), X)
+        np.testing.assert_array_equal(dequantize_tensor(qt), X)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
     def test_empty_logsumexp_tensor_scaling(self, shape):
         # The one block is all padding: its statistic is 0, not log(0), so
-        # the global factor is the identity and the record round-trips.
+        # the global factor is the identity and the record serializes.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             qt = quantize_tensor(np.zeros(shape), BlockSpec(block_size=4, z=LSE),
                                  tensor_scaling=True)
-            back = from_bytes(to_bytes(qt))
-        assert back.global_scale == 1.0
-        assert dequantize_tensor(back).shape == shape
-
-    def test_from_bytes_checks_row_block_count(self):
-        spec = BlockSpec(block_size=16)
-        qt = quantize_tensor(np.ones((2, 20)), spec)
-        assert dequantize_tensor(from_bytes(to_bytes(qt))).shape == (2, 20)
-        flat = quantize_tensor(np.ones(40), spec)  # 3 blocks
-        flat.shape = (2, 20)
-        with pytest.raises(ValueError, match="scales do not fit"):
-            from_bytes(to_bytes(flat))
+            to_bytes(qt)
+        assert qt.global_scale == 1.0
+        assert dequantize_tensor(qt).shape == shape
 
 
 class TestPaddingMask:
@@ -600,23 +592,6 @@ class TestStochasticElements:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("scale_fmt", [E8M0, E4M3, UE5M3])
-    @pytest.mark.parametrize("tensor_scaling", [False, True])
-    def test_binary_round_trip(self, scale_fmt, tensor_scaling):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(5, 7))
-        spec = BlockSpec(block_size=16, scale_format=scale_fmt)
-        qt = quantize_tensor(X, spec, tensor_scaling=tensor_scaling)
-        back = from_bytes(to_bytes(qt))
-        assert back.shape == qt.shape
-        np.testing.assert_array_equal(back.scales, qt.scales)
-        np.testing.assert_array_equal(back.codes, qt.codes)
-        np.testing.assert_array_equal(back.elements, qt.elements)
-        assert back.rescale == qt.rescale
-        if tensor_scaling:
-            assert back.global_scale == qt.global_scale
-        np.testing.assert_array_equal(dequantize_tensor(back), dequantize_tensor(qt))
-
     def test_golden_bytes(self):
         # SHA-256 of the serialized form of fixed tensors: every scale
         # format, tensor scaling with the E4M3 rescale, rows padded to whole
@@ -638,106 +613,17 @@ class TestSerialization:
     def test_block_size_beyond_the_header_field_rejected(self):
         # The header holds the block size in 16 bits.
         widest = quantize_tensor(np.ones(4), BlockSpec(block_size=0xFFFF))
-        assert from_bytes(to_bytes(widest)).spec == widest.spec
+        # After the magic: the rank, the block size and the tensor-factor flag.
+        assert struct.unpack_from("<BHB", to_bytes(widest), 4) == (1, 0xFFFF, 0)
         qt = quantize_tensor(np.ones(4), BlockSpec(block_size=0x10000))
         with pytest.raises(ValueError, match="block_size 65536 does not fit"):
             to_bytes(qt)
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            from_bytes(b"nope" + b"\x00" * 50)
-
-    @pytest.mark.parametrize("rescale", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_a_bad_rescale(self, rescale):
-        data = bytearray(to_bytes(quantize_tensor(np.ones(4), BlockSpec(block_size=4))))
-        # Magic, "<BHB", one dimension and the global scale precede it.
-        struct.pack_into("<d", data, 4 + 4 + 8 + 8, rescale)
-        with pytest.raises(ValueError, match="tensor factors must be positive"):
-            from_bytes(bytes(data))
-
-    def test_rejects_a_zero_scale(self):
-        spec = BlockSpec(block_size=4, scale_format=E4M3)
-        data = bytearray(to_bytes(quantize_tensor(np.ones(4), spec)))
-        # The one scale code sits before the code count and 2 packed bytes;
-        # code 0 is E4M3's zero.
-        struct.pack_into("<H", data, len(data) - 2 - 8 - 2, 0)
-        with pytest.raises(ValueError, match="block scales must be positive"):
-            from_bytes(bytes(data))
-
-    def test_round_trip_keeps_whole_spec(self):
-        spec = BlockSpec(block_size=8, scale_format=UE5M3, z=ZFunction(Z_LOGSUMEXP, 2.5),
-                         scale_rounding=TOWARD_POSITIVE, elem_rounding=STOCHASTIC,
-                         zero_mode=ZERO_TO_ONE)
-        X = np.random.default_rng(3).normal(size=(3, 5))
-        qt = quantize_tensor(X, spec, tensor_scaling=True, rng=np.random.default_rng(4))
-        assert from_bytes(to_bytes(qt)).spec == qt.spec
-        plain = quantize_tensor(X, BlockSpec(block_size=4))
-        assert from_bytes(to_bytes(plain)).spec == plain.spec
-
-    @pytest.mark.parametrize("shape", [(5, 7), (16,), (0,), ()])
-    def test_every_truncation_and_extension_rejected(self, shape):
-        X = np.random.default_rng(5).normal(size=shape)
-        data = to_bytes(quantize_tensor(X, BlockSpec(block_size=16)))
-        for cut in range(len(data)):
-            with pytest.raises(ValueError):
-                from_bytes(data[:cut])
-        with pytest.raises(ValueError):
-            from_bytes(data + b"\x00")
-
-    def test_corrupt_header_fields_rejected(self):
-        # A tensor-factor flag above 1 (byte 7) or a negative dimension.
-        data = to_bytes(quantize_tensor(np.ones((2, 4)), BlockSpec(block_size=4)))
-        flag = data[:7] + b"\x02" + data[8:]
-        dim = data[:8] + struct.pack("<q", -2) + data[16:]
-        for buf in (flag, dim):
-            with pytest.raises(ValueError, match="corrupt"):
-                from_bytes(buf)
-
-    def test_element_code_count_must_fit_the_blocks(self):
-        # A code count (8 bytes before the 2 packed bytes) of 3 for one
-        # 4-element block, and a set high nibble after an odd count.
-        short = bytearray(to_bytes(quantize_tensor(np.ones(4), BlockSpec(block_size=4))))
-        struct.pack_into("<q", short, len(short) - 2 - 8, 3)
-        odd = bytearray(to_bytes(quantize_tensor(np.ones(3), BlockSpec(block_size=3))))
-        odd[-1] |= 0x10
-        for buf in (short, odd):
-            with pytest.raises(ValueError, match="element codes do not fit"):
-                from_bytes(bytes(buf))
-
-    def test_wide_element_codes_rejected(self):
-        # Elements are E2M1; a buffer naming a wider element format is refused.
-        data = to_bytes(quantize_tensor(np.array([100.0, -3.0]), BlockSpec(block_size=2)))
-        assert from_bytes(data).spec == BlockSpec(block_size=2)
-        for name in (b"E4M3", b"E5M2", b"E9M9"):
-            with pytest.raises(ValueError, match="only E2M1"):
-                from_bytes(data.replace(b"\x04E2M1", b"\x04" + name))
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        data=st.data(),
-        shape=st.sampled_from([(5, 7), (3,), (2, 2, 3), (0,)]),
-        scale_fmt=st.sampled_from([E8M0, E4M3, UE5M3]),
-        block_size=st.sampled_from([3, 4, 16]),
-        tensor_scaling=st.booleans(),
-    )
-    def test_corrupt_buffer_fails_cleanly(self, data, shape, scale_fmt, block_size,
-                                          tensor_scaling):
-        X = np.random.default_rng(6).normal(size=shape) * 10.0
-        spec = BlockSpec(block_size=block_size, scale_format=scale_fmt)
-        buf = bytearray(to_bytes(quantize_tensor(X, spec, tensor_scaling)))
-        if data.draw(st.booleans(), label="truncate"):
-            buf = buf[: data.draw(st.integers(0, len(buf) - 1), label="cut")]
-        else:
-            for bit in data.draw(st.lists(st.integers(0, 8 * len(buf) - 1),
-                                          min_size=1, max_size=3), label="bits"):
-                buf[bit // 8] ^= 1 << (bit % 8)
-        try:
-            back = from_bytes(bytes(buf))
-        except ValueError:
-            return
-        with np.errstate(over="ignore"):
-            out = back.dequantize()
-        assert out.shape == back.shape
+    def test_odd_code_count_pads_the_last_byte(self):
+        # Codes 2 (1.0), 12 (-2.0) and 7 (6.0), low nibble first, after
+        # their count; the fourth nibble is zero padding.
+        data = to_bytes(quantize_tensor(np.array([1.0, -2.0, 6.0]), BlockSpec(block_size=3)))
+        assert data[-10:] == struct.pack("<q", 3) + bytes([0xC2, 0x07])
 
 
 class TestNoCodesOutsideSerialization:

@@ -35,7 +35,6 @@ PARAMETERS = {
     mx.quantize_blocks: "X, spec, tensor_scaling=False, rng=None",
     mx.nvfp4_rescale_constant: "spec",
     mx.to_bytes: "qt",
-    mx.from_bytes: "data",
     hadamard.step_signs: "spec, step, num_blocks, l",
     qlinear.forward: "X, W, cfg, seed=0, step=0",
     qgrad._spline_slope: "x, fmt",
@@ -61,7 +60,6 @@ PARAMETERS = {
 
 #: The arguments of each CLI subcommand, in parser order.
 CLI_OPTIONS = {
-    "quantize": "input, --format, --block-size, --out",
     "recon": "--format, --block-size, --out, --seed",
     "train": "--config, --out, --seed",
     "sweep": "--config, --jobs, --limit, --out, --seed",
