@@ -139,7 +139,7 @@ def layer_digests() -> dict[str, str]:
         def capture(a, *args, **kwargs):
             res = original(a, *args, **kwargs)
             parts.extend((np.asarray(a.shape, dtype=np.float64), a,
-                          res.qt.scales, res.qt.elements))
+                          res.scales, res.elements))
             return res
 
         qlinear.quantize_blocks = capture
@@ -156,7 +156,7 @@ def layer_digests() -> dict[str, str]:
 def ledger() -> dict[str, dict[str, str]]:
     records = quantization_records()
     return {
-        "records": {k: _sha(r.qt.scales, r.qt.elements, to_bytes(r.qt))
+        "records": {k: _sha(r.scales, r.elements, to_bytes(r))
                     for k, r in records.items()},
         "gradients": gradient_digests(records),
         "layer": layer_digests(),

@@ -177,7 +177,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_recon(args) -> int:
-    formats = [_check_format(args.format)] if args.format else RECON_FORMATS
+    formats = [_check_format(args.format)] if args.format is not None else RECON_FORMATS
     block_sizes = (args.block_size,) if args.block_size else RECON_BLOCK_SIZES
     rows = recon_error_experiment(
         formats=formats, block_sizes=block_sizes, seed=args.seed

@@ -92,61 +92,43 @@ class BlockSpec:
 
 @dataclass
 class QuantizedTensor:
-    """One quantization: per-block scales plus the rounded element values.
+    """One quantization: per-block scales, the rounded element values, and
+    the residuals its gradients read.
 
-    ``elements`` are grid values of the element format, one row per block,
-    so ``elements / (rescale * scales)`` are the dequantized blocks.  Their
-    bit patterns exist only in serialized form (:attr:`codes`).
+    ``elements`` are grid values of the element format, one row per block;
+    their bit patterns exist only in serialized form (:func:`to_bytes`).
+    ``blocks`` are the (padded) input blocks *after* division by the global
+    factor; ``values`` are the dequantized blocks before the global factor
+    is re-applied, so ``g * values`` reconstructs the tensor.
     """
 
     shape: tuple[int, ...]
     scales: np.ndarray  # stored scale values, one per block, all > 0
     elements: np.ndarray  # (num_blocks, block_size), zero on padding
     spec: BlockSpec
-    global_scale: float | None = None  # tensor-level factor g (None = off)
-    rescale: float = 1.0  # fixed constant folded into the multiplier
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.scales)
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Element codes in block order, padding included."""
-        return encode_array(self.elements, E2M1).ravel()
-
-    def dequantize(self) -> np.ndarray:
-        return dequantize_tensor(self)
-
-
-@dataclass
-class BlockQuantResult:
-    """A quantization plus the residuals its gradients need.
-
-    ``blocks`` are the (padded) input blocks *after* division by the global
-    factor; ``values`` are the dequantized blocks before the global factor
-    is re-applied, so ``g * values`` reconstructs the tensor.
-    """
-
-    qt: QuantizedTensor
     blocks: np.ndarray  # (num_blocks, block_size), tensor / g
     z: np.ndarray  # per-block statistic of `blocks`
     s_ideal: np.ndarray  # elem_max / z (inf where z == 0)
+    global_scale: float | None = None  # tensor-level factor g (None = off)
+    rescale: float = 1.0  # fixed constant folded into the multiplier
 
     @cached_property
     def mask(self) -> np.ndarray:
         """False on zero-padding positions, built when first read."""
-        return _partition(np.ones(self.qt.shape), self.qt.spec.block_size) > 0
+        return _partition(np.ones(self.shape), self.spec.block_size) > 0
 
     @property
     def s_eff(self) -> np.ndarray:
         """rescale * stored scale, the multiplier actually used."""
-        return self.qt.rescale * self.qt.scales
+        return self.rescale * self.scales
 
     @property
     def values(self) -> np.ndarray:
         """(1 / s_eff) * Q(s_eff * blocks)."""
-        return self.qt.elements / self.s_eff[:, None]
+        return self.elements / self.s_eff[:, None]
+
+    def dequantize(self) -> np.ndarray:
+        return dequantize_tensor(self)
 
 
 # np.exp rounds to +0.0 below log(2**-1075), about -745.13, and gives
@@ -285,12 +267,12 @@ def quantize_blocks(
     spec: BlockSpec,
     tensor_scaling: bool = False,
     rng: np.random.Generator | None = None,
-) -> BlockQuantResult:
+) -> QuantizedTensor:
     """Quantize a tensor keeping every intermediate quantity.
 
     It checks finiteness (on the block statistics) and the element rounding
     once (``quantize_scales`` checks the scale rounding) and rounds the
-    elements in place in the buffer of ``blocks * s_eff``, the ``qt.elements``.
+    elements in place in the buffer of ``blocks * s_eff``, the ``elements``.
 
     With tensor scaling the global factor ``g`` is the maximum block
     statistic of the raw tensor (identity when the tensor is all zero);
@@ -332,11 +314,10 @@ def quantize_blocks(
 
     q = blocks * s_eff[:, None]
     _round(q, E2M1, spec.elem_rounding, rng, out=q)
-    qt = QuantizedTensor(
-        shape=X.shape, scales=stored, elements=q, spec=spec, global_scale=g,
-        rescale=rescale,
+    return QuantizedTensor(
+        shape=X.shape, scales=stored, elements=q, spec=spec, blocks=blocks, z=z,
+        s_ideal=s_ideal, global_scale=g, rescale=rescale,
     )
-    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s_ideal)
 
 
 def quantize_tensor(
@@ -345,13 +326,14 @@ def quantize_tensor(
     tensor_scaling: bool = False,
     rng: np.random.Generator | None = None,
 ) -> QuantizedTensor:
-    """Quantize a tensor into per-block scales and element values."""
-    return quantize_blocks(X, spec, tensor_scaling, rng).qt
+    """Quantize a tensor: :func:`quantize_blocks`, called through this
+    module's global, so a wrapper installed there times this call too."""
+    return quantize_blocks(X, spec, tensor_scaling, rng)
 
 
 def dequantize_tensor(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct the real tensor a QuantizedTensor represents."""
-    return _unblock(qt.elements / (qt.rescale * qt.scales)[:, None], qt)
+    return _unblock(qt.values, qt)
 
 
 def _unblock(values: np.ndarray, qt: QuantizedTensor) -> np.ndarray:
@@ -388,7 +370,7 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
     if spec.block_size > 0xFFFF:
         raise ValueError(f"block_size {spec.block_size} does not fit the 16-bit "
                          "header field of the serialized layout")
-    codes = qt.codes
+    codes = encode_array(qt.elements, E2M1).ravel()
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import E2M1, FloatFormat, grid, round_array
-from .mx import BlockQuantResult, Z_ABSMAX, Z_LOGSUMEXP, z_values
+from .mx import QuantizedTensor, Z_ABSMAX, Z_LOGSUMEXP, z_values
 from .mx import _block_major_abs, _exp_in_place, _pairwise_sum
 
 # Element / scale quantizer gradient estimators.
@@ -317,17 +317,17 @@ def ds_dX(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _padding_mask(res: BlockQuantResult) -> np.ndarray | None:
+def _padding_mask(res: QuantizedTensor) -> np.ndarray | None:
     """``res.mask``, or None when the record has no padding to mask (as
     every ``qlinear`` operand, padded to whole blocks before quantizing)."""
-    return None if res.blocks.size == math.prod(res.qt.shape) else res.mask
+    return None if res.blocks.size == math.prod(res.shape) else res.mask
 
 
 def _unpad(d: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return d if mask is None else np.where(mask, d, 0.0)
 
 
-def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
+def assemble_df_dX(res: QuantizedTensor, cfg: GradConfig) -> np.ndarray:
     """Per-element derivative of block quantization.
 
     ``res.blocks`` are the values fed to the quantizer (already divided by
@@ -342,7 +342,7 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     scale gradient drops the correction entirely.  The correction is
     formed in place, operation for operation.
     """
-    spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
+    spec, blocks, s_q = res.spec, res.blocks, res.s_eff
     qg = estimator_grad(s_q[:, None] * blocks, E2M1, cfg.elem_estimator)
 
     if cfg.scale_mode == SCALE_GRAD_STE:
@@ -353,7 +353,7 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     dz = dZ(blocks, cfg.scale_mode, beta, mask)
     ds = ds_dX(res.z, dz)
 
-    s_pre = res.s_ideal / res.qt.rescale
+    s_pre = res.s_ideal / res.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
     qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
 
@@ -368,7 +368,7 @@ def assemble_df_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     return _unpad(out, mask)
 
 
-def tensor_scale_grad(res: BlockQuantResult) -> tuple[int, np.ndarray]:
+def tensor_scale_grad(res: QuantizedTensor) -> tuple[int, np.ndarray]:
     """Derivative of the global factor g = max over blocks of Z(X_p): the
     block p it is nonzero in, and its row there.
 
@@ -378,7 +378,7 @@ def tensor_scale_grad(res: BlockQuantResult) -> tuple[int, np.ndarray]:
     ``res.blocks`` times the global factor.  Under the hard max their
     statistic is ``res.z`` times it, because ``x -> fl(x * g)`` is monotone.
     """
-    z_fn, g = res.qt.spec.z, res.qt.global_scale or 1.0
+    z_fn, g = res.spec.z, res.global_scale or 1.0
     mask = _padding_mask(res)
     if z_fn.kind == Z_ABSMAX:
         z_raw = res.z * g
@@ -392,14 +392,14 @@ def tensor_scale_grad(res: BlockQuantResult) -> tuple[int, np.ndarray]:
     return p, dZ(block, SCALE_GRAD_SOFTMAX, z_fn.beta, mask=m)[0]
 
 
-def _correction_is_finite(res: BlockQuantResult, df_dU: np.ndarray) -> bool:
+def _correction_is_finite(res: QuantizedTensor, df_dU: np.ndarray) -> bool:
     """Whether every f(U) - U * df/dU is finite, bounded through the
     largest magnitude of each factor (rounding is monotone)."""
-    q, u, d = (np.maximum(a.max(), -a.min()) for a in (res.qt.elements, res.blocks, df_dU))
+    q, u, d = (np.maximum(a.max(), -a.min()) for a in (res.elements, res.blocks, df_dU))
     return bool(np.isfinite(q / res.s_eff.min() + u * d))  # NaN fails too
 
 
-def assemble_dh_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
+def assemble_dh_dX(res: QuantizedTensor, cfg: GradConfig) -> np.ndarray:
     """Per-element derivative with the global tensor factor included.
 
     dh/dX = df/dU + dg/dX * (f(U) - U * df/dU), with the correction term
@@ -416,7 +416,7 @@ def assemble_dh_dX(res: BlockQuantResult, cfg: GradConfig) -> np.ndarray:
     if cfg.tensor_mode == TENSOR_GRAD_ABSMAX:
         p, row = tensor_scale_grad(res)
         if _correction_is_finite(res, df_dU):
-            values_p = res.qt.elements[p] / res.s_eff[p]
+            values_p = res.elements[p] / res.s_eff[p]
             df_dU[p] += row * (values_p - res.blocks[p] * df_dU[p])
             return _unpad(df_dU, mask)
         dg = np.zeros_like(df_dU)

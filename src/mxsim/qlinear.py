@@ -29,7 +29,7 @@ from .hadamard import (
     step_signs,
     transform_along_axis,
 )
-from .mx import BlockQuantResult, BlockSpec, quantize_blocks
+from .mx import BlockSpec, QuantizedTensor, quantize_blocks
 from .qgrad import (EST_STE, SCALE_GRAD_STE, TENSOR_GRAD_IGNORE, GradConfig,
                     assemble_df_dX, assemble_dh_dX)
 
@@ -83,8 +83,8 @@ class LayerContext:
     Each operand, padded along m, is saved once: its quantization record if
     backward reads the operand derivative, else the matrix forward multiplied."""
 
-    x: np.ndarray | BlockQuantResult
-    w: np.ndarray | BlockQuantResult
+    x: np.ndarray | QuantizedTensor
+    w: np.ndarray | QuantizedTensor
     m: int  # contraction length before padding
     seed: int
     step: int
@@ -104,7 +104,7 @@ def _pad_axis(a: np.ndarray, axis: int, multiple: int) -> np.ndarray:
 def _quantize(
     a: np.ndarray, cfg: QLinearConfig, stochastic: bool, seed: int, step: int,
     site: int,
-) -> BlockQuantResult:
+) -> QuantizedTensor:
     """Quantize a matrix whose last axis is a multiple of the block size,
     rounding elements stochastically or to nearest; stochastic rounding
     draws from the stream of ``(seed, step, site)``."""
@@ -140,7 +140,7 @@ def forward(
     if cfg.quantize:
         res_x = _quantize(x_pad, cfg, cfg.sr_policy == SR_ALL, seed, step, 0)
         res_w = _quantize(w_pad, cfg, False, seed, step, 1)
-        x_pad, w_pad = res_x.qt.dequantize(), res_w.qt.dequantize()
+        x_pad, w_pad = res_x.dequantize(), res_w.dequantize()
 
     Y = x_pad @ w_pad.T
     records = cfg.quantize and not cfg._unit_operand_grad  # backward reads them
@@ -148,13 +148,13 @@ def forward(
     return Y, LayerContext(x=x, w=w, m=X.shape[1], seed=seed, step=step, signs=signs)
 
 
-def _operand_grad(res: BlockQuantResult, cfg: QLinearConfig) -> np.ndarray:
+def _operand_grad(res: QuantizedTensor, cfg: QLinearConfig) -> np.ndarray:
     """Per-element derivative of an operand's quantization, padded shape."""
     if cfg.tensor_scaling and cfg.grad.tensor_mode != TENSOR_GRAD_IGNORE:
         d = assemble_dh_dX(res, cfg.grad)
     else:
         d = assemble_df_dX(res, cfg.grad)
-    return d.reshape(res.qt.shape)
+    return d.reshape(res.shape)
 
 
 def backward(
@@ -164,11 +164,11 @@ def backward(
     gY = np.asarray(gY, dtype=np.float64)
     if not np.isfinite(gY).all():
         raise NonFiniteGradientError("incoming gradient is not finite")
-    fx, fw = (a.qt.dequantize() if isinstance(a, BlockQuantResult) else a
-              for a in (ctx.x, ctx.w))
-    b, n = fx.shape[0], fw.shape[0]
+    b, n = ctx.x.shape[0], ctx.w.shape[0]
     if gY.shape != (b, n):
         raise ValueError(f"gradient shape {gY.shape} != {(b, n)}")
+    fx, fw = (a.dequantize() if isinstance(a, QuantizedTensor) else a
+              for a in (ctx.x, ctx.w))
     l = cfg.spec.block_size
     signs = ctx.signs
 
@@ -180,7 +180,7 @@ def backward(
         fw1 = transform_along_axis(fw1, 0, signs)
     stochastic = cfg.sr_policy != SR_NONE
     if cfg.quantize:
-        g1 = _quantize(g1, cfg, stochastic, ctx.seed, ctx.step, 2).qt.dequantize()
+        g1 = _quantize(g1, cfg, stochastic, ctx.seed, ctx.step, 2).dequantize()
     gx_pad = g1 @ fw1
 
     # Matmul 2 (weight gradient): contract over the batch b.
@@ -190,10 +190,10 @@ def backward(
         g2 = transform_along_axis(g2, 1, signs)
         fx2 = transform_along_axis(fx2, 0, signs)
     if cfg.quantize:
-        g2 = _quantize(g2, cfg, stochastic, ctx.seed, ctx.step, 3).qt.dequantize()
+        g2 = _quantize(g2, cfg, stochastic, ctx.seed, ctx.step, 3).dequantize()
     gw_pad = g2 @ fx2
 
-    if isinstance(ctx.x, BlockQuantResult):  # else the derivative is all ones
+    if isinstance(ctx.x, QuantizedTensor):  # else the derivative is all ones
         gx_pad = gx_pad * _operand_grad(ctx.x, cfg)
         gw_pad = gw_pad * _operand_grad(ctx.w, cfg)
 

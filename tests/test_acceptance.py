@@ -30,7 +30,6 @@ from mxsim.hadamard import (
     transform_along_axis,
 )
 from mxsim.mx import (
-    BlockQuantResult,
     BlockSpec,
     QuantizedTensor,
     ZERO_NEAREST_SUBNORMAL,
@@ -186,9 +185,8 @@ def _smooth_block_forward(blocks, spec, elem_est, scale_est):
 
 def _smooth_record(spec, blocks, z, s, s_q, q_vals, g=None):
     """The smooth surrogate's quantities as a quantization record."""
-    qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals,
-                         spec=spec, global_scale=g)
-    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s)
+    return QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals, spec=spec,
+                           blocks=blocks, z=z, s_ideal=s, global_scale=g)
 
 
 @_verdict(3, "gradient fidelity")

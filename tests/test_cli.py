@@ -83,6 +83,13 @@ class TestExitCodes:
         assert rc == 2
         assert "E8M0" in capsys.readouterr().err
 
+    def test_empty_format_exits_2_writing_nothing(self, tmp_path, capsys):
+        # An empty name is an unknown name, not an omitted --format.
+        out = tmp_path / "out"
+        assert main(["recon", "--format", "", "--out", str(out)]) == 2
+        assert "unknown scale format ''; valid names: E2M1, " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quantize_is_not_a_subcommand(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["quantize", "t.csv", "--out", str(out)]) == 2

@@ -70,3 +70,38 @@ def test_recon_grid_calls_the_traced_cell(monkeypatch):
     monkeypatch.setattr(sweep, "recon_error_cell", counting)
     rows = sweep.recon_error_experiment(n_elements=64)
     assert calls == [(3, 64)] * len(rows) and len(rows) == 102
+
+
+def test_recon_and_layer_reach_the_metered_bindings(monkeypatch):
+    # recon-grid's quant_ms_per_step and the mx.* layer metrics are read
+    # from spans at these bindings; a call that went around them (say
+    # quantize_tensor aliased to quantize_blocks, or a dequantize that
+    # skipped mx.dequantize_tensor) would drop its time from them.
+    sweep = importlib.import_module("mxsim.sweep")
+    qlinear = importlib.import_module("mxsim.qlinear")
+    calls = []
+    for name in ("mx.quantize_blocks", "mx.dequantize_tensor"):
+        home, attr = name.split(".")
+        original = getattr(importlib.import_module(f"mxsim.{home}"), attr)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod_name in LAYERS[name][0]:
+            monkeypatch.setattr(importlib.import_module(f"mxsim.{mod_name}"), attr, counting)
+
+    def counted(fn, *args, **kwargs):
+        calls.clear()
+        out = fn(*args, **kwargs)
+        return out, (calls.count("mx.quantize_blocks"), calls.count("mx.dequantize_tensor"))
+
+    rng = np.random.default_rng(0)
+    _, n = counted(sweep.recon_error_cell, "E8M0", 32, 1.0, None, rng, n_elements=1024)
+    assert n == (1, 1)
+    cfg = qlinear.QLinearConfig()
+    X, W = rng.standard_normal((8, 64)), rng.standard_normal((4, 64))
+    (Y, ctx), n = counted(qlinear.forward, X, W, cfg)
+    assert n == (2, 2)  # X and W
+    _, n = counted(qlinear.backward, np.ones_like(Y), ctx, cfg)
+    assert n == (2, 2)  # the incoming gradient, once per matmul

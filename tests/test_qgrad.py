@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mxsim.formats import E2M1, E4M3, E8M0, FORMATS, FloatFormat, grid, round_array
 from mxsim.mx import (
-    BlockQuantResult,
     BlockSpec,
     QuantizedTensor,
     ZFunction,
@@ -303,9 +302,8 @@ def _smooth_forward(blocks, spec, elem_est, scale_est, beta):
 
 def _smooth_record(spec, blocks, z, s, s_q, q_vals, g=None):
     """The smooth surrogate's quantities as a quantization record."""
-    qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals,
-                         spec=spec, global_scale=g)
-    return BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s)
+    return QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals, spec=spec,
+                           blocks=blocks, z=z, s_ideal=s, global_scale=g)
 
 
 class TestAssembleDf:
@@ -533,7 +531,7 @@ def _full_dZ(blocks, mode, beta, mask):
 
 
 def _full_df_dX(res, cfg):
-    spec, blocks, s_q = res.qt.spec, res.blocks, res.s_eff
+    spec, blocks, s_q = res.spec, res.blocks, res.s_eff
     qg = estimator_grad(s_q[:, None] * blocks, E2M1, cfg.elem_estimator)
     if cfg.scale_mode == SCALE_GRAD_STE:
         return qg
@@ -541,7 +539,7 @@ def _full_df_dX(res, cfg):
     beta = spec.z.beta if spec.z.kind == Z_LOGSUMEXP else SMOOTH_MAX_BETA
     dz = _full_dZ(blocks, cfg.scale_mode, beta, res.mask)
     ds = ds_dX(res.z, dz)
-    s_pre = res.s_ideal / res.qt.rescale
+    s_pre = res.s_ideal / res.rescale
     finite_pre = np.where(np.isfinite(s_pre), s_pre, spec.scale_format.max_finite)
     qprime = estimator_grad(finite_pre, spec.scale_format, cfg.scale_q_estimator)
     q_vals = res.values * s_q[:, None]
@@ -554,8 +552,8 @@ def _full_dh_dX(res, cfg):
     df_dU = _full_df_dX(res, cfg)
     if cfg.tensor_mode == TENSOR_GRAD_IGNORE:
         return df_dU
-    z_fn = res.qt.spec.z
-    raw_blocks = res.blocks * (res.qt.global_scale or 1.0)
+    z_fn = res.spec.z
+    raw_blocks = res.blocks * (res.global_scale or 1.0)
     if cfg.tensor_mode == TENSOR_GRAD_STE:
         dg = np.ones_like(raw_blocks)
     else:
@@ -616,12 +614,12 @@ class TestAssemblyOracle:
     def test_overflowing_correction(self):
         # A record built by hand whose f(U) - U * df/dU overflows off the
         # argmax block while df/dU stays finite.
-        qt = QuantizedTensor(shape=(2, 4), scales=np.array([1.0, 4e-308]),
-                             elements=np.array([[6.0, 1.0, 0.0, 0.0], [6.0, 0.0, 0.0, 0.0]]),
-                             spec=BlockSpec(block_size=4))
         blocks = np.array([[1.7e308, 1.0, 0.0, 0.0], [-1.5e308, 0.0, 0.0, 0.0]])
-        res = BlockQuantResult(qt=qt, blocks=blocks, z=np.abs(blocks).max(axis=1),
-                               s_ideal=6.0 / np.abs(blocks).max(axis=1))
+        res = QuantizedTensor(shape=(2, 4), scales=np.array([1.0, 4e-308]),
+                              elements=np.array([[6.0, 1.0, 0.0, 0.0], [6.0, 0.0, 0.0, 0.0]]),
+                              spec=BlockSpec(block_size=4), blocks=blocks,
+                              z=np.abs(blocks).max(axis=1),
+                              s_ideal=6.0 / np.abs(blocks).max(axis=1))
         cfg = GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)
         assert np.isfinite(assemble_df_dX(res, cfg)).all()
         with np.errstate(over="ignore", invalid="ignore"):

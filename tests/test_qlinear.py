@@ -9,7 +9,7 @@ import pytest
 
 from mxsim.formats import STOCHASTIC, TIES_TO_EVEN, TOWARD_POSITIVE
 from mxsim.hadamard import HADAMARD_ALL, HADAMARD_BACKWARD, HadamardSpec, step_signs
-from mxsim.mx import BlockQuantResult, BlockSpec, ZFunction, Z_LOGSUMEXP, quantize_blocks
+from mxsim.mx import BlockSpec, QuantizedTensor, ZFunction, Z_LOGSUMEXP, quantize_blocks
 from mxsim.qgrad import (
     EST_SIGMOID,
     EST_SPLINE,
@@ -221,6 +221,23 @@ class TestBackward:
         with pytest.raises(ValueError, match=r"gradient shape \(3, 2\) != \(2, 3\)"):
             backward(np.ones((3, 2)), ctx, cfg)
 
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"grad": GradConfig(elem_estimator=EST_SPLINE)},
+    ], ids=["matrices-saved", "records-saved"])
+    def test_gradient_shape_checked_before_dequantizing(self, monkeypatch, kw):
+        import mxsim.mx as mx
+
+        X, W = np.ones((2, 4)), np.ones((3, 4))
+        cfg = small_cfg(**kw)
+        _, ctx = forward(X, W, cfg)
+        calls = []
+        real = mx.dequantize_tensor
+        monkeypatch.setattr(mx, "dequantize_tensor", lambda qt: calls.append(1) or real(qt))
+        with pytest.raises(ValueError, match=r"gradient shape \(3, 2\) != \(2, 3\)"):
+            backward(np.ones((3, 2)), ctx, cfg)
+        assert calls == []
+
     @pytest.mark.parametrize("tensor_mode", [TENSOR_GRAD_ABSMAX, TENSOR_GRAD_STE])
     def test_tensor_factor_gradient_equals_the_full_formula(self, monkeypatch,
                                                             tensor_mode):
@@ -370,8 +387,8 @@ class TestLayerContext:
         assert [f.name for f in fields(ctx)] == ["x", "w", "m", "seed", "step", "signs"]
         assert (ctx.m, ctx.seed, ctx.step, ctx.signs) == (6, 2, 3, None)
         if records:
-            assert isinstance(ctx.x, BlockQuantResult) and isinstance(ctx.w, BlockQuantResult)
-            fx, fw = ctx.x.qt.dequantize(), ctx.w.qt.dequantize()
+            assert isinstance(ctx.x, QuantizedTensor) and isinstance(ctx.w, QuantizedTensor)
+            fx, fw = ctx.x.dequantize(), ctx.w.dequantize()
         else:
             assert isinstance(ctx.x, np.ndarray) and isinstance(ctx.w, np.ndarray)
             fx, fw = ctx.x, ctx.w
@@ -487,15 +504,13 @@ class TestLayerFiniteDifference:
         # elementwise by construction — it keeps only the diagonal
         # df_ij/dX_ij — so the oracle is the per-element central
         # difference of f composed with the same downstream factor.
-        from mxsim.mx import BlockQuantResult, QuantizedTensor
-
         blocks = X.reshape(-1, l)
         z = z_values(blocks, spec.z)
         s = 6.0 / z
         s_q = estimator_value(s, E8M0, scale_est)
         q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
-        qt = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals, spec=spec)
-        res = BlockQuantResult(qt=qt, blocks=blocks, z=z, s_ideal=s)
+        res = QuantizedTensor(shape=blocks.shape, scales=s_q, elements=q_vals, spec=spec,
+                              blocks=blocks, z=z, s_ideal=s)
         df = assemble_df_dX(res, cfg.grad).reshape(b, m)
         downstream = C @ smooth_quant(W)
         gX = downstream * df

@@ -15,6 +15,8 @@ from mxsim import cli, formats, hadamard, mx, qgrad, qlinear, sweep, trainer
 FIELDS = {
     mx.BlockSpec: "block_size, scale_format, z, scale_rounding, elem_rounding, zero_mode",
     mx.ZFunction: "kind, beta",
+    mx.QuantizedTensor: ("shape, scales, elements, spec, blocks, z, s_ideal, global_scale, "
+                         "rescale"),
     qgrad.GradConfig: "elem_estimator, scale_mode, scale_q_estimator, tensor_mode",
     hadamard.HadamardSpec: "seed, mode",
     qlinear.QLinearConfig: "spec, grad, hadamard, tensor_scaling, sr_policy, quantize",
