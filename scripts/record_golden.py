@@ -35,14 +35,14 @@ import numpy as np
 
 from mxsim import qlinear
 from mxsim.formats import ROUNDING_MODES, STOCHASTIC, get_format
-from mxsim.mx import Z_ABSMAX, Z_LOGSUMEXP, BlockSpec, ZFunction, quantize_blocks, to_bytes
+from mxsim.mx import BlockSpec, quantize_blocks, to_bytes
 from mxsim.qgrad import GradConfig, assemble_dh_dX
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "golden_bits.json"
 
 SCALE_FORMATS = ("E8M0", "E4M3", "UE5M3")
 BLOCK_SIZES = (8, 16, 32)
-STATISTICS = {"Absmax": ZFunction(Z_ABSMAX), "LogSumExp": ZFunction(Z_LOGSUMEXP, beta=40.0)}
+STATISTICS = {"Absmax": None, "LogSumExp": 40.0}  # name: BlockSpec.beta
 
 # (max_grad, quant_grad, scale_grad, tensor_grad): every pair of values of
 # two axes occurs in some row.
@@ -90,7 +90,7 @@ def quantization_records() -> dict[str, object]:
     for name, x in inputs().items():
         for fmt, l, stat, sr, er, ts in product(SCALE_FORMATS, BLOCK_SIZES, STATISTICS,
                                                 ROUNDING_MODES, ROUNDING_MODES, (False, True)):
-            spec = BlockSpec(block_size=l, scale_format=get_format(fmt), z=STATISTICS[stat],
+            spec = BlockSpec(block_size=l, scale_format=get_format(fmt), beta=STATISTICS[stat],
                              scale_rounding=sr, elem_rounding=er)
             rng = np.random.default_rng(7)
             records[_record_key(name, fmt, l, stat, sr, er, ts)] = quantize_blocks(

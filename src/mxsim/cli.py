@@ -17,7 +17,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .formats import FORMATS
 from .mx import dequantize_tensor  # noqa: F401 - the benchmark's tracer patches this binding
 from .plots import scatter_plot
 from .sweep import (
@@ -26,7 +25,6 @@ from .sweep import (
     SweepConfig,
     SweepGrid,
     best_val_loss,
-    build_qlinear_config,
     canonical_option,
     enumerate_configs,
     pareto_front,
@@ -131,31 +129,7 @@ def sweep_config_from_dict(values: dict[str, str]) -> SweepConfig:
     """The run a `train` config file describes; option aliases are
     translated to their result-table spelling here."""
     _check_keys(values, _SWEEP_KEYS)
-    cfg = _build(SweepConfig, values, _SWEEP_KEYS)
-    _validate_sweep_config(cfg)
-    return cfg
-
-
-def _check_format(name: str) -> str:
-    if name not in FORMATS:
-        raise ConfigError(
-            f"unknown scale format {name!r}; valid names: {', '.join(sorted(FORMATS))}"
-        )
-    return name
-
-
-def _validate_sweep_config(cfg: SweepConfig) -> None:
-    """Reject what SweepConfig accepts but this package cannot run."""
-    _check_format(cfg.scale_format)
-    if cfg.optimiser != "Adam":
-        raise ConfigError(
-            f"optimiser {cfg.optimiser!r} is not bundled; only Adam ships with "
-            "this package (plug third-party optimisers in programmatically)"
-        )
-    try:
-        build_qlinear_config(cfg)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(SweepConfig, values, _SWEEP_KEYS)
 
 
 def _run_settings(values: dict[str, str], seed: int) -> tuple[TaskSpec, TrainConfig]:
@@ -163,6 +137,14 @@ def _run_settings(values: dict[str, str], seed: int) -> tuple[TaskSpec, TrainCon
     quantization and loss scaling of its :class:`SweepConfig`."""
     return (_build(TaskSpec, values, _TASK_KEYS, seed=seed),
             _build(TrainConfig, values, _TRAIN_KEYS, seed=seed))
+
+
+def _runs(tcfg: TrainConfig, configs) -> dict[SweepConfig, tuple[TrainConfig, TrainConfig]]:
+    """``run_configs`` of each configuration; one it refuses is a ConfigError."""
+    try:
+        return {cfg: run_configs(tcfg, cfg) for cfg in configs}
+    except (ValueError, KeyError) as exc:  # KeyError: get_format's unknown name
+        raise ConfigError(exc.args[0]) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +159,14 @@ def _out_dir(args) -> Path:
 
 
 def cmd_recon(args) -> int:
-    formats = [_check_format(args.format)] if args.format is not None else RECON_FORMATS
+    formats = [args.format] if args.format is not None else RECON_FORMATS
     block_sizes = (args.block_size,) if args.block_size else RECON_BLOCK_SIZES
-    rows = recon_error_experiment(
-        formats=formats, block_sizes=block_sizes, seed=args.seed
-    )
+    try:  # the grid resolves every format name before its first draw
+        rows = recon_error_experiment(
+            formats=formats, block_sizes=block_sizes, seed=args.seed
+        )
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
     out = _out_dir(args)
     path = out / "recon.csv"
     write_recon_csv(str(path), rows)
@@ -193,7 +178,7 @@ def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     cfg = sweep_config_from_dict(values)
     task, tcfg = _run_settings(values, args.seed)
-    run, reference = run_configs(tcfg, cfg)
+    run, reference = _runs(tcfg, [cfg])[cfg]
     record, dense = train(task, run), train(task, reference)
     out = _out_dir(args)
     with open(out / "losses.csv", "w", newline="") as fh:
@@ -222,9 +207,8 @@ def cmd_sweep(args) -> int:
         valid = enumerate_configs(grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for cfg in valid:
-        _validate_sweep_config(cfg)
     task, tcfg = _run_settings(values, args.seed)
+    runs = _runs(tcfg, valid)
     configs = valid[: args.limit or None]
     print(
         f"grid: {grid.cardinality()} raw combinations, "
@@ -233,8 +217,7 @@ def cmd_sweep(args) -> int:
 
     # The distinct dense references train first, each kept as its best
     # validation loss only; then the configurations.
-    runs = {cfg: run_configs(tcfg, cfg) for cfg in configs}
-    references = {ref.qcfg: ref for _, ref in runs.values()}
+    references = {runs[cfg][1].qcfg: runs[cfg][1] for cfg in configs}
     losses = run_many(list(references.values()),
                       lambda ref: best_val_loss(train(task, ref)), jobs=args.jobs)
     m_refs = dict(zip(references, losses))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,10 +42,6 @@ from .formats import (
     round_array,  # noqa: F401 - the benchmark's tracer patches this binding
 )
 
-# Block statistic choices.
-Z_ABSMAX = "Absmax"
-Z_LOGSUMEXP = "LogSumExp"
-
 # What to do when a block scale rounds to zero (or underflows past the grid).
 ZERO_NEAREST_SUBNORMAL = "nearest_subnormal"
 ZERO_TO_ONE = "to_one"
@@ -54,28 +50,17 @@ ZERO_MODES = (ZERO_NEAREST_SUBNORMAL, ZERO_TO_ONE)
 
 
 @dataclass(frozen=True)
-class ZFunction:
-    """Block statistic: hard absolute maximum or its smooth surrogate."""
-
-    kind: str = Z_ABSMAX
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (Z_ABSMAX, Z_LOGSUMEXP):
-            raise ValueError(f"unknown Z function {self.kind!r}")
-        if self.kind == Z_LOGSUMEXP:
-            if self.beta is None or not 0 < self.beta < math.inf:
-                raise ValueError("LogSumExp requires a positive finite beta")
-
-
-@dataclass(frozen=True)
 class BlockSpec:
     """Everything needed to quantize one tensor reproducibly; the elements are
-    E2M1, the MXFP4 element format of OCP Microscaling Formats v1.0."""
+    E2M1, the MXFP4 element format of OCP Microscaling Formats v1.0.
+
+    ``beta`` picks the block statistic: None for the exact absolute maximum,
+    else the inverse temperature of its log-sum-exp surrogate.
+    """
 
     block_size: int = 32
     scale_format: FloatFormat = E8M0
-    z: ZFunction = field(default_factory=ZFunction)
+    beta: float | None = None
     scale_rounding: str = TIES_TO_EVEN
     elem_rounding: str = TIES_TO_EVEN
     zero_mode: str = ZERO_NEAREST_SUBNORMAL
@@ -83,6 +68,8 @@ class BlockSpec:
     def __post_init__(self):
         if self.block_size <= 0:
             raise ValueError("block_size must be positive")
+        if self.beta is not None and not 0 < self.beta < math.inf:  # NaN too
+            raise ValueError(f"beta must be None or positive and finite, got {self.beta}")
         if self.zero_mode not in ZERO_MODES:
             raise ValueError(f"unknown zero mode {self.zero_mode!r}")
         for mode in (self.scale_rounding, self.elem_rounding):
@@ -192,10 +179,11 @@ def _pairwise_sum(e: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarra
 
 
 def z_values(
-    blocks: np.ndarray, z: ZFunction, mask: np.ndarray | None = None
+    blocks: np.ndarray, beta: float | None, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Statistic of each row of ``(num_blocks, l)`` blocks; ``mask``
-    excludes padding positions.
+    """Statistic of each row of ``(num_blocks, l)`` blocks: the absolute
+    maximum, or its log-sum-exp at ``beta``; ``mask`` excludes padding
+    positions.
 
     ``|blocks|`` is written once into a block-major ``(l, num_blocks)``
     buffer (``_block_major_abs``); the maximum and the log-sum-exp work
@@ -204,17 +192,17 @@ def z_values(
     """
     a = _block_major_abs(blocks, mask, 0.0)
     m = a.max(axis=0, initial=0.0)
-    if z.kind == Z_ABSMAX or not np.isfinite(m).all():  # no shift for inf/NaN
+    if beta is None or not np.isfinite(m).all():  # no shift for inf/NaN
         return m
     # Log-sum-exp with a max shift so large beta * |x| cannot overflow.
     a -= m
-    a *= z.beta
+    a *= beta
     _exp_in_place(a)
     if mask is None:
-        return m + np.log(_pairwise_sum(a)) / z.beta
+        return m + np.log(_pairwise_sum(a)) / beta
     a *= mask.T  # padding adds +0.0
     total = _pairwise_sum(a)  # 0 for an all-padding row
-    return m + np.log(total, out=np.zeros_like(total), where=total > 0) / z.beta
+    return m + np.log(total, out=np.zeros_like(total), where=total > 0) / beta
 
 
 def quantize_scales(
@@ -285,7 +273,7 @@ def quantize_blocks(
     l = spec.block_size
     blocks = _partition(X, l)
     z_mask = None if blocks.size == X.size else _partition(np.ones(X.shape), l) > 0
-    z = z_values(blocks, spec.z, z_mask)
+    z = z_values(blocks, spec.beta, z_mask)
     z_max = z.max()
     if not z_max < np.inf:  # NaN fails too
         raise ValueError("quantization requires finite inputs")
@@ -295,10 +283,10 @@ def quantize_blocks(
     if tensor_scaling:
         g = float(z_max) if z_max > 0 else 1.0  # identity for a zero or empty tensor
         blocks /= g  # _partition's copy
-        if spec.z.kind == Z_ABSMAX:
+        if spec.beta is None:
             z /= g  # exact: x -> fl(x / g) is monotone, and padding stays 0
         else:
-            z = z_values(blocks, spec.z, z_mask)
+            z = z_values(blocks, spec.beta, z_mask)
 
     # z >= +0.0, so z = 0 and a subnormal z both give +inf.
     with np.errstate(divide="ignore", over="ignore"):
@@ -377,9 +365,9 @@ def to_bytes(qt: QuantizedTensor) -> bytes:
         "<BHB", len(qt.shape), spec.block_size, 1 if qt.global_scale is not None else 0
     ))
     buf.write(struct.pack(f"<{len(qt.shape)}q", *qt.shape))
-    beta = math.nan if spec.z.beta is None else spec.z.beta
+    beta, statistic = (math.nan, "Absmax") if spec.beta is None else (spec.beta, "LogSumExp")
     buf.write(struct.pack("<ddd", qt.global_scale or 0.0, qt.rescale, beta))
-    for text in (E2M1.name, spec.scale_format.name, spec.z.kind,
+    for text in (E2M1.name, spec.scale_format.name, statistic,
                  spec.scale_rounding, spec.elem_rounding, spec.zero_mode):
         buf.write(_pack_text(text))
     scale_codes = encode_array(qt.scales, spec.scale_format).astype("<u2")

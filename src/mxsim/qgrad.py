@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import E2M1, FloatFormat, grid, round_array
-from .mx import QuantizedTensor, Z_ABSMAX, Z_LOGSUMEXP, z_values
+from .mx import QuantizedTensor, z_values
 from .mx import _block_major_abs, _exp_in_place, _pairwise_sum
 
 # Element / scale quantizer gradient estimators.
@@ -349,7 +349,7 @@ def assemble_df_dX(res: QuantizedTensor, cfg: GradConfig) -> np.ndarray:
         return qg
 
     mask = _padding_mask(res)
-    beta = spec.z.beta if spec.z.kind == Z_LOGSUMEXP else SMOOTH_MAX_BETA
+    beta = SMOOTH_MAX_BETA if spec.beta is None else spec.beta
     dz = dZ(blocks, cfg.scale_mode, beta, mask)
     ds = ds_dX(res.z, dz)
 
@@ -378,18 +378,18 @@ def tensor_scale_grad(res: QuantizedTensor) -> tuple[int, np.ndarray]:
     ``res.blocks`` times the global factor.  Under the hard max their
     statistic is ``res.z`` times it, because ``x -> fl(x * g)`` is monotone.
     """
-    z_fn, g = res.spec.z, res.global_scale or 1.0
+    beta, g = res.spec.beta, res.global_scale or 1.0
     mask = _padding_mask(res)
-    if z_fn.kind == Z_ABSMAX:
+    if beta is None:
         z_raw = res.z * g
     else:
-        z_raw = z_values(res.blocks * g, z_fn, mask)
+        z_raw = z_values(res.blocks * g, beta, mask)
     p = int(np.argmax(z_raw))
     block = res.blocks[p : p + 1] * g
     m = None if mask is None else mask[p : p + 1]
-    if z_fn.kind == Z_ABSMAX:
+    if beta is None:
         return p, dZ(block, SCALE_GRAD_ABSMAX, mask=m)[0]
-    return p, dZ(block, SCALE_GRAD_SOFTMAX, z_fn.beta, mask=m)[0]
+    return p, dZ(block, SCALE_GRAD_SOFTMAX, beta, mask=m)[0]
 
 
 def _correction_is_finite(res: QuantizedTensor, df_dU: np.ndarray) -> bool:

@@ -59,6 +59,9 @@ class QLinearConfig:
         if self.spec.elem_rounding != TIES_TO_EVEN:
             raise ValueError(f"element rounding {self.spec.elem_rounding!r}: "
                              "sr_policy sets the element rounding")
+        if self.grad.tensor_mode != TENSOR_GRAD_IGNORE and not self.tensor_scaling:
+            raise ValueError(f"tensor gradient {self.grad.tensor_mode!r} needs "
+                             "tensor_scaling")
         l = self.spec.block_size
         if self.hadamard.mode != HADAMARD_NONE and l & (l - 1):
             raise ValueError(f"block size {l}: the Hadamard transform needs a power of two")
@@ -74,7 +77,7 @@ class QLinearConfig:
         """Whether the derivative of the operands' quantization is all ones."""
         g = self.grad
         return (g.elem_estimator == EST_STE and g.scale_mode == SCALE_GRAD_STE
-                and (not self.tensor_scaling or g.tensor_mode == TENSOR_GRAD_IGNORE))
+                and g.tensor_mode == TENSOR_GRAD_IGNORE)
 
 
 @dataclass
@@ -150,7 +153,7 @@ def forward(
 
 def _operand_grad(res: QuantizedTensor, cfg: QLinearConfig) -> np.ndarray:
     """Per-element derivative of an operand's quantization, padded shape."""
-    if cfg.tensor_scaling and cfg.grad.tensor_mode != TENSOR_GRAD_IGNORE:
+    if cfg.grad.tensor_mode != TENSOR_GRAD_IGNORE:
         d = assemble_dh_dX(res, cfg.grad)
     else:
         d = assemble_df_dX(res, cfg.grad)

@@ -22,15 +22,7 @@ import numpy as np
 
 from .formats import ROUNDING_MODES, STOCHASTIC, get_format
 from .hadamard import HADAMARD_MODES, HADAMARD_NONE, HadamardSpec
-from .mx import (
-    BlockSpec,
-    ZERO_MODES,
-    ZFunction,
-    Z_ABSMAX,
-    Z_LOGSUMEXP,
-    dequantize_tensor,
-    quantize_tensor,
-)
+from .mx import BlockSpec, ZERO_MODES, dequantize_tensor, quantize_tensor
 from .qgrad import (
     GradConfig,
     SCALE_GRAD_MODES,
@@ -107,8 +99,9 @@ class SweepConfig:
     ``max_grad`` is the backward treatment of the block-maximum statistic,
     ``quant_grad`` the element quantizer's gradient estimator, ``scale_grad``
     the scale quantizer's gradient estimator, and ``tensor_grad`` the
-    treatment of the global tensor scale (``N/A`` when tensor scaling is
-    off).  Construction rejects any other spelling of an option.  The
+    treatment of the global tensor scale (``N/A`` or ``ignore`` when tensor
+    scaling is off).  Construction rejects any other spelling of an option,
+    and a tensor-scale gradient without tensor scaling.  The
     scale format is left to the runner, so that published rows naming
     formats this package lacks still get their complexity.
     """
@@ -134,6 +127,8 @@ class SweepConfig:
                 raise ValueError(
                     f"unknown {name} {value!r}; valid: {', '.join(valid)}"
                 )
+        if not self.tensor_scaling and self.tensor_grad in ("absmax", "STE"):
+            raise ValueError(f"tensor_grad {self.tensor_grad!r} needs tensor_scaling")
 
 
 #: The values each checked SweepConfig field accepts.
@@ -356,43 +351,28 @@ def _median_in_place(a: np.ndarray) -> float:
 
 
 def recon_error_cell(
+    x: np.ndarray,
     scale_format: str,
     block_size: int,
-    tensor_scale: float,
     beta: float | None,
-    rng: np.random.Generator | None,
-    n_elements: int = 1 << 16,
-    *,
     work: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Mean and median relative error of round-tripping a Gaussian tensor.
+    """Mean and median relative error of round-tripping the 1-D float64
+    tensor ``x`` through block quantization with the statistic of ``beta``
+    (see :class:`~mxsim.mx.BlockSpec`).
 
-    ``beta=None`` uses the exact block maximum; a finite ``beta`` uses the
-    smooth log-sum-exp maximum with that inverse temperature.  Elements
-    drawn as exactly 0 have no relative error and are left out; a
-    ``ValueError`` is raised when no element is left.
-
-    ``work`` is an optional float64 ``(3, n_elements)`` block with contiguous
-    rows: the scaled draw from ``rng`` goes into row 0, the error statistics
-    into rows 1 and 2.  With ``rng=None`` row 0 must already hold the scaled
-    draw, as ``recon_error_experiment``'s worker thread leaves it.
+    Elements equal to 0 have no relative error and are left out; a
+    ``ValueError`` is raised when no element is left, an empty ``x`` too.
+    ``work`` is an optional float64 ``(2, x.size)`` block with contiguous
+    rows that takes the error statistics; another shape is a ``ValueError``.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be at least 1, got {n_elements}")
-    if tensor_scale == 0:
-        raise ValueError("a tensor scale of 0 draws no nonzero element")
-    if rng is None and (work is None or work.shape != (3, n_elements)):
-        raise ValueError(f"rng=None needs a pre-drawn (3, {n_elements}) work "
-                         f"block, got {None if work is None else work.shape}")
-    x, err, mag = np.empty((3, n_elements)) if work is None else work
-    if rng is not None:
-        _draw(x, rng, tensor_scale)
-    z = ZFunction(Z_ABSMAX) if beta is None else ZFunction(Z_LOGSUMEXP, beta=beta)
-    spec = BlockSpec(
-        block_size=block_size,
-        scale_format=get_format(scale_format),
-        z=z,
-    )
+    if work is None:
+        work = np.empty((2, x.size))
+    elif work.shape != (2, x.size):
+        raise ValueError(f"work must have shape (2, {x.size}), got {work.shape}")
+    err, mag = work
+    spec = BlockSpec(block_size=block_size, scale_format=get_format(scale_format),
+                     beta=beta)
     # |x| first: it pulls a draw made on another core into this one's cache.
     np.abs(x, out=mag)
     deq = dequantize_tensor(quantize_tensor(x, spec))
@@ -400,10 +380,9 @@ def recon_error_cell(
     np.abs(err, out=err)
     if not mag.all():
         nonzero = mag != 0
-        if not nonzero.any():
-            raise ValueError(f"all {n_elements} elements drawn at scale "
-                             f"{tensor_scale!r} are 0")
         err, mag = err[nonzero], mag[nonzero]
+    if not mag.size:
+        raise ValueError(f"none of the {x.size} elements of x is nonzero")
     err /= mag
     # The mean first: the median reorders err.
     return float(err.mean()), _median_in_place(err)
@@ -428,10 +407,11 @@ def recon_error_experiment(
     and vs tensor scale at the default inverse temperature 40, and
     smooth-max sensitivity to the inverse temperature.
 
-    Formats and block sizes are checked before the first draw.  A worker
-    thread draws each cell, in grid order, into row 0 of one of two work
-    blocks while the calling thread scores the cell before in the other;
-    the rows are those of a serial run.
+    Every cell's format, block size and beta are checked before the first
+    draw.  A worker thread draws each cell, in grid order, into row 0 of one
+    of two work blocks while the calling thread scores the cell before in
+    the other, with that block's other two rows as its scratch; the rows
+    are those of a serial run.
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be at least 1, got {n_elements}")
@@ -447,9 +427,8 @@ def recon_error_experiment(
         cells += [(fmt, 16, scale, 40.0) for scale in RECON_TENSOR_SCALES]
         # Smooth-max sensitivity to the inverse temperature.
         cells += [(fmt, 16, 1.0, beta) for beta in RECON_BETAS]
-    # Every cell's format and block size, checked before the first draw.
-    for fmt, l, _, _ in cells:
-        BlockSpec(block_size=l, scale_format=get_format(fmt))
+    for fmt, l, _, beta in cells:
+        BlockSpec(block_size=l, scale_format=get_format(fmt), beta=beta)
     rng = np.random.default_rng(seed)
     rows: list[dict[str, object]] = []
     # Two work blocks for the whole grid (per-cell blocks made glibc trim and
@@ -463,8 +442,8 @@ def recon_error_experiment(
             if k + 1 < len(cells):  # into cell k - 1's finished block
                 drawn = pool.submit(_draw, works[(k + 1) % 2][0], rng,
                                     cells[k + 1][2])
-            mean, median = recon_error_cell(fmt, l, scale, beta, None, n_elements,
-                                            work=works[k % 2])
+            work = works[k % 2]
+            mean, median = recon_error_cell(work[0], fmt, l, beta, work[1:])
             rows.append(dict(format=fmt, l=l, scale=scale,
                              beta="" if beta is None else beta,
                              mean_rel_err=mean, median_rel_err=median))
@@ -536,11 +515,10 @@ def write_results_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
 def build_qlinear_config(cfg: SweepConfig, seed: int = 0) -> QLinearConfig:
     """Translate a sweep record into an executable layer configuration whose
     Hadamard signs follow the run ``seed``."""
-    z_kind = Z_LOGSUMEXP if cfg.max_grad == "softsoftmax" else Z_ABSMAX
     spec = BlockSpec(
         block_size=cfg.block_size,
         scale_format=get_format(cfg.scale_format),
-        z=ZFunction(z_kind, beta=SMOOTH_MAX_BETA),
+        beta=SMOOTH_MAX_BETA if cfg.max_grad == "softsoftmax" else None,
         scale_rounding=cfg.round_mode,
         zero_mode=cfg.nan_mode,
     )
@@ -566,7 +544,15 @@ def run_configs(tcfg: TrainConfig, cfg: SweepConfig) -> tuple[TrainConfig, Train
     """The training settings of ``cfg``'s run and of its dense reference,
     the same training with quantization disabled.  A dense layer reads only
     the block size (its padding) and the Hadamard transform, so configurations
-    equal in those share one reference, whose best validation loss scores them."""
+    equal in those share one reference, whose best validation loss scores them.
+
+    This is the one check that ``cfg`` can run: an optimiser other than Adam
+    is a ``ValueError``, and so is a setting the layer rejects; an unknown
+    scale format is ``get_format``'s ``KeyError``."""
+    if cfg.optimiser != "Adam":
+        raise ValueError(f"optimiser {cfg.optimiser!r} is not bundled; only Adam ships "
+                         "with this package (plug third-party optimisers in "
+                         "programmatically)")
     qcfg = build_qlinear_config(cfg, tcfg.seed)
     dense = QLinearConfig(spec=BlockSpec(block_size=cfg.block_size),
                           hadamard=qcfg.hadamard, quantize=False)

@@ -34,8 +34,6 @@ from mxsim.mx import (
     QuantizedTensor,
     ZERO_NEAREST_SUBNORMAL,
     ZERO_TO_ONE,
-    ZFunction,
-    Z_LOGSUMEXP,
     dequantize_tensor,
     quantize_blocks,
     quantize_tensor,
@@ -176,7 +174,7 @@ def test_criterion_02_sr_unbiasedness():
 
 
 def _smooth_block_forward(blocks, spec, elem_est, scale_est):
-    z = z_values(blocks, spec.z)
+    z = z_values(blocks, spec.beta)
     s = E2M1.max_finite / z
     s_q = estimator_value(s, spec.scale_format, scale_est)
     q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
@@ -194,8 +192,7 @@ def test_criterion_03_gradient_fidelity():
     deadline = time.monotonic() + 30.0
     rng = np.random.default_rng(303)
     l, n_blocks, beta = 8, 1250, 4.0  # 10^4 points
-    z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
-    spec = BlockSpec(block_size=l, z=z_fn)
+    spec = BlockSpec(block_size=l, beta=beta)
     elem_est = EST_SIGMOID
     scale_est = EST_SIGMOID
     cfg = GradConfig(
@@ -228,7 +225,7 @@ def test_criterion_03_gradient_fidelity():
     raw[0, 0] = 5.0  # unambiguous global maximum
 
     def tensor_forward(raw_blocks):
-        z_raw = z_values(raw_blocks, z_fn)
+        z_raw = z_values(raw_blocks, beta)
         g = z_raw.max()
         U = raw_blocks / g
         f, z, s, s_q, q_vals = _smooth_block_forward(U, spec, elem_est, scale_est)
@@ -250,7 +247,7 @@ def test_criterion_03_gradient_fidelity():
     others_max = np.where(z_raw == top[-1], top[-2], top[-1])
 
     def column_values(raw2, j):
-        z2 = z_values(raw2, z_fn)
+        z2 = z_values(raw2, beta)
         g2 = np.maximum(others_max, z2)
         U2 = raw2 / g2[:, None]
         f2, *_ = _smooth_block_forward(U2, spec, elem_est, scale_est)

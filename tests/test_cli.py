@@ -18,6 +18,17 @@ from mxsim.trainer import RunRecord, TaskSpec, TrainConfig
 SWEEP_DEMO = Path(__file__).resolve().parent.parent / "examples" / "sweep_demo.cfg"
 
 
+def _train_refuses(tmp_path, capsys, text):
+    """The stderr of ``mxsim train`` on a config file of ``text``, which it
+    refuses (exit 2) before writing anything."""
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_key_value_lines_with_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -43,13 +54,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scale_format"):
             sweep_config_from_dict({"scale_fmt": "E8M0"})
 
-    def test_unknown_format_lists_valid_names(self):
-        with pytest.raises(ConfigError, match="E8M0"):
-            sweep_config_from_dict({"scale_format": "E9M9"})
+    def test_unknown_format_lists_valid_names(self, tmp_path, capsys):
+        err = _train_refuses(tmp_path, capsys, "scale_format = E9M9\n")
+        assert "unknown format 'E9M9'; valid names: E2M1, " in err and "E8M0" in err
 
-    def test_non_bundled_optimiser_rejected(self):
-        with pytest.raises(ConfigError, match="Adam"):
-            sweep_config_from_dict({"optimiser": "StableSPAM"})
+    def test_non_bundled_optimiser_rejected(self, tmp_path, capsys):
+        assert "only Adam ships" in _train_refuses(tmp_path, capsys,
+                                                   "optimiser = StableSPAM\n")
+
+    @pytest.mark.parametrize("tensor_grad", ["absmax", "STE"])
+    def test_tensor_grad_needs_tensor_scaling(self, tmp_path, capsys, tensor_grad):
+        # The layer has no tensor factor to differentiate, so the run would
+        # be charged 3 complexity points for a gradient that never runs.
+        err = _train_refuses(tmp_path, capsys,
+                             f"tensor_scaling = false\ntensor_grad = {tensor_grad}\n")
+        assert f"tensor_grad {tensor_grad!r} needs tensor_scaling" in err
 
     def test_unreadable_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):
@@ -72,9 +91,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key 'loss_scaling': expected a boolean"):
             sweep_config_from_dict({"loss_scaling": "maybe"})
 
-    def test_hadamard_block_size_must_be_a_power_of_two(self):
-        with pytest.raises(ConfigError, match="power of two"):
-            sweep_config_from_dict({"block_size": "24", "hadamard": "all"})
+    def test_hadamard_block_size_must_be_a_power_of_two(self, tmp_path, capsys):
+        assert "power of two" in _train_refuses(tmp_path, capsys,
+                                                "block_size = 24\nhadamard = all\n")
 
 
 class TestExitCodes:
@@ -87,7 +106,7 @@ class TestExitCodes:
         # An empty name is an unknown name, not an omitted --format.
         out = tmp_path / "out"
         assert main(["recon", "--format", "", "--out", str(out)]) == 2
-        assert "unknown scale format ''; valid names: E2M1, " in capsys.readouterr().err
+        assert "unknown format ''; valid names: E2M1, " in capsys.readouterr().err
         assert not out.exists()
 
     def test_quantize_is_not_a_subcommand(self, tmp_path, capsys):
@@ -525,6 +544,24 @@ class TestSweepLimits:
         assert capsys.readouterr().out.startswith(
             "grid: 16 raw combinations, 16 valid, running 16\n")
         assert len(_result_rows(out / "results.csv")) == 16
+
+    def test_every_config_checked_once_before_the_limit(self, tmp_path, monkeypatch):
+        # Each of the 16 valid configurations gets its layer config built
+        # once, the 2 that run included.
+        from mxsim import sweep
+
+        built = []
+
+        def counting(cfg, *args, _fn=sweep.build_qlinear_config):
+            built.append(cfg)
+            return _fn(cfg, *args)
+
+        monkeypatch.setattr(sweep, "build_qlinear_config", counting)
+        monkeypatch.setattr(cli, "train", lambda task, tcfg: RunRecord(
+            task.kind, [1.0], [1.0], False, [], 1))
+        assert main(["sweep", "--config", str(SWEEP_DEMO), "--limit", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert len(built) == len(set(built)) == 16
 
 
 def _same_record(a, b):

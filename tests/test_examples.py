@@ -67,10 +67,13 @@ def test_example_runs_at_a_tiny_size(tmp_path, name, run, then, files):
 
 
 def _readme_commands() -> list[list[str]]:
-    """The arguments of every ``mxsim`` line in the README's sh blocks."""
+    """The arguments of every ``mxsim`` line in the README's sh blocks and
+    in the comments of the example configs."""
     blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    return [shlex.split(line, comments=True)[1:]
-            for block in blocks for line in block.splitlines()
+    lines = [line for block in blocks for line in block.splitlines()]
+    lines += [line.lstrip("#").strip() for path in sorted(EXAMPLES.glob("*.cfg"))
+              for line in path.read_text().splitlines() if line.startswith("#")]
+    return [shlex.split(line, comments=True)[1:] for line in lines
             if line.startswith("mxsim ")]
 
 

@@ -30,9 +30,6 @@ from mxsim.formats import (
 )
 from mxsim.mx import (
     BlockSpec,
-    ZFunction,
-    Z_ABSMAX,
-    Z_LOGSUMEXP,
     ZERO_NEAREST_SUBNORMAL,
     ZERO_TO_ONE,
     dequantize_tensor,
@@ -44,18 +41,14 @@ from mxsim.mx import (
     z_values,
 )
 
-LSE = ZFunction(Z_LOGSUMEXP, beta=1.0)
+LSE = 1.0  # the beta of a log-sum-exp statistic
 
 
 class TestSpecChecks:
-    @pytest.mark.parametrize("beta", [None, 0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
     def test_logsumexp_needs_a_positive_finite_beta(self, beta):
-        with pytest.raises(ValueError, match="positive finite beta"):
-            ZFunction(Z_LOGSUMEXP, beta=beta)
-
-    def test_unknown_z_kind(self):
-        with pytest.raises(ValueError, match="unknown Z function 'median'"):
-            ZFunction("median")
+        with pytest.raises(ValueError, match="beta must be None or positive and finite"):
+            BlockSpec(beta=beta)
 
     @pytest.mark.parametrize("block_size", [0, -4])
     def test_block_size_must_be_positive(self, block_size):
@@ -69,7 +62,7 @@ class TestSpecChecks:
 
 class TestZValue:
     def test_absmax(self):
-        assert z_values(np.array([[1.0, -3.0, 2.0]]), ZFunction())[0] == 3.0
+        assert z_values(np.array([[1.0, -3.0, 2.0]]), None)[0] == 3.0
 
     def test_logsumexp_two_ones(self):
         # (1/beta) log(e^1 + e^1) = 1 + log 2
@@ -79,24 +72,24 @@ class TestZValue:
     def test_logsumexp_large_beta_approaches_max(self):
         block = np.zeros(32)
         block[0] = 5.0
-        got = z_values(block[None], ZFunction(Z_LOGSUMEXP, beta=100.0))[0]
+        got = z_values(block[None], 100.0)[0]
         assert 5.0 <= got < 5.0 + 1e-3
 
     def test_logsumexp_overflow_guard(self):
         # Without a max shift exp(beta * 1e4) would overflow to inf.
-        got = z_values(np.array([[1e4, 0.0]]), ZFunction(Z_LOGSUMEXP, beta=100.0))[0]
+        got = z_values(np.array([[1e4, 0.0]]), 100.0)[0]
         assert np.isfinite(got)
         assert got == pytest.approx(1e4, rel=1e-9)
 
     def test_absmax_all_zero_is_zero(self):
-        assert z_values(np.zeros((1, 16)), ZFunction())[0] == 0.0
+        assert z_values(np.zeros((1, 16)), None)[0] == 0.0
 
     def test_zero_and_logsumexp_blocks_match_the_formulas(self):
         # The row maximum starts from 0.0, which no |x| undercuts: all-zero
         # blocks keep statistic 0 and log-sum-exp blocks are unchanged,
         # with and without padding masked out.
         blocks = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.5]])
-        assert z_values(blocks, ZFunction()).tolist() == [0.0, 3.0]
+        assert z_values(blocks, None).tolist() == [0.0, 3.0]
         beta = 2.0
 
         def lse(b):
@@ -104,10 +97,9 @@ class TestZValue:
             m = np.max(a, axis=-1)
             return m + np.log(np.exp(beta * (a - m[:, None])).sum(axis=-1)) / beta
 
-        z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
-        assert z_values(blocks, z_fn).tobytes() == lse(blocks).tobytes()
+        assert z_values(blocks, beta).tobytes() == lse(blocks).tobytes()
         mask = np.array([[True, True, False, False]] * 2)
-        assert z_values(blocks, z_fn, mask).tobytes() == lse(blocks[:, :2]).tobytes()
+        assert z_values(blocks, beta, mask).tobytes() == lse(blocks[:, :2]).tobytes()
 
 
 class TestBlockScale:
@@ -229,7 +221,7 @@ class TestTensorPath:
         # 5 elements in a block of 16: zero padding must not change absmax
         # or the log-sum-exp statistic.
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        spec = BlockSpec(block_size=16, z=LSE)
+        spec = BlockSpec(block_size=16, beta=LSE)
         res = quantize_blocks(x, spec)
         expected = z_values(x[None], LSE)[0]
         assert res.z[0] == pytest.approx(expected, rel=1e-12)
@@ -364,7 +356,7 @@ class TestRowBlocking:
         # the global factor is the identity and the record serializes.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            qt = quantize_tensor(np.zeros(shape), BlockSpec(block_size=4, z=LSE),
+            qt = quantize_tensor(np.zeros(shape), BlockSpec(block_size=4, beta=LSE),
                                  tensor_scaling=True)
             to_bytes(qt)
         assert qt.global_scale == 1.0
@@ -396,7 +388,7 @@ class TestPaddingMask:
         )
 
         X = np.random.default_rng(9).normal(size=(3, cols))
-        spec = BlockSpec(block_size=16, z=ZFunction(Z_LOGSUMEXP, beta=4.0))
+        spec = BlockSpec(block_size=16, beta=4.0)
         res = quantize_blocks(X, spec, tensor_scaling=True)
         ref = quantize_blocks(X, spec, tensor_scaling=True)
         ref.mask = self._explicit_mask(3, cols, 32, 16)  # as eagerly built before
@@ -532,9 +524,9 @@ class TestEntryPointChecks:
             assert got.shape == () and got.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("z", [ZFunction(), LSE], ids=["absmax", "lse"])
+    @pytest.mark.parametrize("beta", [None, LSE], ids=["absmax", "lse"])
     @pytest.mark.parametrize("cols", [2, 3], ids=["whole", "padded"])
-    def test_nonfinite_input_raises_before_any_warning(self, bad, z, cols):
+    def test_nonfinite_input_raises_before_any_warning(self, bad, beta, cols):
         # Finiteness is read off the block statistics, so no arithmetic on
         # the non-finite value may warn before the ValueError.
         X = np.ones((2, cols))
@@ -543,7 +535,7 @@ class TestEntryPointChecks:
             warnings.simplefilter("error")
             for tensor_scaling in (False, True):
                 with pytest.raises(ValueError, match="finite"):
-                    quantize_blocks(X, BlockSpec(block_size=2, z=z), tensor_scaling)
+                    quantize_blocks(X, BlockSpec(block_size=2, beta=beta), tensor_scaling)
 
     @pytest.mark.parametrize("shape", [(4, 32), (4, 20), (3,)])
     @pytest.mark.parametrize("tensor_scaling", [False, True])
@@ -645,5 +637,5 @@ class TestNoCodesOutsideSerialization:
         Y, ctx = forward(X, W, cfg)
         gX, gW = backward(np.ones_like(Y), ctx, cfg)
         assert gX.shape == X.shape and gW.shape == W.shape
-        mean, median = recon_error_cell("E8M0", 32, 1.0, None, rng, n_elements=1024)
+        mean, median = recon_error_cell(rng.standard_normal(1024), "E8M0", 32, None)
         assert 0 < mean < 1 and 0 < median < 1

@@ -44,7 +44,7 @@ def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, statistic, tensor
     # The tracer times z_values and quantize_scales at their mx bindings;
     # folding either into quantize_blocks would make its metrics read 0.
     mx = importlib.import_module("mxsim.mx")
-    z = mx.ZFunction(statistic, beta=None if statistic == "Absmax" else 40.0)
+    beta = None if statistic == "Absmax" else 40.0
     calls = []
     for attr in ("z_values", "quantize_scales"):
         def counting(*args, _attr=attr, _fn=getattr(mx, attr), **kwargs):
@@ -52,7 +52,7 @@ def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, statistic, tensor
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mx, attr, counting)
-    mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(z=z), tensor_scaling=tensor_scaling)
+    mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(beta=beta), tensor_scaling=tensor_scaling)
     assert calls.count("z_values") == z_calls
     assert calls.count("quantize_scales") == 1
 
@@ -64,12 +64,12 @@ def test_recon_grid_calls_the_traced_cell(monkeypatch):
     calls = []
 
     def counting(*args, _fn=sweep.recon_error_cell, **kwargs):
-        calls.append(kwargs["work"].shape)
+        calls.append((args[0].shape, args[-1].shape))
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "recon_error_cell", counting)
     rows = sweep.recon_error_experiment(n_elements=64)
-    assert calls == [(3, 64)] * len(rows) and len(rows) == 102
+    assert calls == [((64,), (2, 64))] * len(rows) and len(rows) == 102
 
 
 def test_recon_and_layer_reach_the_metered_bindings(monkeypatch):
@@ -97,7 +97,7 @@ def test_recon_and_layer_reach_the_metered_bindings(monkeypatch):
         return out, (calls.count("mx.quantize_blocks"), calls.count("mx.dequantize_tensor"))
 
     rng = np.random.default_rng(0)
-    _, n = counted(sweep.recon_error_cell, "E8M0", 32, 1.0, None, rng, n_elements=1024)
+    _, n = counted(sweep.recon_error_cell, rng.standard_normal(1024), "E8M0", 32, None)
     assert n == (1, 1)
     cfg = qlinear.QLinearConfig()
     X, W = rng.standard_normal((8, 64)), rng.standard_normal((4, 64))

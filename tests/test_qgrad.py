@@ -12,9 +12,6 @@ from mxsim.formats import E2M1, E4M3, E8M0, FORMATS, FloatFormat, grid, round_ar
 from mxsim.mx import (
     BlockSpec,
     QuantizedTensor,
-    ZFunction,
-    Z_ABSMAX,
-    Z_LOGSUMEXP,
     quantize_blocks,
     z_values,
 )
@@ -250,15 +247,14 @@ class TestDZ:
         rng = np.random.default_rng(5)
         block = rng.normal(size=8)
         beta = 4.0
-        z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
         got = dZ(block[None, :], SCALE_GRAD_SOFTMAX, beta=beta)[0]
         h = 1e-6
         for j in range(8):
             e = np.zeros(8)
             e[j] = h
             fd = (
-                z_values((block + e)[None, :], z_fn)[0]
-                - z_values((block - e)[None, :], z_fn)[0]
+                z_values((block + e)[None, :], beta)[0]
+                - z_values((block - e)[None, :], beta)[0]
             ) / (2 * h)
             assert got[j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
@@ -280,7 +276,7 @@ class TestDsDX:
     def test_uniform_block_softmax(self):
         c = 0.7
         block = np.full((1, 8), c)
-        z = z_values(block, ZFunction(Z_LOGSUMEXP, beta=3.0))
+        z = z_values(block, 3.0)
         dz = dZ(block, SCALE_GRAD_SOFTMAX, beta=3.0)
         out = ds_dX(z, dz)
         expected = -(6.0 / z[0] ** 2) * (1.0 / 8.0)
@@ -293,7 +289,7 @@ class TestDsDX:
 
 def _smooth_forward(blocks, spec, elem_est, scale_est, beta):
     """Fully differentiable surrogate of the per-block quantizer."""
-    z = z_values(blocks, ZFunction(Z_LOGSUMEXP, beta=beta))
+    z = z_values(blocks, beta)
     s = E2M1.max_finite / z
     s_q = estimator_value(s, spec.scale_format, scale_est)
     q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
@@ -331,7 +327,7 @@ class TestAssembleDf:
     def test_matches_fd_on_smooth_surrogate(self):
         rng = np.random.default_rng(7)
         l, beta = 8, 4.0
-        spec = BlockSpec(block_size=l, z=ZFunction(Z_LOGSUMEXP, beta=beta))
+        spec = BlockSpec(block_size=l, beta=beta)
         elem_est = EST_SIGMOID
         scale_est = EST_SIGMOID
         cfg = GradConfig(
@@ -417,8 +413,7 @@ class TestAssembleDh:
     def test_matches_fd_on_smooth_surrogate(self):
         rng = np.random.default_rng(10)
         l, beta = 8, 4.0
-        z_fn = ZFunction(Z_LOGSUMEXP, beta=beta)
-        spec = BlockSpec(block_size=l, z=z_fn)
+        spec = BlockSpec(block_size=l, beta=beta)
         elem_est = EST_SIGMOID
         scale_est = EST_SIGMOID
         cfg = GradConfig(
@@ -435,7 +430,7 @@ class TestAssembleDh:
         raw[0, 0] = 5.0  # unambiguous global argmax block
 
         def smooth_h(raw_blocks):
-            z_raw = z_values(raw_blocks, z_fn)
+            z_raw = z_values(raw_blocks, beta)
             g = z_raw.max()
             U = raw_blocks / g
             f, z, s, s_q, q_vals = _smooth_forward(U, spec, elem_est, scale_est, beta)
@@ -536,7 +531,7 @@ def _full_df_dX(res, cfg):
     if cfg.scale_mode == SCALE_GRAD_STE:
         return qg
     # The softmax derivative takes the statistic's beta, or the hard max's.
-    beta = spec.z.beta if spec.z.kind == Z_LOGSUMEXP else SMOOTH_MAX_BETA
+    beta = SMOOTH_MAX_BETA if spec.beta is None else spec.beta
     dz = _full_dZ(blocks, cfg.scale_mode, beta, res.mask)
     ds = ds_dX(res.z, dz)
     s_pre = res.s_ideal / res.rescale
@@ -552,16 +547,16 @@ def _full_dh_dX(res, cfg):
     df_dU = _full_df_dX(res, cfg)
     if cfg.tensor_mode == TENSOR_GRAD_IGNORE:
         return df_dU
-    z_fn = res.spec.z
+    beta = res.spec.beta
     raw_blocks = res.blocks * (res.global_scale or 1.0)
     if cfg.tensor_mode == TENSOR_GRAD_STE:
         dg = np.ones_like(raw_blocks)
     else:
-        z_raw = z_values(raw_blocks, z_fn, res.mask)
+        z_raw = z_values(raw_blocks, beta, res.mask)
         p = int(np.argmax(z_raw))
         dg = np.zeros_like(raw_blocks)
-        mode = SCALE_GRAD_ABSMAX if z_fn.kind == Z_ABSMAX else SCALE_GRAD_SOFTMAX
-        dg[p] = _full_dZ(raw_blocks[p : p + 1], mode, z_fn.beta, res.mask[p : p + 1])
+        mode = SCALE_GRAD_ABSMAX if beta is None else SCALE_GRAD_SOFTMAX
+        dg[p] = _full_dZ(raw_blocks[p : p + 1], mode, beta, res.mask[p : p + 1])
     out = df_dU + dg * (res.values - res.blocks * df_dU)
     return np.where(res.mask, out, 0.0)
 
@@ -583,15 +578,15 @@ class TestAssemblyOracle:
     """The assembled derivatives equal, byte for byte, the full-array
     formulas with the padding mask applied at every step."""
 
-    @pytest.mark.parametrize("z", [ZFunction(), ZFunction(Z_LOGSUMEXP, beta=9.0)])
+    @pytest.mark.parametrize("beta", [None, 9.0], ids=["z0", "z1"])
     @pytest.mark.parametrize("shape", [(6, 48), (4, 64)], ids=["padded", "unpadded"])
     @pytest.mark.parametrize("scale_format, l", [(E8M0, 32), (E4M3, 16)])
     @pytest.mark.parametrize("tensor_scaling", [True, False])
-    def test_equals_full_formula(self, z, shape, scale_format, l, tensor_scaling):
+    def test_equals_full_formula(self, beta, shape, scale_format, l, tensor_scaling):
         rng = np.random.default_rng(11)
         X = rng.standard_normal(shape) * np.exp(rng.uniform(-4.0, 4.0, size=(shape[0], 1)))
         X[0, :l] = 0.0  # a dead block
-        spec = BlockSpec(block_size=l, scale_format=scale_format, z=z)
+        spec = BlockSpec(block_size=l, scale_format=scale_format, beta=beta)
         res = quantize_blocks(X, spec, tensor_scaling=tensor_scaling)
         for cfg in _grad_configs(_TENSOR_MODES):
             assert assemble_df_dX(res, cfg).tobytes() == _full_df_dX(res, cfg).tobytes()

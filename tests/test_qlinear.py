@@ -9,7 +9,7 @@ import pytest
 
 from mxsim.formats import STOCHASTIC, TIES_TO_EVEN, TOWARD_POSITIVE
 from mxsim.hadamard import HADAMARD_ALL, HADAMARD_BACKWARD, HadamardSpec, step_signs
-from mxsim.mx import BlockSpec, QuantizedTensor, ZFunction, Z_LOGSUMEXP, quantize_blocks
+from mxsim.mx import BlockSpec, QuantizedTensor, quantize_blocks
 from mxsim.qgrad import (
     EST_SIGMOID,
     EST_SPLINE,
@@ -361,12 +361,16 @@ class TestUnitOperandGradient:
         ({"tensor_scaling": True}, True),  # tensor_mode "ignore"
         ({"tensor_scaling": True,
           "grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, False),
-        ({"grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, True),
+        ({"grad": GradConfig(tensor_mode=TENSOR_GRAD_ABSMAX)}, ValueError),
         ({"grad": GradConfig(elem_estimator=EST_SPLINE)}, False),
         ({"grad": GradConfig(scale_mode=SCALE_GRAD_SOFTMAX)}, False),
     ])
     def test_which_configs_skip(self, kw, unit):
-        assert small_cfg(**kw)._unit_operand_grad is unit
+        if unit is ValueError:  # a tensor-factor gradient with no tensor factor
+            with pytest.raises(ValueError, match="'absmax' needs tensor_scaling"):
+                small_cfg(**kw)
+        else:
+            assert small_cfg(**kw)._unit_operand_grad is unit
 
 
 class TestLayerContext:
@@ -482,7 +486,7 @@ class TestLayerFiniteDifference:
 
         elem_est = EST_SIGMOID
         scale_est = EST_SIGMOID
-        spec = BlockSpec(block_size=l, z=ZFunction(Z_LOGSUMEXP, beta=beta))
+        spec = BlockSpec(block_size=l, beta=beta)
         cfg = small_cfg(
             spec=spec,
             grad=GradConfig(
@@ -494,7 +498,7 @@ class TestLayerFiniteDifference:
 
         def smooth_quant(a):
             blocks = a.reshape(-1, l)
-            z = z_values(blocks, spec.z)
+            z = z_values(blocks, spec.beta)
             s = 6.0 / z
             s_q = estimator_value(s, E8M0, scale_est)
             q = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)
@@ -505,7 +509,7 @@ class TestLayerFiniteDifference:
         # df_ij/dX_ij — so the oracle is the per-element central
         # difference of f composed with the same downstream factor.
         blocks = X.reshape(-1, l)
-        z = z_values(blocks, spec.z)
+        z = z_values(blocks, spec.beta)
         s = 6.0 / z
         s_q = estimator_value(s, E8M0, scale_est)
         q_vals = estimator_value(s_q[:, None] * blocks, E2M1, elem_est)

@@ -13,8 +13,7 @@ import pytest
 from mxsim import cli, formats, hadamard, mx, qgrad, qlinear, sweep, trainer
 
 FIELDS = {
-    mx.BlockSpec: "block_size, scale_format, z, scale_rounding, elem_rounding, zero_mode",
-    mx.ZFunction: "kind, beta",
+    mx.BlockSpec: "block_size, scale_format, beta, scale_rounding, elem_rounding, zero_mode",
     mx.QuantizedTensor: ("shape, scales, elements, spec, blocks, z, s_ideal, global_scale, "
                          "rescale"),
     qgrad.GradConfig: "elem_estimator, scale_mode, scale_q_estimator, tensor_mode",
@@ -37,6 +36,7 @@ PARAMETERS = {
     mx.quantize_blocks: "X, spec, tensor_scaling=False, rng=None",
     mx.nvfp4_rescale_constant: "spec",
     mx.to_bytes: "qt",
+    mx.z_values: "blocks, beta, mask=None",
     hadamard.step_signs: "spec, step, num_blocks, l",
     qlinear.forward: "X, W, cfg, seed=0, step=0",
     qgrad._spline_slope: "x, fmt",
@@ -51,8 +51,7 @@ PARAMETERS = {
     qgrad.tensor_scale_grad: "res",
     trainer.adam_step: "params, grads, state",
     trainer.gen_synthetic_classification: "spec",
-    sweep.recon_error_cell: ("scale_format, block_size, tensor_scale, beta, rng, "
-                             "n_elements=65536, *, work=None"),
+    sweep.recon_error_cell: "x, scale_format, block_size, beta, work=None",
     sweep.recon_error_experiment: ("formats=('E8M0', 'E4M3', 'UE5M3'), "
                                    "block_sizes=(8, 16, 32, 64, 128), seed=0, "
                                    "n_elements=65536"),

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from mxsim import sweep
 from mxsim.formats import ROUNDING_MODES, get_format
 from mxsim.hadamard import HADAMARD_MODES
-from mxsim.mx import (BlockSpec, ZFunction, Z_ABSMAX, Z_LOGSUMEXP,
-                      dequantize_tensor, quantize_tensor)
+from mxsim.mx import BlockSpec, dequantize_tensor, quantize_tensor
 from mxsim.qgrad import SCALE_GRAD_MODES, TENSOR_GRAD_MODES
 from mxsim.qlinear import SR_POLICIES
 from mxsim.sweep import (
@@ -37,8 +36,9 @@ from mxsim.sweep import (
     write_recon_csv,
     write_results_csv,
     result_row,
+    run_configs,
 )
-from mxsim.trainer import RunRecord
+from mxsim.trainer import RunRecord, TrainConfig
 
 from reference_rows import (
     ALL_ROWS,
@@ -313,6 +313,27 @@ class TestOptionVocabulary:
         assert qcfg.hadamard.seed == 0
         assert build_qlinear_config(cfg, 3).hadamard.seed == 3  # the run seed
 
+    @pytest.mark.parametrize("max_grad, beta", [
+        ("STE", None), ("absmax", None), ("hardsoftmax", None), ("softsoftmax", 40.0)])
+    def test_layer_statistic_is_smooth_only_under_softsoftmax(self, max_grad, beta):
+        assert build_qlinear_config(SweepConfig(max_grad=max_grad)).spec.beta == beta
+
+    @pytest.mark.parametrize("tensor_grad", ["absmax", "STE"])
+    def test_tensor_grad_needs_tensor_scaling(self, tensor_grad):
+        with pytest.raises(ValueError, match=f"tensor_grad '{tensor_grad}' needs"):
+            SweepConfig(tensor_grad=tensor_grad)
+        assert SweepConfig(tensor_grad="ignore").tensor_grad == "ignore"
+        assert SweepConfig(tensor_scaling=True, tensor_grad=tensor_grad)
+
+    @pytest.mark.parametrize("kw, error, message", [
+        ({"optimiser": "StableSPAM"}, ValueError, "only Adam ships"),
+        ({"scale_format": "E5M3"}, KeyError, "unknown format 'E5M3'"),
+        ({"block_size": 24, "hadamard": "all"}, ValueError, "power of two"),
+    ])
+    def test_run_configs_refuses_what_cannot_run(self, kw, error, message):
+        with pytest.raises(error, match=message):
+            run_configs(TrainConfig(), SweepConfig(**kw))
+
 
 def _dominates(o, r):
     return o[0] <= r[0] and o[1] >= r[1] and (o[0] < r[0] or o[1] > r[1])
@@ -389,18 +410,16 @@ class TestReconError:
         assert np.array_equal(deq, x)
 
     def test_error_decreases_with_block_size_ordering(self):
-        rng = np.random.default_rng(1)
-        m8, _ = recon_error_cell("E8M0", 8, 1.0, None, rng, 1 << 14)
-        rng = np.random.default_rng(1)
-        m128, _ = recon_error_cell("E8M0", 128, 1.0, None, rng, 1 << 14)
+        x = np.random.default_rng(1).standard_normal(1 << 14)
+        m8, _ = recon_error_cell(x, "E8M0", 8, None)
+        m128, _ = recon_error_cell(x, "E8M0", 128, None)
         # Larger blocks share one scale over more elements: error grows.
         assert m128 >= m8
 
     def test_extreme_scale_hurts_bounded_scale_format(self):
-        rng = np.random.default_rng(2)
-        e4m3, _ = recon_error_cell("E4M3", 16, 1e30, None, rng, 1 << 14)
-        rng = np.random.default_rng(2)
-        e8m0, _ = recon_error_cell("E8M0", 16, 1e30, None, rng, 1 << 14)
+        x = np.random.default_rng(2).standard_normal(1 << 14) * 1e30
+        e4m3, _ = recon_error_cell(x, "E4M3", 16, None)
+        e8m0, _ = recon_error_cell(x, "E8M0", 16, None)
         # Bounded scale range saturates: essentially everything is lost.
         assert e4m3 > 0.9
         assert e8m0 < 0.5
@@ -431,28 +450,26 @@ class TestReconError:
                         == _bits(*expected))
 
     @pytest.mark.parametrize("n_elements", [0, -1])
-    def test_no_elements_rejected_before_any_draw(self, n_elements):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="n_elements must be at least 1"):
-            recon_error_cell("E8M0", 16, 1.0, None, rng, n_elements)
+    def test_no_elements_rejected_before_any_draw(self, monkeypatch, n_elements):
+        draws = []
+        monkeypatch.setattr(sweep, "_draw", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="n_elements must be at least 1"):
             recon_error_experiment(n_elements=n_elements)
-        assert rng.bit_generator.state == state
-
-    def test_zero_scale_rejected_before_any_draw(self):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="scale of 0"):
-            recon_error_cell("E8M0", 16, 0.0, None, rng)
-        assert rng.bit_generator.state == state
+        assert draws == []
 
     def test_draw_without_a_nonzero_element_rejected(self):
         # The smallest subnormal times |x| < 0.5 rounds to 0.
-        rng = np.random.default_rng(0)
-        assert abs(np.random.default_rng(0).standard_normal()) < 0.5
-        with pytest.raises(ValueError, match="all 1 elements drawn"):
-            recon_error_cell("E8M0", 8, 5e-324, None, rng, 1)
+        x = np.random.default_rng(0).standard_normal(1)
+        assert abs(x[0]) < 0.5
+        with pytest.raises(ValueError, match="none of the 1 elements of x is nonzero"):
+            recon_error_cell(x * 5e-324, "E8M0", 8, None)
+
+    @pytest.mark.parametrize("x", [np.zeros(0), np.zeros(5), np.full(3, -0.0)],
+                             ids=["empty", "zeros", "negative-zeros"])
+    def test_cell_without_a_nonzero_element_rejected(self, x):
+        # An empty x has no zero element either, but no element to score.
+        with pytest.raises(ValueError, match=f"none of the {x.size} elements"):
+            recon_error_cell(x, "E8M0", 8, None)
 
     def test_late_cell_error_propagates_and_stops_the_worker(self, monkeypatch):
         # The second of 10 cells draws its one element at the smallest
@@ -460,7 +477,7 @@ class TestReconError:
         # third.
         monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (5e-324,))
         threads = threading.active_count()
-        with pytest.raises(ValueError, match="all 1 elements drawn"):
+        with pytest.raises(ValueError, match="none of the 1 elements"):
             recon_error_experiment(formats=("E8M0",), block_sizes=(8,), seed=0,
                                    n_elements=1)
         assert threading.active_count() == threads
@@ -481,10 +498,14 @@ class TestReconError:
             recon_error_experiment(n_elements=64, **grid)
         assert calls == []
 
-    @pytest.mark.parametrize("work", [None, np.empty((3, 64)), np.empty((2, 65))])
+    @pytest.mark.parametrize("work", [np.empty((3, 64)), np.empty((2, 64)),
+                                      np.empty((2, 1025))])
     def test_pre_drawn_cell_needs_a_matching_work_block(self, work):
-        with pytest.raises(ValueError, match="rng=None needs a pre-drawn"):
-            recon_error_cell("E8M0", 16, 1.0, None, None, 65, work=work)
+        # Refused, never cut to fit: the cell scored the first 64 elements
+        # of a (3, 64) block when it still drew its own tensor.
+        x = np.random.default_rng(0).standard_normal(1024)
+        with pytest.raises(ValueError, match=r"work must have shape \(2, 1024\)"):
+            recon_error_cell(x, "E8M0", 16, None, work)
 
     def test_grid_rows_and_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep, "RECON_TENSOR_SCALES", (1.0, 1e8))
@@ -505,8 +526,8 @@ class TestReconError:
 def _recon_cell_oracle(scale_format, block_size, tensor_scale, beta, rng, n_elements):
     """A cell's statistics as masked copies and ``np.median`` give them."""
     x = rng.standard_normal(n_elements) * tensor_scale
-    z = ZFunction(Z_ABSMAX) if beta is None else ZFunction(Z_LOGSUMEXP, beta=beta)
-    spec = BlockSpec(block_size=block_size, scale_format=get_format(scale_format), z=z)
+    spec = BlockSpec(block_size=block_size, scale_format=get_format(scale_format),
+                     beta=beta)
     deq = dequantize_tensor(quantize_tensor(x, spec))
     nonzero = x != 0
     rel = np.abs(x[nonzero] - deq[nonzero]) / np.abs(x[nonzero])
@@ -525,8 +546,8 @@ class TestReconCellOracle:
     @pytest.mark.parametrize("scale_format", ["E8M0", "E4M3", "UE5M3"])
     def test_same_bits_as_masked_copies_and_np_median(
             self, scale_format, block_size, beta, n_elements, tensor_scale):
-        got = recon_error_cell(scale_format, block_size, tensor_scale, beta,
-                               np.random.default_rng(7), n_elements)
+        x = np.random.default_rng(7).standard_normal(n_elements) * tensor_scale
+        got = recon_error_cell(x, scale_format, block_size, beta)
         expected = _recon_cell_oracle(scale_format, block_size, tensor_scale, beta,
                                       np.random.default_rng(7), n_elements)
         assert _bits(*got) == _bits(*expected)
