@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,9 @@ from .formats import (
     E2M1,
     E8M0,
     ROUNDING_MODES,
+    STOCHASTIC,
     TIES_TO_EVEN,
+    TOWARD_POSITIVE,
     FloatFormat,
     _check_rounding,
     _round,
@@ -41,6 +44,7 @@ from .formats import (
     encode_array,
     round_array,  # noqa: F401 - the benchmark's tracer patches this binding
 )
+from . import _kernel
 
 # What to do when a block scale rounds to zero (or underflows past the grid).
 ZERO_NEAREST_SUBNORMAL = "nearest_subnormal"
@@ -75,6 +79,14 @@ class BlockSpec:
         for mode in (self.scale_rounding, self.elem_rounding):
             if mode not in ROUNDING_MODES:
                 raise ValueError(f"unknown rounding mode {mode!r}")
+
+    @cached_property
+    def _kernel_args(self) -> tuple[_kernel.Format, int, _kernel.Format, int]:
+        """The scale format and rounding and the element format and rounding,
+        as the compiled kernel takes them."""
+        return (_kernel.format_params(self.scale_format, _zero_fill(self)),
+                ROUNDING_MODES.index(self.scale_rounding),
+                _kernel.format_params(E2M1, 0.0), ROUNDING_MODES.index(self.elem_rounding))
 
 
 @dataclass
@@ -227,15 +239,28 @@ def quantize_scales(
         out = np.full(s.shape, fmt.max_finite)
         out[finite] = _round(s[finite], fmt, mode, rng)
     if not fmt.exponent_only:  # an exponent-only grid has no zero
-        nearest = spec.zero_mode == ZERO_NEAREST_SUBNORMAL
-        np.copyto(out, fmt.min_positive if nearest else 1.0, where=out <= 0)
+        np.copyto(out, _zero_fill(spec), where=out <= 0)
     return out
+
+
+def _zero_fill(spec: BlockSpec) -> float:
+    """What a block scale that rounds to zero becomes under the spec's zero mode."""
+    fmt = spec.scale_format
+    return fmt.min_positive if spec.zero_mode == ZERO_NEAREST_SUBNORMAL else 1.0
 
 
 def nvfp4_rescale_constant(spec: BlockSpec) -> float:
     """Fixed divisor that re-centers per-block multipliers in a narrow
     scale format when tensor scaling is active (half of elem_max * scale_max)."""
     return E2M1.max_finite * spec.scale_format.max_finite * 0.5
+
+
+def _rescale(spec: BlockSpec, tensor_scaling: bool) -> float:
+    """The divisor applied to the ideal multipliers: 1 unless tensor scaling
+    runs with the narrow E4M3 scale format."""
+    if tensor_scaling and spec.scale_format.name == E4M3.name:
+        return nvfp4_rescale_constant(spec)
+    return 1.0
 
 
 def _partition(X: np.ndarray, block_size: int) -> np.ndarray:
@@ -268,8 +293,14 @@ def quantize_blocks(
     normalized blocks is ``z / g``; the log-sum-exp is recomputed on them
     (it is not linear in general).
     The fixed rescale divisor is applied for the narrow E4M3 scale format.
+
+    An Absmax spec runs in the compiled kernel when it is loaded
+    (:func:`_quantize_absmax`); the NumPy code below is its fallback and its
+    byte-for-byte oracle.
     """
     X = np.asarray(X, dtype=np.float64)
+    if spec.beta is None and _KERNEL is not None:
+        return _quantize_absmax(X, spec, tensor_scaling, rng)
     l = spec.block_size
     blocks = _partition(X, l)
     z_mask = None if blocks.size == X.size else _partition(np.ones(X.shape), l) > 0
@@ -292,10 +323,8 @@ def quantize_blocks(
     with np.errstate(divide="ignore", over="ignore"):
         s_ideal = E2M1.max_finite / z
 
-    rescale, s_pre = 1.0, s_ideal
-    if tensor_scaling and spec.scale_format.name == E4M3.name:
-        rescale = nvfp4_rescale_constant(spec)
-        s_pre = s_ideal / rescale
+    rescale = _rescale(spec, tensor_scaling)
+    s_pre = s_ideal if rescale == 1.0 else s_ideal / rescale
 
     stored = quantize_scales(s_pre, spec, rng)
     s_eff = stored if rescale == 1.0 else rescale * stored
@@ -305,6 +334,64 @@ def quantize_blocks(
     return QuantizedTensor(
         shape=X.shape, scales=stored, elements=q, spec=spec, blocks=blocks, z=z,
         s_ideal=s_ideal, global_scale=g, rescale=rescale,
+    )
+
+
+# The compiled kernel (``quantize.c``), or None where it could not be built.
+_KERNEL = _kernel.load()
+_UNIFORMS = threading.local()  # each thread's reused buffer of draws
+
+
+def _quantize_absmax(
+    X: np.ndarray, spec: BlockSpec, tensor_scaling: bool, rng: np.random.Generator | None
+) -> QuantizedTensor:
+    """:func:`quantize_blocks` of an Absmax spec in the compiled kernel: the
+    same record, bit for bit, after the same checks and the same draws.
+
+    The kernel writes every field into one buffer.  Roundings that draw
+    nothing take one call; otherwise a first call gives the statistics, the
+    checks run, the scale uniforms (one per finite multiplier) and then the
+    element uniforms (one per padded element) are drawn as ``_round``
+    draws them, and a second call rounds.
+    """
+    lib, l = _KERNEL, spec.block_size
+    rows = X.reshape(-1, X.shape[-1] if X.ndim else 1) if X.size else X.reshape(1, 0)
+    if not rows.flags.aligned:  # strides the kernel cannot step by
+        rows = rows.copy()
+    (nrows, n), (rs, cs) = rows.shape, rows.strides
+    size = nrows * max(1, -(-n // l)) * l
+    nb = size // l
+    out = np.empty(2 * size + 3 * nb + 1)
+    rescale = _rescale(spec, tensor_scaling)
+    x, p = rows.ctypes.data, out.ctypes.data
+    draws = not {spec.scale_rounding, spec.elem_rounding} <= {TIES_TO_EVEN, TOWARD_POSITIVE}
+    if draws:  # or a mode that _check_rounding refuses
+        finite = lib.mx_absmax_stats(x, nrows, n, rs // 8, cs // 8, l, tensor_scaling,
+                                     E2M1.max_finite, p)
+    else:
+        finite = lib.mx_absmax_quantize(x, nrows, n, rs // 8, cs // 8, l, tensor_scaling,
+                                        rescale, *spec._kernel_args, p)
+    if finite < 0:
+        raise ValueError("quantization requires finite inputs")
+    if draws:
+        _check_rounding(spec.elem_rounding, rng)
+        _check_rounding(spec.scale_rounding, rng)
+        k = finite if spec.scale_rounding == STOCHASTIC else 0
+        u = getattr(_UNIFORMS, "buf", None)
+        if u is None or u.size < k + size:
+            u = _UNIFORMS.buf = np.empty(k + size)
+        if k:
+            rng.random(out=u[:k])
+        if spec.elem_rounding == STOCHASTIC:
+            rng.random(out=u[k:k + size])
+        up = u.ctypes.data
+        lib.mx_absmax_round(nb, l, rescale, *spec._kernel_args, up, up + 8 * k, p)
+    blocks, elements = out[:size].reshape(nb, l), out[size:2 * size].reshape(nb, l)
+    z, s_ideal, scales = out[2 * size:-1].reshape(3, nb)
+    return QuantizedTensor(
+        shape=X.shape, scales=scales, elements=elements, spec=spec, blocks=blocks, z=z,
+        s_ideal=s_ideal, global_scale=float(out[-1]) if tensor_scaling else None,
+        rescale=rescale,
     )
 
 

@@ -101,7 +101,8 @@ class SweepConfig:
     the scale quantizer's gradient estimator, and ``tensor_grad`` the
     treatment of the global tensor scale (``N/A`` or ``ignore`` when tensor
     scaling is off).  Construction rejects any other spelling of an option,
-    and a tensor-scale gradient without tensor scaling.  The
+    a tensor-scale gradient without tensor scaling, and tensor scaling
+    without one (``N/A``).  The
     scale format is left to the runner, so that published rows naming
     formats this package lacks still get their complexity.
     """
@@ -129,6 +130,9 @@ class SweepConfig:
                 )
         if not self.tensor_scaling and self.tensor_grad in ("absmax", "STE"):
             raise ValueError(f"tensor_grad {self.tensor_grad!r} needs tensor_scaling")
+        if self.tensor_scaling and self.tensor_grad == NOT_APPLICABLE:
+            raise ValueError("tensor_scaling needs a tensor_grad: "
+                             f"{', '.join(TENSOR_GRAD_MODES)}")
 
 
 #: The values each checked SweepConfig field accepts.
@@ -263,34 +267,30 @@ class SweepGrid:
 _AXIS_FIELDS = {f.name: f.name[:-1] for f in fields(SweepGrid)}
 
 
-def _valid(cfg: SweepConfig) -> bool:
-    # With tensor scaling on, the tensor-scale gradient needs a real option.
-    return not (cfg.tensor_scaling and cfg.tensor_grad == NOT_APPLICABLE)
-
-
 def enumerate_configs(grid: SweepGrid | None = None) -> tuple[SweepConfig, ...]:
     """Expand a grid into its distinct valid configurations, in order.
 
     The block size follows the scale format (16 for E4M3, else 32), and the
     tensor-scale gradient axis collapses to ``N/A`` whenever tensor scaling
-    is disabled.  Raises ``ValueError`` for an axis value that
-    :class:`SweepConfig` rejects.
+    is disabled; with it enabled, the axis value ``N/A`` is skipped.  Raises
+    ``ValueError`` for an axis value that :class:`SweepConfig` rejects.
     """
     grid = grid or SweepGrid()
     # Collapsing tensor_grad to N/A repeats configurations; each distinct
-    # one is built and checked once, in first-seen order (None: invalid).
-    seen: dict[tuple, SweepConfig | None] = {}
+    # one is built and checked once, in first-seen order.
+    seen: dict[tuple, SweepConfig] = {}
     for values in product(*grid.axes()):
         kw = dict(zip(_AXIS_FIELDS.values(), values))
         if kw["scale_format"] == "E4M3":
             kw["block_size"] = 16
         if not kw["tensor_scaling"]:
             kw["tensor_grad"] = NOT_APPLICABLE
+        elif kw["tensor_grad"] == NOT_APPLICABLE:
+            continue
         key = tuple(kw.values())
         if key not in seen:
-            cfg = SweepConfig(**kw)
-            seen[key] = cfg if _valid(cfg) else None
-    return tuple(cfg for cfg in seen.values() if cfg is not None)
+            seen[key] = SweepConfig(**kw)
+    return tuple(seen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ class TestConfigParsing:
                              f"tensor_scaling = false\ntensor_grad = {tensor_grad}\n")
         assert f"tensor_grad {tensor_grad!r} needs tensor_scaling" in err
 
+    def test_tensor_scaling_needs_a_tensor_grad(self, tmp_path, capsys):
+        # It used to train with tensor_grad "ignore" and write N/A beside True.
+        with pytest.raises(ConfigError, match="tensor_scaling needs a tensor_grad"):
+            sweep_config_from_dict({"tensor_scaling": "true"})
+        err = _train_refuses(tmp_path, capsys, "tensor_scaling = true\nepochs = 1\n")
+        assert "tensor_scaling needs a tensor_grad: ignore, absmax, STE" in err
+
     def test_unreadable_config_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):
             parse_config_file(str(tmp_path))  # a directory

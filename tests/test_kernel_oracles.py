@@ -7,19 +7,34 @@ straightforward row-wise versions (``frexp``/``ldexp`` rounding, row
 reductions, a plain ``np.exp``); each kernel must give the same bytes.
 ``formats.encode_array`` looks codes up in the format's grid; its
 reference derives them from the exponent and mantissa fields.
+
+The compiled absmax kernel (``quantize.c``), built here into a temporary
+directory, must give every field of the NumPy path's ``quantize_blocks``
+record, byte for byte, leave the rng in the same state and raise the same
+errors.
 """
 
 import math
+import os
+import platform
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mxsim import formats, mx
+from mxsim import _kernel, formats, mx
 from mxsim.formats import (
     E8M0,
     FORMATS,
+    ROUNDING_MODES,
     STOCHASTIC,
     TIES_TO_EVEN,
     TOWARD_POSITIVE,
@@ -277,3 +292,226 @@ def test_encode_matches_field_arithmetic_on_any_floats(name, values, k):
         _same_encoding(np.array([v]), fmt)
         _same_encoding(np.array([v, g[k % g.size]]), fmt)
     _same_encoding(np.array(values), fmt)
+
+
+# ---------------------------------------------------------------------------
+# The compiled absmax kernel against the NumPy path
+# ---------------------------------------------------------------------------
+
+RECORD_ARRAYS = ("scales", "elements", "blocks", "z", "s_ideal")
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    lib = _kernel.load(tmp_path_factory.mktemp("kernel"))
+    if lib is None:
+        pytest.skip(f"the kernel did not build: {_kernel.COMMAND[0]!r} is missing or failed "
+                    f"(on PATH: {shutil.which(_kernel.COMMAND[0])})")
+    return lib
+
+
+def _outcome(X, spec, tensor_scaling, seed):
+    """Everything a quantize_blocks call shows: each record field (arrays as
+    dtype, shape and bytes) or the error, and the rng state after it."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    try:
+        res = quantize_blocks(X, spec, tensor_scaling, rng)
+    except ValueError as exc:
+        got = ("ValueError", str(exc))
+    else:
+        arrays = [getattr(res, name) for name in RECORD_ARRAYS]
+        got = [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+        got += [res.shape, res.spec, res.global_scale, res.rescale]
+    return got, None if rng is None else rng.bit_generator.state
+
+
+def _same_on_both_paths(monkeypatch, kernel, X, spec, tensor_scaling=False, seed=None):
+    monkeypatch.setattr(mx, "_KERNEL", kernel)
+    compiled = _outcome(X, spec, tensor_scaling, seed)
+    monkeypatch.setattr(mx, "_KERNEL", None)
+    assert compiled == _outcome(X, spec, tensor_scaling, seed), (spec, tensor_scaling)
+    return compiled
+
+
+def _hard_rows(l, rng):
+    """100 rows of 5 * l - 3 values, so each row needs padding: Gaussian rows
+    at tensor scales from subnormal to 1e300 (recon's 1e-4 to 1e28 among
+    them), a zero row, a row of +-0, E2M1 midpoints behind a block maximum
+    of 6 * 2**k, and maxima of 4.5 * 2**k, whose E8M0 multiplier 6 / z is a
+    tie at fl(4/3) * 2**-k."""
+    n = 5 * l - 3
+    scales = np.array([1e-310, 1e-300, 1e-30, 1e-4, 1e-1, 1.0, 1e4, 1e16, 1e28, 1e300])
+    x = rng.standard_normal((100, n)) * np.resize(scales, 100)[:, None]
+    x[0] = 0.0
+    x[1] = np.resize([0.0, -0.0], n)
+    mids = [6.0, 0.25, -0.75, 1.25, 1.75, -2.5, 3.5, -5.0, 0.5, -0.0]
+    for r, k in ((2, 0), (3, -9), (4, 40)):
+        x[r] = np.resize(mids, n) * 2.0**k
+    for r, k in ((5, 0), (6, 3), (7, -126), (8, 100)):
+        x[r] = np.resize([4.5, -1.0, 2.0, 0.1], n) * 2.0**k
+    return x
+
+
+@pytest.mark.parametrize("fmt", FORMATS.values(), ids=FORMATS.keys())
+def test_kernel_gives_the_numpy_record(monkeypatch, kernel, fmt):
+    # 6 scale formats x 9 rounding pairs x 2 zero modes x 2 tensor-scaling
+    # states, over 500 blocks each (100 rows of 5): 108k blocks.
+    rng = np.random.default_rng(11)
+    for i, (sr, er, zm, ts) in enumerate(product(ROUNDING_MODES, ROUNDING_MODES,
+                                                 mx.ZERO_MODES, (False, True))):
+        l = (8, 16, 32, 64, 128)[i % 5]
+        spec = BlockSpec(block_size=l, scale_format=fmt, scale_rounding=sr,
+                         elem_rounding=er, zero_mode=zm)
+        _same_on_both_paths(monkeypatch, kernel, _hard_rows(l, rng), spec, ts, seed=i)
+
+
+@pytest.mark.parametrize("shape, l", [
+    ((), 32), ((0,), 32), ((3, 0), 8), ((0, 5), 8), ((1,), 1), ((7,), 8), ((200,), 128),
+    ((2, 3, 33), 16), ((4, 96), 32),
+])
+def test_kernel_gives_the_numpy_record_on_any_shape(monkeypatch, kernel, shape, l):
+    x = np.random.default_rng(len(shape)).standard_normal(shape) * 3.0
+    for sr, er in product(ROUNDING_MODES, ROUNDING_MODES):
+        for ts in (False, True):
+            spec = BlockSpec(block_size=l, scale_format=FORMATS["E4M3"], scale_rounding=sr,
+                             elem_rounding=er)
+            _same_on_both_paths(monkeypatch, kernel, x, spec, ts, seed=3)
+
+
+def test_kernel_reads_any_layout(monkeypatch, kernel):
+    # Transposed, reversed, broadcast and misaligned views, and non-float64
+    # inputs, are read as NumPy reads them.
+    x = np.random.default_rng(2).standard_normal((48, 40))
+    packed = np.zeros(x.shape, dtype=[("pad", "u1"), ("x", "<f8")])  # 9-byte strides
+    packed["x"] = x
+    assert not packed["x"].flags.aligned
+    for view in (x.T, x[::-1, ::-3], np.broadcast_to(x[0], (5, 40)), packed["x"],
+                 x.astype(np.float32), (x * 8).astype(np.int64), x.tolist()):
+        for rounding in ROUNDING_MODES:
+            spec = BlockSpec(block_size=16, scale_rounding=rounding, elem_rounding=rounding)
+            _same_on_both_paths(monkeypatch, kernel, view, spec, True, seed=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_refuses_what_numpy_refuses_without_drawing(monkeypatch, kernel, bad):
+    x = np.ones((4, 40))
+    x[2, 39] = bad
+    untouched = np.random.default_rng(6).bit_generator.state
+    for sr, er in product(ROUNDING_MODES, ROUNDING_MODES):
+        spec = BlockSpec(block_size=16, scale_rounding=sr, elem_rounding=er)
+        finite_error = ("ValueError", "quantization requires finite inputs")
+        assert _same_on_both_paths(monkeypatch, kernel, x, spec, seed=6) == (finite_error,
+                                                                                untouched)
+        if STOCHASTIC in (sr, er):  # and without an rng: the same error first
+            assert _same_on_both_paths(monkeypatch, kernel, x, spec)[0] == finite_error
+            got = _same_on_both_paths(monkeypatch, kernel, np.ones(9), spec)
+            assert got[0] == ("ValueError", "Stochastic rounding requires an rng stream")
+
+
+def test_zero_blocks_draw_no_scale_uniforms(monkeypatch, kernel):
+    # Every multiplier is the +inf sentinel, so stochastic scales draw 0.
+    for er in ROUNDING_MODES:
+        spec = BlockSpec(block_size=8, scale_rounding=STOCHASTIC, elem_rounding=er)
+        _same_on_both_paths(monkeypatch, kernel, np.zeros((3, 20)), spec, seed=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=0, max_size=40), st.integers(1, 12),
+       st.sampled_from(sorted(FORMATS)), st.sampled_from(ROUNDING_MODES),
+       st.sampled_from(ROUNDING_MODES), st.sampled_from(mx.ZERO_MODES), st.booleans())
+def test_kernel_gives_the_numpy_record_on_any_floats(kernel, values, l, name, sr, er, zm, ts):
+    spec = BlockSpec(block_size=l, scale_format=FORMATS[name], scale_rounding=sr,
+                     elem_rounding=er, zero_mode=zm)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _same_on_both_paths(monkeypatch, kernel, np.array(values), spec, ts, seed=9)
+
+
+def test_threads_share_the_kernel_safely(monkeypatch, kernel):
+    # sweep.run_many calls quantize_blocks from pool threads while the
+    # kernel runs without the GIL; each thread draws into its own buffer.
+    monkeypatch.setattr(mx, "_KERNEL", kernel)
+    spec = BlockSpec(block_size=16, scale_rounding=STOCHASTIC, elem_rounding=STOCHASTIC)
+    inputs = [np.random.default_rng(i).standard_normal((250 + i, 64)) for i in range(6)]
+
+    def run(i):
+        rng = np.random.default_rng(i)
+        return [quantize_blocks(inputs[i], spec, True, rng).elements.tobytes()
+                for _ in range(30)]
+
+    serial = [run(i) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            assert list(pool.map(run, range(6), timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# Building and loading the kernel
+# ---------------------------------------------------------------------------
+
+
+def test_a_library_of_another_source_is_never_loaded(kernel, tmp_path, monkeypatch):
+    # The library's name is keyed by the source: an edited source builds
+    # and loads its own, and a file under any other key is left alone.
+    (tmp_path / "quantize-0000000000000000.so").write_bytes(b"not a library")
+    first = _kernel.load(tmp_path)
+    edited = tmp_path / "quantize.c"
+    edited.write_bytes(_kernel.SOURCE.read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(_kernel, "SOURCE", edited)
+    second = _kernel.load(tmp_path)
+    assert {Path(first._name).parent, Path(second._name).parent} == {tmp_path}
+    assert first._name != second._name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["quantize-0000000000000000.so", "quantize.c", Path(first._name).name,
+         Path(second._name).name])
+    assert _kernel.load(tmp_path)._name == second._name  # found, not rebuilt
+
+
+@pytest.mark.parametrize("command", [("no-such-compiler-here",),
+                                     (*_kernel.COMMAND, "-fno-such-flag")])
+def test_a_failed_build_leaves_numpy(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(_kernel, "COMMAND", command)
+    assert _kernel.load(tmp_path / "cache") is None
+    assert list((tmp_path / "cache").iterdir()) == []  # no temporary file is left
+
+
+def test_an_unwritable_cache_leaves_numpy(tmp_path):
+    (tmp_path / "file").write_text("")
+    assert _kernel.load(tmp_path / "file") is None
+    assert _kernel.load(tmp_path / "file" / "cache") is None
+
+
+def test_the_cpu_key(tmp_path):
+    # -march=native builds for this CPU, so its model and flags key the library.
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nmodel name\t: X\nflags\t\t: a b\ncpu MHz\t: 1\n"
+                       "processor\t: 1\nmodel name\t: X\nflags\t\t: a b\ncpu MHz\t: 2\n")
+    assert _kernel._cpu(cpuinfo) == "flags\t\t: a b\nmodel name\t: X"
+    assert _kernel._cpu(tmp_path / "none") == f"{platform.machine()} {platform.processor()}"
+
+
+def test_the_source_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert _kernel.SOURCE.name in config["tool"]["setuptools"]["package-data"]["mxsim"]
+
+
+@pytest.mark.parametrize("case", ["no compiler", "unwritable cache"])
+def test_import_succeeds_without_a_kernel(tmp_path, case):
+    # A fresh copy of the package, so no library is cached for it.
+    package = tmp_path / "mxsim"
+    shutil.copytree(Path(mx.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    if case == "no compiler":
+        env["PATH"] = str(tmp_path / "empty")
+    else:
+        (package / "__pycache__").write_text("")
+    code = ("import mxsim, numpy as np; from mxsim import mx; assert mx._KERNEL is None; "
+            "print(mxsim.quantize_tensor(np.arange(8.0), mx.BlockSpec(block_size=4)).scales)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[2. 1.]\n"

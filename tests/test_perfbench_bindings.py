@@ -34,6 +34,19 @@ def test_every_binding_is_the_defining_function(name):
         assert getattr(module, attr) is original, f"mxsim.{mod_name}.{attr}"
 
 
+def _count_helper_calls(monkeypatch, mx):
+    """The list that each call of mx.z_values and mx.quantize_scales appends
+    its name to."""
+    calls = []
+    for attr in ("z_values", "quantize_scales"):
+        def counting(*args, _attr=attr, _fn=getattr(mx, attr), **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mx, attr, counting)
+    return calls
+
+
 @pytest.mark.parametrize("statistic, tensor_scaling, z_calls", [
     ("Absmax", False, 1),
     ("Absmax", True, 1),  # the normalized maximum is z / g
@@ -42,19 +55,41 @@ def test_every_binding_is_the_defining_function(name):
 def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, statistic, tensor_scaling,
                                                   z_calls):
     # The tracer times z_values and quantize_scales at their mx bindings;
-    # folding either into quantize_blocks would make its metrics read 0.
+    # folding either into the NumPy path of quantize_blocks would make its
+    # metrics read 0.  The compiled kernel calls neither (the next test).
     mx = importlib.import_module("mxsim.mx")
+    monkeypatch.setattr(mx, "_KERNEL", None)
     beta = None if statistic == "Absmax" else 40.0
-    calls = []
-    for attr in ("z_values", "quantize_scales"):
-        def counting(*args, _attr=attr, _fn=getattr(mx, attr), **kwargs):
-            calls.append(_attr)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(mx, attr, counting)
+    calls = _count_helper_calls(monkeypatch, mx)
     mx.quantize_blocks(np.ones((4, 64)), mx.BlockSpec(beta=beta), tensor_scaling=tensor_scaling)
     assert calls.count("z_values") == z_calls
     assert calls.count("quantize_scales") == 1
+
+
+def test_kernel_path_calls_no_helper(monkeypatch):
+    # On the kernel path an Absmax quantization is one quantize_blocks call
+    # and no helper call, so the mx.z_values and mx.quantize_scales metrics
+    # time only LogSumExp specs; those keep their helper calls.
+    mx = importlib.import_module("mxsim.mx")
+    if mx._KERNEL is None:
+        pytest.skip("the compiled kernel is not built on this host")
+    calls = _count_helper_calls(monkeypatch, mx)
+    original = mx.quantize_blocks
+
+    def counting(*args, **kwargs):
+        calls.append("quantize_blocks")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mx, "quantize_blocks", counting)
+    for tensor_scaling in (False, True):
+        for beta, rounding in ((None, "TiesToEven"), (None, "Stochastic"), (40.0, "TiesToEven")):
+            calls.clear()
+            spec = mx.BlockSpec(beta=beta, elem_rounding=rounding)
+            mx.quantize_tensor(np.ones((4, 64)), spec, tensor_scaling, np.random.default_rng(0))
+            z_calls = 0 if beta is None else 1 + tensor_scaling
+            assert calls.count("z_values") == z_calls
+            assert calls.count("quantize_scales") == (beta is not None)
+            assert calls.count("quantize_blocks") == 1
 
 
 def test_recon_grid_calls_the_traced_cell(monkeypatch):

@@ -324,6 +324,21 @@ class TestOptionVocabulary:
             SweepConfig(tensor_grad=tensor_grad)
         assert SweepConfig(tensor_grad="ignore").tensor_grad == "ignore"
         assert SweepConfig(tensor_scaling=True, tensor_grad=tensor_grad)
+        assert SweepConfig(tensor_scaling=True, tensor_grad="ignore")
+
+    def test_tensor_scaling_needs_a_tensor_grad(self):
+        # It used to run as "ignore" and print N/A beside True in results.csv.
+        with pytest.raises(ValueError, match="tensor_scaling needs a tensor_grad: ignore, "):
+            SweepConfig(tensor_scaling=True)
+
+    def test_grid_skips_tensor_scaling_without_a_tensor_grad(self):
+        grid = SweepGrid(scale_formats=("E8M0",), max_grads=("STE",),
+                         round_modes=("TiesToEven",), quant_grads=("STE",),
+                         scale_grads=("STE",), tensor_grads=("N/A", "ignore"),
+                         optimisers=("Adam",), loss_scalings=(False,),
+                         tensor_scalings=(True, False), srs=("None",), hadamards=("None",))
+        assert [(c.tensor_scaling, c.tensor_grad) for c in enumerate_configs(grid)] == [
+            (False, "N/A"), (True, "ignore")]
 
     @pytest.mark.parametrize("kw, error, message", [
         ({"optimiser": "StableSPAM"}, ValueError, "only Adam ships"),
