@@ -1,4 +1,6 @@
-"""Build and load ``quantize.c``, the compiled absmax quantization kernel.
+"""Build and load ``quantize.c``, the compiled quantization kernel: block
+quantization under either statistic and the softmax derivative of the
+statistic, with NumPy's ``exp`` and ``log`` called between its steps.
 
 The library is compiled on first import with the system C compiler into
 this package's ``__pycache__``, under a name keyed by a hash of the source,
@@ -7,7 +9,7 @@ edited source, command or host is rebuilt and a stale build is never
 loaded.  The compiler writes to a temporary name that is then renamed into
 place, so processes importing at once are safe.  When anything fails (no
 compiler, a read-only directory, another platform) :func:`load` returns
-None and ``mx.quantize_blocks`` stays on NumPy.
+None and ``mx`` and ``qgrad`` stay on NumPy.
 """
 
 from __future__ import annotations
@@ -24,8 +26,12 @@ from .formats import FloatFormat
 SOURCE = Path(__file__).with_name("quantize.c")
 CACHE_DIR = SOURCE.with_name("__pycache__")
 # IEEE double arithmetic exactly as written: no fused multiply-add, and
-# never -ffast-math or -Ofast.
-COMMAND = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+# never -ffast-math or -Ofast.  Of -ffast-math's parts only
+# -fno-trapping-math is taken: it changes no value (the kernel reads no
+# floating-point exception flag), and without it gcc keeps the floor and
+# ceil of the stochastic and round-up element loops scalar.
+COMMAND = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-fno-trapping-math",
+           "-shared", "-fPIC")
 
 
 class Format(ctypes.Structure):
@@ -59,10 +65,15 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr, i64, f64, fmt = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.POINTER(Format)
     rows = [ptr, i64, i64, i64, i64, i64, i64]  # x, nrows, n, strides, l, tensor_scaling
     lib.mx_absmax_stats.argtypes = rows + [f64, ptr]
-    lib.mx_absmax_round.argtypes = [i64, i64, f64, fmt, i64, fmt, i64, ptr, ptr, ptr]
+    lib.mx_round.argtypes = [i64, i64, f64, fmt, i64, fmt, i64, ptr, ptr, ptr]
     lib.mx_absmax_quantize.argtypes = rows + [f64, fmt, i64, fmt, i64, ptr]
+    # blocks, mask, nb, l, g, beta, bound, rows, m, e
+    lib.mx_lse_shift.argtypes = [ptr, ptr, i64, i64, f64, f64, f64, ptr, ptr, ptr]
+    lib.mx_lse_sum.argtypes = [ptr, i64, i64, ptr]
+    lib.mx_softmax_grad.argtypes = [ptr, i64, i64, ptr]
     lib.mx_absmax_stats.restype = lib.mx_absmax_quantize.restype = i64
-    lib.mx_absmax_round.restype = None
+    lib.mx_lse_shift.restype = i64
+    lib.mx_round.restype = lib.mx_lse_sum.restype = lib.mx_softmax_grad.restype = None
     return lib
 
 

@@ -197,18 +197,32 @@ def z_values(
     maximum, or its log-sum-exp at ``beta``; ``mask`` excludes padding
     positions.
 
-    ``|blocks|`` is written once into a block-major ``(l, num_blocks)``
-    buffer (``_block_major_abs``); the maximum and the log-sum-exp work
-    along its rows, in place, and the exp terms are summed in the order the
-    row-wise sum adds them (``_pairwise_sum``).
+    The log-sum-exp runs in the compiled kernel when it is loaded
+    (:func:`_kernel_lse`).  Otherwise ``|blocks|`` is written once into a
+    block-major ``(l, num_blocks)`` buffer (``_block_major_abs``); the
+    maximum and the log-sum-exp work along its rows, in place, and the exp
+    terms are summed in the order the row-wise sum adds them
+    (``_pairwise_sum``).  The maximum of blocks of 64 or more is taken
+    along the rows, where the transposed copy costs more than it saves.
     """
+    if beta is not None:
+        got = _kernel_lse(blocks, beta, mask)
+        if got is not None:
+            return got[1]
+    elif np.ndim(blocks) and np.shape(blocks)[-1] >= 64:
+        a = np.abs(np.asarray(blocks, dtype=np.float64))
+        if mask is not None:
+            np.copyto(a, 0.0, where=~mask)
+        return a.max(axis=-1, initial=0.0)
     a = _block_major_abs(blocks, mask, 0.0)
     m = a.max(axis=0, initial=0.0)
     if beta is None or not np.isfinite(m).all():  # no shift for inf/NaN
         return m
-    # Log-sum-exp with a max shift so large beta * |x| cannot overflow.
+    # Log-sum-exp with a max shift so large beta * |x| cannot overflow; an
+    # argument that overflows below is -inf, whose exp is the 0 it stands for.
     a -= m
-    a *= beta
+    with np.errstate(over="ignore"):
+        a *= beta
     _exp_in_place(a)
     if mask is None:
         return m + np.log(_pairwise_sum(a)) / beta
@@ -294,13 +308,13 @@ def quantize_blocks(
     (it is not linear in general).
     The fixed rescale divisor is applied for the narrow E4M3 scale format.
 
-    An Absmax spec runs in the compiled kernel when it is loaded
-    (:func:`_quantize_absmax`); the NumPy code below is its fallback and its
-    byte-for-byte oracle.
+    Every non-empty tensor, and an empty one under Absmax, is quantized in
+    the compiled kernel when it is loaded (:func:`_quantize_kernel`); the
+    NumPy code below is its fallback and its byte-for-byte oracle.
     """
     X = np.asarray(X, dtype=np.float64)
-    if spec.beta is None and _KERNEL is not None:
-        return _quantize_absmax(X, spec, tensor_scaling, rng)
+    if _KERNEL is not None and (spec.beta is None or X.size):
+        return _quantize_kernel(X, spec, tensor_scaling, rng)
     l = spec.block_size
     blocks = _partition(X, l)
     z_mask = None if blocks.size == X.size else _partition(np.ones(X.shape), l) > 0
@@ -342,19 +356,25 @@ _KERNEL = _kernel.load()
 _UNIFORMS = threading.local()  # each thread's reused buffer of draws
 
 
-def _quantize_absmax(
+def _quantize_kernel(
     X: np.ndarray, spec: BlockSpec, tensor_scaling: bool, rng: np.random.Generator | None
 ) -> QuantizedTensor:
-    """:func:`quantize_blocks` of an Absmax spec in the compiled kernel: the
-    same record, bit for bit, after the same checks and the same draws.
+    """:func:`quantize_blocks` in the compiled kernel: the same record, bit
+    for bit, after the same checks and the same draws.
 
-    The kernel writes every field into one buffer.  Roundings that draw
-    nothing take one call; otherwise a first call gives the statistics, the
-    checks run, the scale uniforms (one per finite multiplier) and then the
-    element uniforms (one per padded element) are drawn as ``_round``
-    draws them, and a second call rounds.
+    The kernel writes every field into one buffer.  Absmax roundings that
+    draw nothing take one call; otherwise a first call copies the blocks
+    and gives the Absmax statistics, the checks run, a LogSumExp spec
+    replaces ``z`` and ``s_ideal`` (:func:`_kernel_lse`, with the exp terms
+    in the buffer of the elements), the scale uniforms (one per finite
+    multiplier) and then the element uniforms (one per padded element) are
+    drawn as ``_round`` draws them, and a last call rounds.
+
+    Under tensor scaling the LogSumExp is taken twice, as on the NumPy
+    path: on the raw blocks for ``g``, then on the blocks over ``g``; the
+    first only of the blocks that can hold the largest statistic.
     """
-    lib, l = _KERNEL, spec.block_size
+    lib, l, beta = _KERNEL, spec.block_size, spec.beta
     rows = X.reshape(-1, X.shape[-1] if X.ndim else 1) if X.size else X.reshape(1, 0)
     if not rows.flags.aligned:  # strides the kernel cannot step by
         rows = rows.copy()
@@ -364,15 +384,30 @@ def _quantize_absmax(
     out = np.empty(2 * size + 3 * nb + 1)
     rescale = _rescale(spec, tensor_scaling)
     x, p = rows.ctypes.data, out.ctypes.data
+    # or a mode that _check_rounding refuses
     draws = not {spec.scale_rounding, spec.elem_rounding} <= {TIES_TO_EVEN, TOWARD_POSITIVE}
-    if draws:  # or a mode that _check_rounding refuses
-        finite = lib.mx_absmax_stats(x, nrows, n, rs // 8, cs // 8, l, tensor_scaling,
-                                     E2M1.max_finite, p)
-    else:
+    one_call = beta is None and not draws
+    if one_call:
         finite = lib.mx_absmax_quantize(x, nrows, n, rs // 8, cs // 8, l, tensor_scaling,
                                         rescale, *spec._kernel_args, p)
+    else:
+        finite = lib.mx_absmax_stats(x, nrows, n, rs // 8, cs // 8, l,
+                                     tensor_scaling and beta is None, E2M1.max_finite, p)
     if finite < 0:
         raise ValueError("quantization requires finite inputs")
+    blocks, elements = out[:size].reshape(nb, l), out[size:2 * size].reshape(nb, l)
+    z, s_ideal, scales = out[2 * size:-1].reshape(3, nb)
+    if beta is not None:
+        mask = None if size == X.size else _partition(np.ones(X.shape), l) > 0
+        if tensor_scaling:
+            g = _kernel_lse(blocks, beta, mask, candidates=True, e=elements)[1].max()
+            out[-1] = g = g if g > 0 else 1.0
+            blocks /= g
+        z[:] = _kernel_lse(blocks, beta, mask, e=elements)[1]
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(E2M1.max_finite, z, out=s_ideal)
+        finite = int(np.count_nonzero(s_ideal < np.inf))
+    us = ue = None  # the scale and element uniforms
     if draws:
         _check_rounding(spec.elem_rounding, rng)
         _check_rounding(spec.scale_rounding, rng)
@@ -384,15 +419,96 @@ def _quantize_absmax(
             rng.random(out=u[:k])
         if spec.elem_rounding == STOCHASTIC:
             rng.random(out=u[k:k + size])
-        up = u.ctypes.data
-        lib.mx_absmax_round(nb, l, rescale, *spec._kernel_args, up, up + 8 * k, p)
-    blocks, elements = out[:size].reshape(nb, l), out[size:2 * size].reshape(nb, l)
-    z, s_ideal, scales = out[2 * size:-1].reshape(3, nb)
+        us = u.ctypes.data
+        ue = us + 8 * k
+    if not one_call:
+        lib.mx_round(nb, l, rescale, *spec._kernel_args, us, ue, p)
     return QuantizedTensor(
         shape=X.shape, scales=scales, elements=elements, spec=spec, blocks=blocks, z=z,
         s_ideal=s_ideal, global_scale=float(out[-1]) if tensor_scaling else None,
         rescale=rescale,
     )
+
+
+def _kernel_blocks(blocks, mask) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``blocks`` and ``mask`` as C-ordered float64 and bool arrays for the
+    kernel, or None when it is not loaded or they are not a non-empty
+    ``(num_blocks, l)`` array and a mask of its shape."""
+    if _KERNEL is None:
+        return None
+    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+    if blocks.ndim != 2 or not blocks.size:
+        return None
+    if mask is not None:
+        if np.shape(mask) != blocks.shape or np.asarray(mask).dtype != bool:
+            return None
+        mask = np.ascontiguousarray(mask)
+    return blocks, mask
+
+
+def _kernel_lse(
+    blocks: np.ndarray, beta: float, mask: np.ndarray | None, g: float = 1.0,
+    candidates: bool = False, e: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray] | None:
+    """The log-sum-exp at ``beta`` of each row of ``blocks * g`` in the
+    compiled kernel, bit for bit what :func:`z_values` of ``blocks * g``
+    gives: ``(rows, z)``, or None where the kernel is not loaded or takes
+    no such input, a live value is not finite or a row has none.
+
+    The kernel writes the exp arguments, ``_exp_in_place`` takes their exp,
+    the kernel sums each row and ``np.log`` takes the sums' logs; ``e``
+    (``blocks.size`` values or more) holds the exp terms.  ``rows`` is None
+    for every row; with ``candidates`` it holds the indices of the rows
+    whose statistic can be the largest, in order, and ``z`` is theirs: a
+    row's statistic lies in ``[m, m + log(l) / beta]`` above its maximum
+    ``m``, so a row below the largest ``m`` by more cannot be the largest.
+    """
+    got = _kernel_blocks(blocks, mask)
+    if got is None:
+        return None
+    blocks, mask = got
+    nb, l = blocks.shape
+    m = np.empty(nb)
+    rows = np.empty(nb, dtype=np.int64) if candidates else None
+    e = np.empty(blocks.size) if e is None else e
+    bound = math.log(l) / beta * (1.0 + 1e-6)  # above every float log(sum) / beta
+    k = _KERNEL.mx_lse_shift(blocks.ctypes.data, None if mask is None else mask.ctypes.data,
+                             nb, l, g, beta, bound, None if rows is None else rows.ctypes.data,
+                             m.ctypes.data, e.ctypes.data)
+    if k < 0:
+        return None
+    terms = e.reshape(-1)[:k * l]
+    _exp_in_place(terms)
+    z = np.empty(k)
+    _KERNEL.mx_lse_sum(terms.ctypes.data, k, l, z.ctypes.data)
+    np.log(z, out=z)  # each sum holds a row maximum's exp(0) = 1
+    z /= beta
+    if rows is None:
+        z += m
+        return None, z
+    rows = rows[:k]
+    z += m[rows]
+    return rows, z
+
+
+def _kernel_softmax_grad(
+    blocks: np.ndarray, beta: float, mask: np.ndarray | None
+) -> np.ndarray | None:
+    """``qgrad.dZ``'s softmax derivative in the compiled kernel, bit for
+    bit, or None where the kernel is not loaded or takes no such input, a
+    live value is not finite or a row has none."""
+    got = _kernel_blocks(blocks, mask)
+    if got is None:
+        return None
+    blocks, mask = got
+    nb, l = blocks.shape
+    m, e = np.empty(nb), np.empty(blocks.shape)
+    if _KERNEL.mx_lse_shift(blocks.ctypes.data, None if mask is None else mask.ctypes.data,
+                            nb, l, 1.0, beta, 0.0, None, m.ctypes.data, e.ctypes.data) < 0:
+        return None
+    _exp_in_place(e)
+    _KERNEL.mx_softmax_grad(blocks.ctypes.data, nb, l, e.ctypes.data)
+    return e
 
 
 def quantize_tensor(

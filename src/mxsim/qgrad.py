@@ -20,7 +20,7 @@ import numpy as np
 
 from .formats import E2M1, FloatFormat, grid, round_array
 from .mx import QuantizedTensor, z_values
-from .mx import _block_major_abs, _exp_in_place, _pairwise_sum
+from .mx import _block_major_abs, _exp_in_place, _kernel_lse, _kernel_softmax_grad, _pairwise_sum
 
 # Element / scale quantizer gradient estimators.
 EST_STE = "STE"
@@ -268,9 +268,10 @@ def dZ(
     """Derivative of the block statistic with respect to each element.
 
     Hard mode: one-hot sign at the (first) absmax position.  Soft modes:
-    softmax weights of ``beta * |x|`` times element signs, formed in place
-    in the block-major buffer of ``z_values`` and transposed back once, by
-    the product with the signs.
+    softmax weights of ``beta * |x|`` times element signs, in the compiled
+    kernel when it is loaded (``mx._kernel_softmax_grad``); otherwise formed
+    in place in the block-major buffer of ``z_values`` and transposed back
+    once, by the product with the signs.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if mode == SCALE_GRAD_ABSMAX:
@@ -285,6 +286,9 @@ def dZ(
         out[a[rows, idx] <= 0, :] = 0.0
         return out
     if mode in (SCALE_GRAD_SOFTMAX, SCALE_GRAD_HYBRID):
+        out = _kernel_softmax_grad(blocks, beta, mask)
+        if out is not None:
+            return out
         e = _block_major_abs(blocks, mask, -np.inf)
         m = e.max(axis=0)
         finite = np.isfinite(m)
@@ -292,7 +296,8 @@ def dZ(
         # A row with a finite maximum holds only finite |x| unless masked.
         bad = None if mask is None and all_finite else ~np.isfinite(e)
         e -= m if all_finite else np.where(finite, m, 0.0)
-        e *= beta
+        with np.errstate(over="ignore"):  # to -inf, whose exp is 0
+            e *= beta
         _exp_in_place(e)
         if bad is not None:
             e[bad] = 0.0
@@ -377,14 +382,18 @@ def tensor_scale_grad(res: QuantizedTensor) -> tuple[int, np.ndarray]:
     max, softmax weights under the smooth statistic).  The raw blocks are
     ``res.blocks`` times the global factor.  Under the hard max their
     statistic is ``res.z`` times it, because ``x -> fl(x * g)`` is monotone.
+    The compiled kernel takes the smooth statistic only of the blocks that
+    can hold the largest one, in order, so the first of equal maxima wins.
     """
     beta, g = res.spec.beta, res.global_scale or 1.0
     mask = _padding_mask(res)
-    if beta is None:
-        z_raw = res.z * g
+    candidates = None if beta is None else _kernel_lse(res.blocks, beta, mask, g, True)
+    if candidates is not None:
+        rows, z = candidates
+        p = int(rows[np.argmax(z)])
     else:
-        z_raw = z_values(res.blocks * g, beta, mask)
-    p = int(np.argmax(z_raw))
+        z_raw = res.z * g if beta is None else z_values(res.blocks * g, beta, mask)
+        p = int(np.argmax(z_raw))
     block = res.blocks[p : p + 1] * g
     m = None if mask is None else mask[p : p + 1]
     if beta is None:

@@ -1,13 +1,20 @@
-/* Absmax block quantization (BlockSpec.beta is None) in compiled loops.
+/* Block quantization (mx.quantize_blocks) and the softmax derivative of the
+ * block statistic (qgrad.dZ) in compiled loops.
  *
- * mx.quantize_blocks calls these through ctypes.  Each function computes,
- * value for value, what the NumPy path in mx.py and formats._round
+ * Python calls these through ctypes.  Each function computes, value for
+ * value, what the NumPy path in mx.py, qgrad.py and formats._round
  * computes, by the same float64 operations in the same order, so every
  * output has the same bytes.  That holds only for IEEE double arithmetic
  * as written: build with -ffp-contract=off (no fused multiply-add) and
- * never with -ffast-math.
+ * never with -ffast-math or any of its value-changing parts.
  *
- * One buffer `out` of 2 * nb * l + 3 * nb + 1 doubles takes the record:
+ * The LogSumExp statistic (BlockSpec.beta set) leaves its two
+ * transcendental steps to NumPy, between kernel calls: mx._exp_in_place on
+ * the arguments that mx_lse_shift writes, and np.log on the sums of
+ * mx_lse_sum, because glibc's exp and log need not give the bits of
+ * NumPy's SIMD ones.
+ *
+ * One buffer `out` of 2 * nb * l + 3 * nb + 1 doubles takes a record:
  * blocks (nb, l), elements (nb, l), z, s_ideal and scales (nb each), and
  * the tensor factor g.
  */
@@ -75,7 +82,8 @@ static inline double round_one(double x, const format_t *f, int64_t mode, double
 }
 
 /* q[i] = round_one(blk[i] * s, ...) for i < l, one loop per mode so that
- * each one vectorizes; ue holds the uniforms of a stochastic rounding. */
+ * each one vectorizes (those with floor and ceil only under
+ * -fno-trapping-math); ue holds the uniforms of a stochastic rounding. */
 static void round_block(const double *blk, double s, double *q, int64_t l,
                         const format_t *f, int64_t mode, const double *ue)
 {
@@ -95,7 +103,8 @@ static void round_block(const double *blk, double s, double *q, int64_t l,
  * zero-padded blocks of l; take each block's absolute maximum z, the
  * factor g (with tensor_scaling divided out of blocks and z) and
  * s_ideal = elem_max / z.  Returns the number of finite s_ideal, or -1
- * when x holds NaN or an infinity.
+ * when x holds NaN or an infinity.  A LogSumExp quantization takes the
+ * copy and the check from here and replaces z and s_ideal.
  *
  * The maximum is taken over the bit patterns of |x|, which order as the
  * values do; any pattern at or above that of +inf is an infinity or NaN. */
@@ -149,12 +158,12 @@ int64_t mx_absmax_stats(const double *x, int64_t nrows, int64_t n, int64_t rs, i
 }
 
 /* Round s_ideal / rescale into the scale format sf and blocks * s_eff into
- * the element format ef.  A stochastic scale rounding reads one uniform of
- * us per finite s_ideal, in block order; a stochastic element rounding
- * reads ue[i] for element i, padding too. */
-void mx_absmax_round(int64_t nb, int64_t l, double rescale, const format_t *sf,
-                     int64_t scale_mode, const format_t *ef, int64_t elem_mode,
-                     const double *us, const double *ue, double *out)
+ * the element format ef, for either statistic.  A stochastic scale rounding
+ * reads one uniform of us per finite s_ideal, in block order; a stochastic
+ * element rounding reads ue[i] for element i, padding too. */
+void mx_round(int64_t nb, int64_t l, double rescale, const format_t *sf,
+              int64_t scale_mode, const format_t *ef, int64_t elem_mode,
+              const double *us, const double *ue, double *out)
 {
     const double *blocks = out, *s_ideal = out + 2 * nb * l + nb;
     double *elements = out + nb * l, *scales = out + 2 * nb * l + 2 * nb;
@@ -182,7 +191,119 @@ int64_t mx_absmax_quantize(const double *x, int64_t nrows, int64_t n, int64_t rs
                                      ef->max_finite, out);
     if (finite >= 0) {
         int64_t nb = nrows * (n > 0 ? (n + l - 1) / l : 1);
-        mx_absmax_round(nb, l, rescale, sf, scale_mode, ef, elem_mode, NULL, NULL, out);
+        mx_round(nb, l, rescale, sf, scale_mode, ef, elem_mode, NULL, NULL, out);
     }
     return finite;
+}
+
+/* The LogSumExp statistic and the softmax derivative.  A block's exp
+ * arguments are written row-major; exp is elementwise, so no transpose is
+ * needed.  A position that mask marks 0 (padding) gets the argument -inf,
+ * whose exp is the +0.0 term that the NumPy path's mask leaves in the sum. */
+
+/* The sum of e[0..n), added in the order of NumPy's pairwise sum of one
+ * contiguous row (mx._pairwise_sum): fewer than 8 terms in a row, up to
+ * 128 in 8 accumulators, more split in halves at a multiple of 8. */
+static double pairwise(const double *e, int64_t n)
+{
+    if (n < 8) {
+        double total = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            total += e[i];
+        return total;
+    }
+    if (n > 128) {
+        int64_t half = n / 2 - n / 2 % 8;
+        return pairwise(e, half) + pairwise(e + half, n - half);
+    }
+    double r[8];
+    int64_t stop = n - n % 8, i;
+    for (int j = 0; j < 8; j++)
+        r[j] = e[j];
+    for (i = 8; i < stop; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += e[i + j];
+    double total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (i = stop; i < n; i++)
+        total += e[i];
+    return total;
+}
+
+/* Take m[j], the maximum of |blocks * g| over the live positions of block
+ * j, and write the exp arguments (|x * g| - m[j]) * beta of the blocks
+ * into the rows of e.  With rows NULL every block gets a row; otherwise
+ * only the blocks whose statistic can be the largest, in order, with
+ * their indices in rows: a LogSumExp exceeds its block's maximum by at
+ * most log(l) / beta, so a block with m[j] + bound < max m cannot be the
+ * largest when bound is at least that.  Returns the number of rows
+ * written, or -1 when a live value is NaN or infinite or a block has no
+ * live position. */
+int64_t mx_lse_shift(const double *blocks, const uint8_t *mask, int64_t nb, int64_t l,
+                     double g, double beta, double bound, int64_t *rows, double *m,
+                     double *e)
+{
+    uint64_t top = 0;
+    for (int64_t j = 0; j < nb; j++) {
+        const double *b = blocks + j * l;
+        uint64_t mj = 0;
+        int64_t live = l;
+        if (mask) {
+            const uint8_t *on = mask + j * l;
+            live = 0;
+            for (int64_t i = 0; i < l; i++) {
+                uint64_t a = on[i] ? bits_of(b[i] * g) & ~SIGN : 0;
+                mj = a > mj ? a : mj;
+                live += on[i] != 0;
+            }
+        } else {
+            for (int64_t i = 0; i < l; i++) {
+                uint64_t a = bits_of(b[i] * g) & ~SIGN;
+                mj = a > mj ? a : mj;
+            }
+        }
+        if (mj >= EXPONENT || live == 0)
+            return -1;
+        m[j] = double_of(mj);
+        top = mj > top ? mj : top;
+    }
+    int64_t k = 0;
+    for (int64_t j = 0; j < nb; j++) {
+        if (rows) {
+            if (!(m[j] + bound >= double_of(top)))
+                continue;
+            rows[k] = j;
+        }
+        const double *b = blocks + j * l;
+        double *row = e + k++ * l;
+        for (int64_t i = 0; i < l; i++)
+            row[i] = (fabs(b[i] * g) - m[j]) * beta;
+        if (mask)
+            for (int64_t i = 0; i < l; i++)
+                if (!mask[j * l + i])
+                    row[i] = -INFINITY;
+    }
+    return k;
+}
+
+/* total[i] = the pairwise sum of row i of the k x l exp terms e. */
+void mx_lse_sum(const double *e, int64_t k, int64_t l, double *total)
+{
+    for (int64_t i = 0; i < k; i++)
+        total[i] = pairwise(e + i * l, l);
+}
+
+/* qgrad.dZ's softmax derivative, in place in the exp terms e of every
+ * block: sign(x) * (e / the row's pairwise sum), with np.sign's +0.0 for
+ * either zero and NaN for NaN. */
+void mx_softmax_grad(const double *blocks, int64_t nb, int64_t l, double *e)
+{
+    for (int64_t j = 0; j < nb; j++) {
+        const double *b = blocks + j * l;
+        double *row = e + j * l;
+        double total = pairwise(row, l);
+        for (int64_t i = 0; i < l; i++) {
+            double sign = b[i] > 0 ? 1.0 : b[i] < 0 ? -1.0 : b[i] == 0 ? 0.0 : b[i];
+            row[i] = sign * (row[i] / total);
+        }
+    }
 }

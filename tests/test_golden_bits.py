@@ -91,17 +91,35 @@ TRAIN_COVER = [
     for i, fmt in enumerate(("E8M0", "E4M3", "UE5M3"))
     for j, sr in enumerate(("None", "backward", "all"))
 ]
+# The smoothed statistic: the log-sum-exp forward (softsoftmax) or the hard
+# one (hardsoftmax), each with the softmax derivative, under the absmax
+# tensor-scale gradient, Hadamard and SR everywhere as sweep-mix runs them,
+# and without tensor scaling.
+SOFT_COVER = [
+    SweepConfig(scale_format=fmt, block_size=l, max_grad=max_grad, quant_grad="spline",
+                hadamard=hadamard, sr=sr, round_mode=round_mode, tensor_scaling=ts,
+                tensor_grad=tensor_grad)
+    for fmt, l, max_grad, hadamard, sr, round_mode, ts, tensor_grad in [
+        ("E8M0", 32, "softsoftmax", "all", "all", "Stochastic", True, "absmax"),
+        ("E4M3", 16, "softsoftmax", "all", "all", "Stochastic", True, "absmax"),
+        ("UE5M3", 16, "softsoftmax", "None", "backward", "TiesToEven", True, "STE"),
+        ("E8M0", 32, "softsoftmax", "None", "None", "TowardPositive", False, "N/A"),
+        ("E4M3", 16, "hardsoftmax", "all", "all", "Stochastic", True, "absmax"),
+    ]
+]
 TASK = trainer.TaskSpec(n_samples=100, dim=40, seed=3, noise_std=0.5)
 TRAIN = trainer.TrainConfig(hidden=(24,), epochs=2, batch_size=48, seed=4)
 
 
 def _outputs():
     runs = []
-    for cfg in TRAIN_COVER:
+    for cfg in TRAIN_COVER + SOFT_COVER:
         rec = trainer.train(TASK, run_configs(TRAIN, cfg)[0])
         runs.append((rec.train_losses, rec.val_losses,
                      [p.tobytes() for p in rec.final_params], rec.steps, rec.diverged))
-    return runs, sweep.recon_error_experiment(n_elements=256, seed=5)
+    # Both grids hold log-sum-exp cells; 250 values pad every block size.
+    recon = [sweep.recon_error_experiment(n_elements=n, seed=5) for n in (256, 250)]
+    return runs, recon
 
 
 def test_training_and_recon_match_on_both_paths(monkeypatch):

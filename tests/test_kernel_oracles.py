@@ -8,10 +8,12 @@ reductions, a plain ``np.exp``); each kernel must give the same bytes.
 ``formats.encode_array`` looks codes up in the format's grid; its
 reference derives them from the exponent and mantissa fields.
 
-The compiled absmax kernel (``quantize.c``), built here into a temporary
+The compiled kernel (``quantize.c``), built here into a temporary
 directory, must give every field of the NumPy path's ``quantize_blocks``
-record, byte for byte, leave the rng in the same state and raise the same
-errors.
+record under either statistic, byte for byte, leave the rng in the same
+state and raise the same errors; its log-sum-exp ``z_values``, softmax
+``dZ`` and the tensor factor's choice of block must give the NumPy path's
+bytes too.
 """
 
 import math
@@ -48,10 +50,17 @@ from mxsim.mx import (
     quantize_blocks,
     z_values,
 )
-from mxsim.qgrad import SCALE_GRAD_ABSMAX, SCALE_GRAD_HYBRID, SCALE_GRAD_SOFTMAX, dZ
+from mxsim.qgrad import (
+    SCALE_GRAD_ABSMAX,
+    SCALE_GRAD_HYBRID,
+    SCALE_GRAD_SOFTMAX,
+    dZ,
+    tensor_scale_grad,
+)
 
 BLOCK_SIZES = (1, 3, 8, 16, 32, 64, 128, 256)
 BETAS = (5.0, 40.0, 160.0)
+LSE_BETAS = (5.0, 40.0, 160.0, 1e4)  # 1e4 sends exp arguments below -708
 TENSOR_SCALES = (1e-320, 1e-300, 1e-30, 1e-4, 1.0, 1e4, 1e28, 1e300)
 
 
@@ -169,30 +178,53 @@ def _blocks(l, scale, padded, rng):
     return mx._partition(x, l), mask
 
 
-@pytest.mark.parametrize("l", BLOCK_SIZES)
-def test_z_values_match_the_row_wise_statistic(l):
-    rng = np.random.default_rng(l)
-    for scale in TENSOR_SCALES:
-        for padded in (False, True):
-            blocks, mask = _blocks(l, scale, padded, rng)
-            for beta in (None, *BETAS):
-                got = z_values(blocks, beta, mask)
-                assert got.tobytes() == _ref_z_values(blocks, beta, mask).tobytes(), (scale,
-                                                                                      beta)
+def _each_path(monkeypatch):
+    """Set ``mx._KERNEL`` to the loaded kernel (None where it did not
+    build), then to None, the NumPy path."""
+    for lib in (mx._KERNEL, None):
+        monkeypatch.setattr(mx, "_KERNEL", lib)
+        yield lib
 
 
 @pytest.mark.parametrize("l", BLOCK_SIZES)
-def test_dZ_matches_the_row_wise_derivative(l):
-    rng = np.random.default_rng(l)
-    for scale in TENSOR_SCALES:
-        for padded in (False, True):
-            blocks, mask = _blocks(l, scale, padded, rng)
-            for beta in BETAS:
-                for mode in (SCALE_GRAD_ABSMAX, SCALE_GRAD_SOFTMAX, SCALE_GRAD_HYBRID):
-                    got = dZ(blocks, mode, beta, mask)
-                    want = _ref_dZ(blocks, mode, beta, mask)
-                    assert got.flags.c_contiguous
-                    assert got.tobytes() == want.tobytes(), (scale, beta, mode)
+def test_z_values_match_the_row_wise_statistic(monkeypatch, l):
+    for _ in _each_path(monkeypatch):
+        rng = np.random.default_rng(l)
+        for scale in TENSOR_SCALES:
+            for padded in (False, True):
+                blocks, mask = _blocks(l, scale, padded, rng)
+                for beta in (None, *BETAS):
+                    got = z_values(blocks, beta, mask)
+                    want = _ref_z_values(blocks, beta, mask)
+                    assert got.tobytes() == want.tobytes(), (scale, beta)
+
+
+@pytest.mark.parametrize("l", BLOCK_SIZES)
+def test_dZ_matches_the_row_wise_derivative(monkeypatch, l):
+    for _ in _each_path(monkeypatch):
+        rng = np.random.default_rng(l)
+        for scale in TENSOR_SCALES:
+            for padded in (False, True):
+                blocks, mask = _blocks(l, scale, padded, rng)
+                for beta in BETAS:
+                    for mode in (SCALE_GRAD_ABSMAX, SCALE_GRAD_SOFTMAX, SCALE_GRAD_HYBRID):
+                        got = dZ(blocks, mode, beta, mask)
+                        want = _ref_dZ(blocks, mode, beta, mask)
+                        assert got.flags.c_contiguous
+                        assert got.tobytes() == want.tobytes(), (scale, beta, mode)
+
+
+def test_log_sum_exp_near_the_largest_double_does_not_warn(monkeypatch):
+    # beta * (0 - 3.6e307) overflows to -inf, whose exp is the 0 it stands
+    # for; the NumPy path used to raise an overflow RuntimeWarning here.
+    x = np.array([[3.595386269724632e307, 0.0]])
+    got = []
+    for _ in _each_path(monkeypatch):
+        res = quantize_blocks(x[0], BlockSpec(block_size=2, beta=5.0))
+        got.append([res.z.tobytes(), z_values(x, 5.0).tobytes(),
+                    dZ(x, SCALE_GRAD_SOFTMAX, 5.0).tobytes()])
+    assert got[0] == got[1]
+    assert got[0][2] == np.array([1.0, 0.0]).tobytes()
 
 
 @pytest.mark.parametrize("statistic", ["Absmax", "LogSumExp"])
@@ -354,15 +386,17 @@ def _hard_rows(l, rng):
 
 @pytest.mark.parametrize("fmt", FORMATS.values(), ids=FORMATS.keys())
 def test_kernel_gives_the_numpy_record(monkeypatch, kernel, fmt):
-    # 6 scale formats x 9 rounding pairs x 2 zero modes x 2 tensor-scaling
-    # states, over 500 blocks each (100 rows of 5): 108k blocks.
+    # Per statistic, 6 scale formats x 9 rounding pairs x 2 zero modes x 2
+    # tensor-scaling states, over 500 blocks each (100 rows of 5): 108k
+    # blocks; the log-sum-exp at each of LSE_BETAS in turn.
     rng = np.random.default_rng(11)
     for i, (sr, er, zm, ts) in enumerate(product(ROUNDING_MODES, ROUNDING_MODES,
                                                  mx.ZERO_MODES, (False, True))):
         l = (8, 16, 32, 64, 128)[i % 5]
-        spec = BlockSpec(block_size=l, scale_format=fmt, scale_rounding=sr,
-                         elem_rounding=er, zero_mode=zm)
-        _same_on_both_paths(monkeypatch, kernel, _hard_rows(l, rng), spec, ts, seed=i)
+        for beta in (None, LSE_BETAS[i % len(LSE_BETAS)]):
+            spec = BlockSpec(block_size=l, scale_format=fmt, beta=beta, scale_rounding=sr,
+                             elem_rounding=er, zero_mode=zm)
+            _same_on_both_paths(monkeypatch, kernel, _hard_rows(l, rng), spec, ts, seed=i)
 
 
 @pytest.mark.parametrize("shape, l", [
@@ -372,9 +406,9 @@ def test_kernel_gives_the_numpy_record(monkeypatch, kernel, fmt):
 def test_kernel_gives_the_numpy_record_on_any_shape(monkeypatch, kernel, shape, l):
     x = np.random.default_rng(len(shape)).standard_normal(shape) * 3.0
     for sr, er in product(ROUNDING_MODES, ROUNDING_MODES):
-        for ts in (False, True):
-            spec = BlockSpec(block_size=l, scale_format=FORMATS["E4M3"], scale_rounding=sr,
-                             elem_rounding=er)
+        for ts, beta in product((False, True), (None, 40.0)):
+            spec = BlockSpec(block_size=l, scale_format=FORMATS["E4M3"], beta=beta,
+                             scale_rounding=sr, elem_rounding=er)
             _same_on_both_paths(monkeypatch, kernel, x, spec, ts, seed=3)
 
 
@@ -387,8 +421,9 @@ def test_kernel_reads_any_layout(monkeypatch, kernel):
     assert not packed["x"].flags.aligned
     for view in (x.T, x[::-1, ::-3], np.broadcast_to(x[0], (5, 40)), packed["x"],
                  x.astype(np.float32), (x * 8).astype(np.int64), x.tolist()):
-        for rounding in ROUNDING_MODES:
-            spec = BlockSpec(block_size=16, scale_rounding=rounding, elem_rounding=rounding)
+        for rounding, beta in product(ROUNDING_MODES, (None, 40.0)):
+            spec = BlockSpec(block_size=16, beta=beta, scale_rounding=rounding,
+                             elem_rounding=rounding)
             _same_on_both_paths(monkeypatch, kernel, view, spec, True, seed=4)
 
 
@@ -397,8 +432,8 @@ def test_kernel_refuses_what_numpy_refuses_without_drawing(monkeypatch, kernel, 
     x = np.ones((4, 40))
     x[2, 39] = bad
     untouched = np.random.default_rng(6).bit_generator.state
-    for sr, er in product(ROUNDING_MODES, ROUNDING_MODES):
-        spec = BlockSpec(block_size=16, scale_rounding=sr, elem_rounding=er)
+    for sr, er, beta in product(ROUNDING_MODES, ROUNDING_MODES, (None, 40.0)):
+        spec = BlockSpec(block_size=16, beta=beta, scale_rounding=sr, elem_rounding=er)
         finite_error = ("ValueError", "quantization requires finite inputs")
         assert _same_on_both_paths(monkeypatch, kernel, x, spec, seed=6) == (finite_error,
                                                                                 untouched)
@@ -409,18 +444,24 @@ def test_kernel_refuses_what_numpy_refuses_without_drawing(monkeypatch, kernel, 
 
 
 def test_zero_blocks_draw_no_scale_uniforms(monkeypatch, kernel):
-    # Every multiplier is the +inf sentinel, so stochastic scales draw 0.
-    for er in ROUNDING_MODES:
-        spec = BlockSpec(block_size=8, scale_rounding=STOCHASTIC, elem_rounding=er)
-        _same_on_both_paths(monkeypatch, kernel, np.zeros((3, 20)), spec, seed=8)
+    # Under Absmax every multiplier is the +inf sentinel, so stochastic
+    # scales draw 0.  Under the log-sum-exp a zero block's statistic is
+    # log(live values) / beta, +inf only for one live value (the last block
+    # of each row of 17 at l = 8).
+    for er, beta in product(ROUNDING_MODES, (None, 40.0)):
+        spec = BlockSpec(block_size=8, beta=beta, scale_rounding=STOCHASTIC, elem_rounding=er)
+        for n in (20, 17):
+            _same_on_both_paths(monkeypatch, kernel, np.zeros((3, n)), spec, seed=8)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(width=64), min_size=0, max_size=40), st.integers(1, 12),
        st.sampled_from(sorted(FORMATS)), st.sampled_from(ROUNDING_MODES),
-       st.sampled_from(ROUNDING_MODES), st.sampled_from(mx.ZERO_MODES), st.booleans())
-def test_kernel_gives_the_numpy_record_on_any_floats(kernel, values, l, name, sr, er, zm, ts):
-    spec = BlockSpec(block_size=l, scale_format=FORMATS[name], scale_rounding=sr,
+       st.sampled_from(ROUNDING_MODES), st.sampled_from(mx.ZERO_MODES), st.booleans(),
+       st.sampled_from((None, *LSE_BETAS)))
+def test_kernel_gives_the_numpy_record_on_any_floats(kernel, values, l, name, sr, er, zm, ts,
+                                                     beta):
+    spec = BlockSpec(block_size=l, scale_format=FORMATS[name], beta=beta, scale_rounding=sr,
                      elem_rounding=er, zero_mode=zm)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _same_on_both_paths(monkeypatch, kernel, np.array(values), spec, ts, seed=9)
@@ -430,12 +471,13 @@ def test_threads_share_the_kernel_safely(monkeypatch, kernel):
     # sweep.run_many calls quantize_blocks from pool threads while the
     # kernel runs without the GIL; each thread draws into its own buffer.
     monkeypatch.setattr(mx, "_KERNEL", kernel)
-    spec = BlockSpec(block_size=16, scale_rounding=STOCHASTIC, elem_rounding=STOCHASTIC)
+    specs = [BlockSpec(block_size=16, beta=beta, scale_rounding=STOCHASTIC,
+                       elem_rounding=STOCHASTIC) for beta in (None, 40.0)]
     inputs = [np.random.default_rng(i).standard_normal((250 + i, 64)) for i in range(6)]
 
     def run(i):
         rng = np.random.default_rng(i)
-        return [quantize_blocks(inputs[i], spec, True, rng).elements.tobytes()
+        return [quantize_blocks(inputs[i], specs[i % 2], True, rng).elements.tobytes()
                 for _ in range(30)]
 
     serial = [run(i) for i in range(6)]
@@ -446,6 +488,132 @@ def test_threads_share_the_kernel_safely(monkeypatch, kernel):
             assert list(pool.map(run, range(6), timeout=60)) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+# Block sizes from 1 to 1024: under 8, not multiples of 8, over 128 (the
+# pairwise sum's recursion) and powers of two.
+STAGE_BLOCK_SIZES = (1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 48, 64, 100, 127,
+                     128, 129, 136, 200, 255, 256, 257, 384, 512, 700, 1000, 1024)
+
+
+def _stage_cases(l, rng):
+    """max(200, 65,536 // l) blocks of l and the masks to take them with:
+    Gaussian blocks at scales 1e-310 to 1e300, zero and +-0 blocks, blocks
+    of one repeated value and of one nonzero value; no mask, each block's
+    live values a prefix of 1 to l (padding), and any pattern with at least
+    one live value per block."""
+    nb = max(200, 65536 // l)
+    scales = 10.0 ** rng.choice([-310, -300, -30, -4, -1, 0, 1, 4, 16, 28, 300], nb)
+    blocks = rng.standard_normal((nb, l)) * scales[:, None]
+    blocks[0::17] = 0.0
+    blocks[1::17] = np.resize([0.0, -0.0], l)
+    blocks[2::17] = -3.0
+    blocks[3::17] = 0.0
+    blocks[3::17, -1] = 2.5
+    prefix = np.arange(l) < rng.integers(1, l + 1, nb)[:, None]
+    pattern = rng.random((nb, l)) < 0.6
+    pattern[np.arange(nb), rng.integers(0, l, nb)] = True
+    return blocks, (None, prefix, pattern)
+
+
+@pytest.mark.parametrize("l", STAGE_BLOCK_SIZES)
+def test_kernel_stages_give_the_numpy_statistic_and_derivative(monkeypatch, kernel, l):
+    # The log-sum-exp z_values and the softmax dZ over 192k blocks in all
+    # (the derivative of the smooth statistic under either forward), and
+    # the NumPy maximum (row-wise from l = 64) against the reference.
+    rng = np.random.default_rng(l)
+    blocks, masks = _stage_cases(l, rng)
+    for mask in masks:
+        assert z_values(blocks, None, mask).tobytes() == _ref_z_values(blocks, None,
+                                                                       mask).tobytes()
+    for beta, mask in product(LSE_BETAS, masks):
+        got = []
+        for lib in (kernel, None):
+            monkeypatch.setattr(mx, "_KERNEL", lib)
+            got.append([z_values(blocks, beta, mask).tobytes(),
+                        dZ(blocks, SCALE_GRAD_SOFTMAX, beta, mask).tobytes(),
+                        dZ(blocks, SCALE_GRAD_HYBRID, beta, mask).tobytes()])
+        assert got[0] == got[1], (beta, None if mask is None else mask.all())
+
+
+@pytest.mark.parametrize("l", (1, 8, 33))
+def test_kernel_stages_leave_what_they_do_not_take_to_numpy(monkeypatch, kernel, l):
+    # An all-padding row (the block of an empty tensor), NaN and infinite
+    # live values, an int mask, a 1-D block and an empty array: the NumPy
+    # path's result or error, on both paths.
+    blocks = np.random.default_rng(0).standard_normal((4, l))
+    padded = np.ones(blocks.shape, dtype=bool)
+    padded[1] = False
+    nan, inf = blocks.copy(), blocks.copy()
+    nan[2, 0], inf[3, -1] = np.nan, -np.inf
+    cases = [(blocks, padded), (nan, None), (inf, None), (nan, padded),
+             (blocks, padded.astype(int)), (blocks[0], None), (blocks[:0], None)]
+    def outcome(fn, *args):
+        try:
+            with np.errstate(invalid="ignore"):
+                return fn(*args).tobytes()
+        except (TypeError, ValueError) as exc:
+            return repr(exc)
+
+    for x, mask in cases:
+        got = []
+        for lib in (kernel, None):
+            monkeypatch.setattr(mx, "_KERNEL", lib)
+            got.append([outcome(z_values, x, 40.0, mask),
+                        outcome(dZ, x, SCALE_GRAD_SOFTMAX, 40.0, mask)])
+        assert got[0] == got[1]
+
+
+def _tensor_factor_rows(l, beta):
+    """Rows of blocks whose maxima tie or nearly tie.  Block 1 holds the
+    largest value M once; blocks 3 and 6 are equal, every value M - d with
+    d under log(l) / beta, so each has a larger statistic than block 1 and
+    the first of them is the largest; block 4 is block 3 with one value a
+    unit in the last place smaller, block 5 has every value M - log(l) /
+    beta * (1 + 2e-6), which cannot be the largest, and block 7 ties block
+    1's maximum with smaller other values."""
+    M, d = 1.5, 0.9 * math.log(l) / beta
+    x = np.full((8, l), 0.25)
+    x[1, 0] = x[7, 0] = M
+    x[3] = x[6] = M - d
+    x[4] = x[3]
+    x[4, -1] = np.nextafter(x[4, -1], 0.0)
+    x[5] = M - math.log(l) / beta * (1 + 2e-6)
+    x[7, 1:] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("l", (2, 8, 16, 32, 100))
+@pytest.mark.parametrize("beta", LSE_BETAS)
+def test_the_tensor_factor_candidates_keep_ties_and_near_ties(monkeypatch, kernel, l, beta):
+    # The forward g and tensor_scale_grad's block come only from the blocks
+    # that can hold the largest statistic; a trim of every block below the
+    # largest maximum, or one that took the last of equal maxima, fails.
+    x = _tensor_factor_rows(l, beta)
+    signs = np.where(np.arange(x.size).reshape(x.shape) % 3, 1.0, -1.0)
+    # At 1e300 the gaps vanish: blocks 1 and 7 have equal statistics.
+    for X, first in ((x * signs, 3), (x[:, :-1] * signs[:, :-1], None),
+                     ((x * 1e300).T.copy().T, 1)):
+        for rounding in (TIES_TO_EVEN, STOCHASTIC):
+            spec = BlockSpec(block_size=l, beta=beta, elem_rounding=rounding)
+            _same_on_both_paths(monkeypatch, kernel, X.reshape(2, -1), spec, True, seed=1)
+        res = quantize_blocks(X, BlockSpec(block_size=l, beta=beta), True)
+        got = []
+        for lib in (kernel, None):
+            monkeypatch.setattr(mx, "_KERNEL", lib)
+            p, row = tensor_scale_grad(res)
+            got.append((p, row.tobytes()))
+        assert got[0] == got[1]
+        assert first in (None, got[0][0])
+
+
+def test_the_compile_command_keeps_ieee_arithmetic():
+    # -ffp-contract=off forbids fused multiply-adds; no flag that lets the
+    # compiler reassociate, use reciprocals or assume finite values.
+    assert "-ffp-contract=off" in _kernel.COMMAND
+    unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+              "-freciprocal-math", "-ffinite-math-only"}
+    assert not unsafe & set(_kernel.COMMAND)
 
 
 # ---------------------------------------------------------------------------

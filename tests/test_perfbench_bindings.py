@@ -4,6 +4,7 @@ function its defining module exports, or a traced run fails."""
 
 import importlib
 import importlib.util
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,9 @@ def test_quantize_blocks_calls_the_traced_helpers(monkeypatch, statistic, tensor
 
 
 def test_kernel_path_calls_no_helper(monkeypatch):
-    # On the kernel path an Absmax quantization is one quantize_blocks call
-    # and no helper call, so the mx.z_values and mx.quantize_scales metrics
-    # time only LogSumExp specs; those keep their helper calls.
+    # On the kernel path a quantization under either statistic is one
+    # quantize_blocks call and no helper call, so the mx.z_values and
+    # mx.quantize_scales metrics time only NumPy-path calls.
     mx = importlib.import_module("mxsim.mx")
     if mx._KERNEL is None:
         pytest.skip("the compiled kernel is not built on this host")
@@ -82,14 +83,11 @@ def test_kernel_path_calls_no_helper(monkeypatch):
 
     monkeypatch.setattr(mx, "quantize_blocks", counting)
     for tensor_scaling in (False, True):
-        for beta, rounding in ((None, "TiesToEven"), (None, "Stochastic"), (40.0, "TiesToEven")):
+        for beta, rounding in product((None, 40.0), ("TiesToEven", "Stochastic")):
             calls.clear()
             spec = mx.BlockSpec(beta=beta, elem_rounding=rounding)
             mx.quantize_tensor(np.ones((4, 64)), spec, tensor_scaling, np.random.default_rng(0))
-            z_calls = 0 if beta is None else 1 + tensor_scaling
-            assert calls.count("z_values") == z_calls
-            assert calls.count("quantize_scales") == (beta is not None)
-            assert calls.count("quantize_blocks") == 1
+            assert calls == ["quantize_blocks"]
 
 
 def test_recon_grid_calls_the_traced_cell(monkeypatch):
